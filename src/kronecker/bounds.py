@@ -8,7 +8,6 @@ lifting precision or prime size.
 """
 
 from dataclasses import dataclass
-from math import prod
 
 from .rings import ceil_log2
 
@@ -108,7 +107,3 @@ class BoundSet:
     def bezout(self, s):
         return self.bezout_stages[s - 1]
 
-
-def bezout_products(degrees):
-    """prod(d_1..d_s) for each stage s."""
-    return tuple(prod(degrees[:s]) for s in range(1, len(degrees) + 1))

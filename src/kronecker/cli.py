@@ -7,33 +7,26 @@ is deterministic for a fixed seed and input: primes, coordinates and node
 choices all flow from the single seeded generator.
 
 Exit codes: 0 verified success, 2 retries exhausted (or input rejected as
-not a reduced regular sequence), 3 unreadable or malformed input.
+not a reduced regular sequence), 3 unreadable or malformed input or an
+unusable option value (a ``--prime`` that is not an odd prime).
 """
 
 import argparse
 import json
 import os
-import random
 import sys
 from fractions import Fraction
 
-from .errors import (
-    InputNotRegularError,
-    KroneckerError,
-    ParseError,
-    RetryExhaustedError,
-)
-from . import verify
-from .bounds import BoundSet
+from .errors import InputNotRegularError, ParseError, RetryExhaustedError
 from .padic import (
     SolveConfiguration,
-    _sample_change,
-    _sample_prime,
+    check_configuration,
+    solve_modular,
     solve_over_rationals,
 )
 from .rings import QQ, PrimeField
-from .slp import AffineChange, compose_affine, parse_system
-from .solver import FiberRepresentation, SolveState, solve_mod_p, to_univariate
+from .slp import parse_system
+from .solver import FiberRepresentation, to_univariate
 
 FORMAT = "kronecker-rep/1"
 
@@ -105,37 +98,6 @@ def load_representation(doc):
     )
 
 
-def _solve_mod_p_only(slp, config):
-    rng = random.Random(config.seed)
-    n = slp.n_vars
-    bounds = BoundSet.for_system(
-        n, slp.degrees, config.coefficient_height or max(slp.height, 1)
-    )
-    last = None
-    for attempt in range(1, config.retries + 1):
-        if config.lambda_matrix is not None:
-            change = AffineChange.from_matrix(config.lambda_matrix)
-        else:
-            change = _sample_change(n, bounds.a, rng)
-        point = tuple(rng.randrange(bounds.b + 1) for _ in range(n - 1))
-        prime = _sample_prime(config, bounds, rng)
-        if change.det % prime == 0:
-            continue
-        field = PrimeField(prime, check=False)
-        composed = compose_affine(slp, change)
-        state = SolveState(
-            slp=composed, change=change, field=field, point=point, rng=rng
-        )
-        try:
-            fiber = solve_mod_p(state)
-        except KroneckerError as err:
-            last = err
-            continue
-        report = verify.check_representation(fiber, composed)
-        return fiber, composed, change, point, prime, state.stage_degrees, report, attempt
-    raise RetryExhaustedError(config.retries, [str(last)])
-
-
 def run(argv):
     parser = argparse.ArgumentParser(
         prog="kronecker-solve",
@@ -178,6 +140,11 @@ def run(argv):
         verify_primes=args.verify_primes,
         prime=args.prime,
     )
+    try:
+        check_configuration(config, slp.n_vars)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 3
 
     doc = {
         "format": FORMAT,
@@ -187,24 +154,16 @@ def run(argv):
     }
     try:
         if args.mod_p_only:
-            (
-                fiber,
-                composed,
-                change,
-                point,
-                prime,
-                stage_degrees,
-                report,
-                attempts,
-            ) = _solve_mod_p_only(slp, config)
+            fiber, state, report, attempts = solve_modular(slp, config)
+            prime = state.field.p
             uni = to_univariate(fiber) if args.emit_univariate else None
             doc.update(
                 {
                     "coefficients": "modular",
                     "modulus": str(prime),
                     "prime": str(prime),
-                    "lambda": [c for row in change.matrix for c in row],
-                    "stage_degrees": stage_degrees,
+                    "lambda": [c for row in state.change.matrix for c in row],
+                    "stage_degrees": state.stage_degrees,
                     "representation": _rep_payload(fiber, uni),
                     "verification": report.to_dict(),
                     "attempts": attempts,

@@ -1,9 +1,9 @@
 """Exception hierarchy for the solver.
 
-Two families matter to callers: "unlucky" conditions (bad prime, bad
-coordinates, bad lifting point), which the orchestration layer handles by
-restarting with fresh randomness, and structural errors (input not a reduced
-regular sequence, budgets exceeded), which no restart can fix.
+Inside a solve attempt two families matter: structural errors (a Bezout
+budget exceeded, an empty intersection), which no restart can fix, and
+everything else, which the attempt driver (``padic._run_attempts``) treats
+as unlucky data and retries with fresh randomness.
 """
 
 
@@ -87,12 +87,8 @@ class ZeroResultantError(UnluckyError):
         super().__init__(stage, cause)
 
 
-class PrecisionStallError(KroneckerError):
-    pass
-
-
 class ResidualNonzeroError(KroneckerError):
-    pass
+    """A Newton step left a nonzero residual on the lifted fiber."""
 
 
 class BudgetExceededError(KroneckerError):

@@ -1,10 +1,15 @@
-"""p-adic lifting of the modular fiber and the full rational solve.
+"""p-adic lifting of the modular fiber, and the attempt driver of every solve.
 
-The modular Kronecker representation is Newton-lifted from F_p to Z/p^(2^k)
-with quadratically growing precision, then every coefficient is recovered as
-a fraction by rational reconstruction.  Heuristic mode lifts until the
-reconstruction stabilizes at two consecutive precisions and a fresh-prime
-verification passes; provable mode lifts straight to the height budget.
+The fiber over F_p climbs one ladder, Z/p, Z/p^2, Z/p^4, ..., one Newton
+step (``solver.newton_step``) per rung, and its Kronecker coefficients are
+rationally reconstructed at each rung from the first one the mode names:
+heuristic mode from Z/p on, stopping once two consecutive rungs agree (the
+result must then verify modulo fresh primes); provable mode from the rung
+the height budget asks for, stopping at the first reconstruction.
+
+The attempt driver behind ``solve_over_rationals`` and ``solve_modular``
+draws λ, the lifting point and the prime of each attempt, restarts unlucky
+attempts with fresh randomness and tells structural failures apart.
 """
 
 import random
@@ -15,30 +20,21 @@ from .bounds import BoundSet
 from .errors import (
     BudgetExceededError,
     EmptyIntersectionError,
-    JacobianNotInvertibleError,
-    NoReconstructionError,
-    NotInvertibleError,
-    ResidualNonzeroError,
-    RetryExhaustedError,
     InputNotRegularError,
+    KroneckerError,
+    NoReconstructionError,
+    RetryExhaustedError,
     SingularMatrixError,
     UnluckyError,
 )
-from .polys import (
-    poly_deriv,
-    poly_mul,
-    poly_sub,
-    rational_reconstruct,
-    rem_monic,
-)
+from .polys import rational_reconstruct
 from .primes import is_probable_prime, random_prime_avoiding, random_prime_in_range
-from .rings import QQ, PolyQuotient, PrimeField, ResidueRing
-from .slp import AffineChange, compose_affine, evaluate, evaluate_jacobian
+from .rings import QQ, PrimeField, ResidueRing
+from .slp import AffineChange, compose_affine
 from .solver import (
     FiberRepresentation,
     SolveState,
-    fiber_coordinates,
-    solve_linear,
+    newton_step,
     solve_mod_p,
     to_kronecker,
     to_univariate,
@@ -113,74 +109,47 @@ class Certificate:
         }
 
 
-def _lift_step(rep, slp, exponent):
-    """One Newton doubling: a representation exact mod p^e becomes exact
-    mod p^exponent (= 2e), minimal polynomial included."""
-    p = rep.ring.p
-    RR = ResidueRing(p, exponent)
-    n = slp.n_vars
-    prim = rep.prim_var
-    stage = rep.stage
-    q = tuple(c % RR.modulus for c in rep.min_poly)
-    params = {j: tuple(c % RR.modulus for c in v) for j, v in rep.params.items()}
-    A = PolyQuotient(RR, q)
-    coords = fiber_coordinates(n, prim, rep.point, params, A)
-    wrt = list(range(prim, n))
-    vals, jac = evaluate_jacobian(slp, coords, A, wrt, n_out=stage)
-    try:
-        corr = solve_linear(jac, vals, A)
-    except NotInvertibleError:
-        raise JacobianNotInvertibleError(stage) from None
-    e_corr = A.neg(corr[0])
-    q_new = poly_sub(q, A.mul(poly_deriv(q, RR), e_corr), RR)
-    new_params = {}
-    for j, v in params.items():
-        nj = A.sub(v, corr[j - prim])
-        adj = poly_sub(nj, poly_mul(poly_deriv(nj, RR), e_corr, RR), RR)
-        new_params[j] = rem_monic(adj, q_new, RR)
-    lifted = FiberRepresentation(
-        stage=stage,
-        prim_var=prim,
-        point=rep.point,
-        min_poly=q_new,
-        params=new_params,
-        form="univariate",
-        ring=RR,
-        change=rep.change,
-    )
-    A2 = PolyQuotient(RR, q_new)
-    coords2 = fiber_coordinates(n, prim, rep.point, new_params, A2)
-    check = evaluate(slp, coords2, A2)[:stage]
-    if any(not A2.is_zero(v) for v in check):
-        raise ResidualNonzeroError(
-            f"residual nonzero after lifting to p^{exponent}"
+def _rungs(uni, slp):
+    """The p-adic ladder of a univariate fiber over F_p: yields
+    (exponent, fiber over Z/p^exponent) for exponent = 1, 2, 4, ...; each
+    further rung costs one Newton step, taken only when it is asked for."""
+    p = uni.ring.p
+    exponent = 1
+    rep = replace(uni, ring=ResidueRing(p, 1))
+    while True:
+        yield exponent, rep
+        exponent *= 2
+        R = ResidueRing(p, exponent)
+        q, params = newton_step(
+            slp, rep.stage, rep.prim_var, rep.point, rep.min_poly, rep.params, R
         )
-    return lifted
+        rep = replace(rep, min_poly=q, params=params, ring=R)
+
+
+def _budget_exponent(p, target_bits):
+    """Least power of two k with k * (bit length of p - 1) >= target_bits."""
+    bits_per_level = p.bit_length() - 1
+    exponent = 1
+    while exponent * bits_per_level < target_bits:
+        exponent *= 2
+    return exponent
 
 
 def hensel_lift_rep(rep, slp, target_bits):
-    """Lift a modular fiber to Z/p^(2^k) with 2^k * log2(p) >= target_bits.
+    """Climb the ladder of a modular fiber to the first rung Z/p^(2^k) with
+    2^k * log2(p) >= target_bits.
 
-    The Jacobian of the system on the fiber must be invertible mod (p, Q);
-    precision doubles each iteration and the residual is re-checked at every
-    level.  The lifted representation comes back in the same form as the
-    input (the Newton iteration runs on the univariate form internally; the
-    Kronecker form is the one with the small, height-bounded coefficients).
+    The Jacobian of the system on the fiber must be invertible mod (p, Q).
+    The lift runs on the univariate form and comes back in the input's form
+    (the Kronecker form is the one with small, height-bounded coefficients).
     """
     if target_bits < 1:
         raise ValueError("target_bits must be positive")
     uni = to_univariate(rep)
-    p = uni.ring.p
-    bits_per_level = p.bit_length() - 1
-    target = 1
-    while target * bits_per_level < target_bits:
-        target *= 2
-    rr1 = ResidueRing(p, 1)
-    current = replace(uni, ring=rr1)
-    exponent = 1
-    while exponent < target:
-        exponent *= 2
-        current = _lift_step(current, slp, exponent)
+    target = _budget_exponent(uni.ring.p, target_bits)
+    for exponent, current in _rungs(uni, slp):
+        if exponent == target:
+            break
     if rep.form == "kronecker":
         current = to_kronecker(current)
     return LiftedRepresentation(rep=current, exponent=exponent)
@@ -196,16 +165,64 @@ def reconstruct_rep(lifted):
         num, den = rational_reconstruct(c % m, m)
         return QQ.from_int(num) / den
 
-    return FiberRepresentation(
-        stage=rep.stage,
-        prim_var=rep.prim_var,
+    return replace(
+        rep,
         point=tuple(int(x) for x in rep.point),
         min_poly=tuple(recover(c) for c in rep.min_poly),
         params={j: tuple(recover(c) for c in v) for j, v in rep.params.items()},
-        form=rep.form,
         ring=QQ,
-        change=rep.change,
     )
+
+
+def _lift_and_reconstruct(uni_p, slp, mode, bounds):
+    """Climb the ladder of ``uni_p``, reconstructing over Q at each rung from
+    the mode's first one; returns (representation over Q, exponent, history
+    of (exponent, reconstructed?) pairs).
+
+    heuristic: from exponent 1 until two consecutive rungs agree, by p^(2^16)
+    at the latest.  provable: from the exponent the height budget asks for
+    until the first reconstruction, by 2^7 times that exponent at the latest.
+    """
+    if mode == "provable":
+        first = _budget_exponent(uni_p.ring.p, 2 * bounds.heights[-1] + 2)
+        last = first * 2**7
+    else:
+        first, last = 1, _MAX_PRECISION_EXPONENT
+    history = []
+    previous = None
+    for exponent, current in _rungs(uni_p, slp):
+        if exponent < first:
+            continue
+        lifted = LiftedRepresentation(rep=to_kronecker(current), exponent=exponent)
+        try:
+            candidate = reconstruct_rep(lifted)
+        except NoReconstructionError:
+            candidate = None
+        history.append((exponent, candidate is not None))
+        # Rungs differ only in their coefficients, so == compares those.
+        if candidate is not None and (mode == "provable" or candidate == previous):
+            return candidate, exponent, tuple(history)
+        if exponent >= last:
+            raise UnluckyError(
+                uni_p.stage, f"no {mode} reconstruction by p^{exponent}"
+            )
+        previous = candidate
+
+
+def check_configuration(config, n_vars):
+    """Raise ValueError for a configuration that no attempt could use."""
+    if config.mode not in ("heuristic", "provable"):
+        raise ValueError(f"unknown mode {config.mode!r}")
+    p = config.prime
+    if p is not None and (p <= 2 or not is_probable_prime(p)):
+        raise ValueError(f"pinned prime {p} is not an odd prime")
+    if config.lambda_matrix is not None:
+        try:
+            AffineChange.from_matrix(config.lambda_matrix)
+        except SingularMatrixError:
+            raise ValueError("pinned change of variables is singular") from None
+    if config.lifting_point is not None and len(config.lifting_point) != n_vars - 1:
+        raise ValueError("lifting point must have n-1 coordinates")
 
 
 def _sample_change(n, a_bound, rng):
@@ -217,163 +234,127 @@ def _sample_change(n, a_bound, rng):
             return AffineChange.from_matrix(rows)
         except SingularMatrixError:
             continue
-    raise RetryExhaustedError(64, ["could not sample an invertible change"])
+    raise SingularMatrixError("no invertible change of variables in 64 draws")
 
 
-def _sample_prime(config, bounds, rng):
+def _draw_attempt(slp, config, bounds, rng):
+    """The solve state of one attempt: λ, lifting point and prime are drawn
+    in that order, each unless ``config`` pins it."""
+    n = slp.n_vars
+    if config.lambda_matrix is not None:
+        change = AffineChange.from_matrix(config.lambda_matrix)
+    else:
+        change = _sample_change(n, bounds.a, rng)
+    if config.lifting_point is not None:
+        point = tuple(int(x) for x in config.lifting_point)
+    else:
+        point = tuple(rng.randrange(bounds.b + 1) for _ in range(n - 1))
     if config.prime is not None:
-        if not is_probable_prime(config.prime):
-            raise ValueError(f"--prime value {config.prime} is not prime")
-        return config.prime
-    if config.mode == "provable":
-        return random_prime_avoiding(bounds.prime_lower, 256, 1, rng)
-    return random_prime_in_range(HEURISTIC_PRIME_LOW, HEURISTIC_PRIME_HIGH, rng)
+        prime = config.prime
+    elif config.mode == "provable":
+        prime = random_prime_avoiding(bounds.prime_lower, 256, 1, rng)
+    else:
+        prime = random_prime_in_range(HEURISTIC_PRIME_LOW, HEURISTIC_PRIME_HIGH, rng)
+    if change.det % prime == 0:
+        raise UnluckyError(0, "determinant vanishes mod p")
+    return SolveState(
+        slp=compose_affine(slp, change),
+        change=change,
+        field=PrimeField(prime, check=False),
+        point=point,
+        rng=rng,
+    )
 
 
-def _reconstruction_ladder(uni_p, slp, rng):
-    """Heuristic stopping rule: double the precision until the reconstructed
-    fraction vector is identical at two consecutive precisions.
+def _run_attempts(slp, config, finish):
+    """The attempt driver of every solve: up to ``config.retries`` attempts,
+    all drawing from the one generator seeded by ``config.seed``.
 
-    Lifting is incremental (one Newton doubling per rung, on the univariate
-    form) while reconstruction targets the Kronecker coefficients, which are
-    the ones with bounded height.
+    An attempt solves modulo its prime and returns ``finish(state, fiber,
+    bounds, attempt)``.  BudgetExceededError and EmptyIntersectionError
+    discard it as structural, any other KroneckerError as unlucky.  When no
+    attempt is left this raises InputNotRegularError if every cause was
+    structural, and RetryExhaustedError otherwise.
     """
-    p = uni_p.ring.p
-    history = []
-    previous = None
-    current_rep = replace(uni_p, ring=ResidueRing(p, 1))
-    exponent = 1
-    while exponent <= _MAX_PRECISION_EXPONENT:
-        lifted = LiftedRepresentation(
-            rep=to_kronecker(current_rep), exponent=exponent
-        )
+    check_configuration(config, slp.n_vars)
+    rng = random.Random(config.seed)
+    height = config.coefficient_height or max(slp.height, 1)
+    bounds = BoundSet.for_system(
+        slp.n_vars, slp.degrees, height, config.c_height, config.c_prime
+    )
+    causes = []
+    structural = []
+    for attempt in range(1, config.retries + 1):
         try:
-            candidate = reconstruct_rep(lifted)
-            history.append((exponent, True))
-        except NoReconstructionError:
-            candidate = None
-            history.append((exponent, False))
-        if candidate is not None and previous is not None:
-            if (
-                candidate.min_poly == previous.min_poly
-                and candidate.params == previous.params
-            ):
-                return candidate, exponent, tuple(history)
-        previous = candidate
-        exponent *= 2
-        current_rep = _lift_step(current_rep, slp, exponent)
-    raise UnluckyError(uni_p.stage, "rational reconstruction did not stabilize")
+            state = _draw_attempt(slp, config, bounds, rng)
+            return finish(state, solve_mod_p(state), bounds, attempt)
+        except (BudgetExceededError, EmptyIntersectionError) as err:
+            structural.append(str(err))
+            causes.append((attempt, getattr(err, "stage", None), str(err)))
+        except UnluckyError as err:
+            causes.append((attempt, err.stage, err.cause))
+        except KroneckerError as err:
+            causes.append((attempt, None, str(err)))
+    if structural and len(structural) == len(causes):
+        raise InputNotRegularError(config.retries, structural)
+    raise RetryExhaustedError(config.retries, causes)
 
 
-def _provable_lift(uni_p, slp, bounds, rng):
-    target_bits = 2 * bounds.heights[-1] + 2
-    lifted = hensel_lift_rep(uni_p, slp, target_bits=target_bits)
-    current = lifted.rep
-    exponent = lifted.exponent
-    history = []
-    for _ in range(8):
-        kron = LiftedRepresentation(rep=to_kronecker(current), exponent=exponent)
-        try:
-            rep = reconstruct_rep(kron)
-            history.append((exponent, True))
-            return rep, exponent, tuple(history)
-        except NoReconstructionError:
-            history.append((exponent, False))
-            exponent *= 2
-            current = _lift_step(current, slp, exponent)
-    raise UnluckyError(uni_p.stage, "height budget exhausted without reconstruction")
+def solve_modular(slp, config=None):
+    """The modular solve alone, with the attempt driver of
+    ``solve_over_rationals``.  Returns (fiber over F_p, solve state, check
+    report, attempt number) of the first attempt that gets through
+    ``solve_mod_p``."""
+
+    def check(state, fiber, bounds, attempt):
+        return fiber, state, verify.check_representation(fiber, state.slp), attempt
+
+    return _run_attempts(slp, config or SolveConfiguration(), check)
 
 
 def solve_over_rationals(slp, config=None):
     """Full pipeline: sample coordinates, solve mod p, lift, reconstruct,
     verify.  Returns (kronecker representation over Q, certificate).
 
-    Restartable failures draw fresh randomness up to ``config.retries``
-    attempts; consistently structural failures raise InputNotRegularError.
+    Each attempt runs under the attempt driver (see ``_run_attempts``).
     """
     config = config or SolveConfiguration()
-    if config.mode not in ("heuristic", "provable"):
-        raise ValueError(f"unknown mode {config.mode!r}")
-    rng = random.Random(config.seed)
-    n = slp.n_vars
-    r = slp.n_outputs
-    height = config.coefficient_height or max(slp.height, 1)
-    bounds = BoundSet.for_system(
-        n, slp.degrees, height, config.c_height, config.c_prime
-    )
-    causes = []
-    structural = []
-    for attempt in range(1, config.retries + 1):
-        if config.lambda_matrix is not None:
-            change = AffineChange.from_matrix(config.lambda_matrix)
-        else:
-            change = _sample_change(n, bounds.a, rng)
-        if config.lifting_point is not None:
-            point = tuple(int(x) for x in config.lifting_point)
-            if len(point) != n - 1:
-                raise ValueError("lifting point must have n-1 coordinates")
-        else:
-            point = tuple(rng.randrange(bounds.b + 1) for _ in range(n - 1))
-        prime = _sample_prime(config, bounds, rng)
-        if change.det % prime == 0:
-            causes.append((attempt, 0, "determinant vanishes mod p"))
-            continue
-        field = PrimeField(prime, check=False)
-        composed = compose_affine(slp, change)
-        state = SolveState(
-            slp=composed, change=change, field=field, point=point, rng=rng
+
+    def lift_and_verify(state, fiber_p, bounds, attempt):
+        composed = state.slp
+        rep_q, exponent, history = _lift_and_reconstruct(
+            to_univariate(fiber_p), composed, config.mode, bounds
         )
-        try:
-            fiber_p = solve_mod_p(state)
-            uni_p = to_univariate(fiber_p)
-            if config.mode == "provable":
-                rep_q, exponent, history = _provable_lift(
-                    uni_p, composed, bounds, rng
-                )
-            else:
-                rep_q, exponent, history = _reconstruction_ladder(
-                    uni_p, composed, rng
-                )
-            fresh = []
-            ok = True
-            for _ in range(max(config.verify_primes, 0)):
-                vp, rep_vp = verify._reduce_with_fresh_prime(rep_q, rng)
-                report = verify.check_representation(rep_vp, composed)
-                fresh.append(vp)
-                ok = ok and report.passed
-            final_report = verify.check_representation(
-                rep_q,
-                composed,
-                exact=config.exact_check,
-                fresh_primes=0,
-                rng=rng,
-            )
-            ok = ok and final_report.passed
-            if not ok:
-                raise UnluckyError(r, "verification failed after lifting")
-            kron_q = to_kronecker(rep_q)
-            certificate = Certificate(
-                mode=config.mode,
-                seed=config.seed,
-                attempts=attempt,
-                lam=change.matrix,
-                point=point,
-                prime=prime,
-                precision_exponent=exponent,
-                reconstruction_exponents=history,
-                verify_primes=tuple(fresh),
-                verification=final_report.to_dict(),
-                stage_degrees=tuple(state.stage_degrees),
-                exact_checked=config.exact_check,
-            )
-            return kron_q, certificate
-        except (BudgetExceededError, EmptyIntersectionError) as err:
-            structural.append(str(err))
-            causes.append((attempt, getattr(err, "stage", None), str(err)))
-        except UnluckyError as err:
-            causes.append((attempt, err.stage, err.cause))
-        except ResidualNonzeroError as err:
-            causes.append((attempt, None, str(err)))
-    if structural and len(structural) == len(causes):
-        raise InputNotRegularError(config.retries, structural)
-    raise RetryExhaustedError(config.retries, causes)
+        fresh = []
+        ok = True
+        for _ in range(max(config.verify_primes, 0)):
+            vp, rep_vp = verify._reduce_with_fresh_prime(rep_q, composed, state.rng)
+            report = verify.check_representation(rep_vp, composed)
+            fresh.append(vp)
+            ok = ok and report.passed
+        final_report = verify.check_representation(
+            rep_q,
+            composed,
+            exact=config.exact_check,
+            fresh_primes=0,
+            rng=state.rng,
+        )
+        if not (ok and final_report.passed):
+            raise UnluckyError(state.r, "verification failed after lifting")
+        certificate = Certificate(
+            mode=config.mode,
+            seed=config.seed,
+            attempts=attempt,
+            lam=state.change.matrix,
+            point=state.point,
+            prime=state.field.p,
+            precision_exponent=exponent,
+            reconstruction_exponents=history,
+            verify_primes=tuple(fresh),
+            verification=final_report.to_dict(),
+            stage_degrees=tuple(state.stage_degrees),
+            exact_checked=config.exact_check,
+        )
+        return to_kronecker(rep_q), certificate
+
+    return _run_attempts(slp, config, lift_and_verify)

@@ -68,9 +68,6 @@ class PrimeField:
         except ValueError:
             raise NotInvertibleError(f"{a} has no inverse mod {self.p}") from None
 
-    def rand(self, rng):
-        return rng.randrange(self.p)
-
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -275,11 +272,6 @@ class ExtField:
 
     def inv(self, a):
         return polys.poly_inverse_mod(a, self.modulus, self.base)
-
-    def rand(self, rng):
-        return polys.normalize(
-            [rng.randrange(self.p) for _ in range(self.deg)], self.base
-        )
 
     def __repr__(self):
         return f"ExtField(p={self.p}, deg={self.deg})"

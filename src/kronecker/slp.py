@@ -353,12 +353,12 @@ def _dense_expand(node, n_vars):
         base = _dense_expand(node[1], n_vars)
         out = {(0,) * n_vars: 1}
         for _ in range(node[2]):
-            out = _dense_mul(out, base, n_vars)
+            out = _dense_mul(out, base)
         return out
     a = _dense_expand(node[1], n_vars)
     b = _dense_expand(node[2], n_vars)
     if op == "mul":
-        return _dense_mul(a, b, n_vars)
+        return _dense_mul(a, b)
     sign = 1 if op == "add" else -1
     out = dict(a)
     for k, v in b.items():
@@ -370,7 +370,7 @@ def _dense_expand(node, n_vars):
     return out
 
 
-def _dense_mul(a, b, n_vars):
+def _dense_mul(a, b):
     out = {}
     for ka, va in a.items():
         for kb, vb in b.items():

@@ -25,7 +25,7 @@ from .errors import (
     NodeExhaustionError,
     NonlinearGcdError,
     NotInvertibleError,
-    PrecisionStallError,
+    ResidualNonzeroError,
     UnluckyError,
     ZeroResultantError,
 )
@@ -147,6 +147,30 @@ def residuals(slp, rep_uni, count=None):
     return vals[:count]
 
 
+def contract_u_expansion(slp, A, point, gen, params, qp, count):
+    """Outputs of ``slp`` at Y = (point, T, W_j * U) over A[U], each
+    contracted against powers of Q' so that U stands for 1/Q'.
+
+    ``gen`` is T in A, ``params`` the W_j in A in variable order, and ``qp``
+    is Q' in A.  A zero W_j keeps its coordinate zero.
+    """
+    PR = PolyRing(A)
+    coords = [PR.embed(embed_scalar(A, x)) for x in point]
+    coords.append(PR.embed(gen))
+    coords.extend((A.zero, w) if not A.is_zero(w) else PR.zero for w in params)
+    vals = evaluate(slp, coords, PR)
+    out = []
+    for expansion in vals[:count]:
+        acc = A.zero
+        power = A.one
+        for k in range(len(expansion) - 1, -1, -1):
+            acc = A.add(acc, A.mul(expansion[k], power))
+            if k:
+                power = A.mul(power, qp)
+        out.append(acc)
+    return out
+
+
 def kronecker_residuals(slp, rep, count=None):
     """Division-free residuals of a Kronecker-form fiber.
 
@@ -160,29 +184,11 @@ def kronecker_residuals(slp, rep, count=None):
         return residuals(slp, rep, count)
     R = rep.ring
     A = PolyQuotient(R, rep.min_poly)
-    PR = PolyRing(A)
-    coords = []
-    for j in range(rep.prim_var):
-        coords.append(PR.embed(embed_scalar(A, rep.point[j])))
-    coords.append(PR.embed(A.gen))
-    for j in range(rep.prim_var + 1, slp.n_vars):
-        w = rep.params[j]
-        coords.append((A.zero, w) if w else PR.zero)
-    vals = evaluate(slp, coords, PR)
-    if count is None:
-        count = rep.stage
     qp = rem_monic(poly_deriv(rep.min_poly, R), rep.min_poly, R)
-    out = []
-    for expansion in vals[:count]:
-        top = len(expansion) - 1
-        acc = A.zero
-        power = A.one
-        for k in range(top, -1, -1):
-            acc = A.add(acc, A.mul(expansion[k], power))
-            if k:
-                power = A.mul(power, qp)
-        out.append(acc)
-    return out
+    point = rep.point[: rep.prim_var]
+    params = [rep.params[j] for j in range(rep.prim_var + 1, slp.n_vars)]
+    count = rep.stage if count is None else count
+    return contract_u_expansion(slp, A, point, A.gen, params, qp, count)
 
 
 def first_stage(state):
@@ -339,23 +345,47 @@ def solve_linear(mat, rhs, A):
         return _solve_by_adjugate(mat, rhs, A)
 
 
-def jacobian_is_invertible(jac, A):
+# -- Newton lifting -----------------------------------------------------------
+
+
+def newton_step(slp, stage, prim, point, q, params, R):
+    """One primitive-element-corrected Newton step of a univariate fiber
+    over R[T]/(q); returns the new minimal polynomial and parametrizations.
+
+    ``R`` is the local ring at the new precision: a ``SeriesRing`` to lift
+    the lifting curve t-adically (the freed coordinate is then the point
+    entry ``base_value + t``), a ``ResidueRing`` to lift the final fiber
+    p-adically.  The first ``stage`` outputs are re-checked on the result.
+    """
+    n = slp.n_vars
+    A = PolyQuotient(R, q)
+    coords = fiber_coordinates(n, prim, point, params, A)
+    vals, jac = evaluate_jacobian(slp, coords, A, list(range(prim, n)), n_out=stage)
     try:
-        A.inv(det_division_free(jac, A))
-        return True
+        corr = solve_linear(jac, vals, A)
     except NotInvertibleError:
-        return False
+        raise JacobianNotInvertibleError(stage) from None
+    e = A.neg(corr[0])
+    q_new = poly_sub(q, A.mul(poly_deriv(q, R), e), R)
+    new_params = {}
+    for j, v in params.items():
+        nj = A.sub(v, corr[j - prim])
+        adj = poly_sub(nj, poly_mul(poly_deriv(nj, R), e, R), R)
+        new_params[j] = rem_monic(adj, q_new, R)
+    A = PolyQuotient(R, q_new)
+    check = evaluate(slp, fiber_coordinates(n, prim, point, new_params, A), A)
+    if any(not A.is_zero(v) for v in check[:stage]):
+        raise ResidualNonzeroError(
+            f"stage {stage} residual nonzero after the Newton step to {R!r}"
+        )
+    return q_new, new_params
 
 
 # -- curve lifting ------------------------------------------------------------
 
 
-def _series_const(c, F):
-    return () if F.is_zero(c) else (c,)
-
-
 def _series_poly(coeffs, F):
-    return tuple(_series_const(c, F) for c in coeffs)
+    return tuple(() if F.is_zero(c) else (c,) for c in coeffs)
 
 
 def lift_curve(fiber, slp, kappa=None):
@@ -371,7 +401,6 @@ def lift_curve(fiber, slp, kappa=None):
         fiber = to_univariate(fiber)
     F = fiber.ring
     s = fiber.stage
-    n = fiber.prim_var + fiber.stage
     prim = fiber.prim_var
     free = prim - 1
     if free < 0:
@@ -384,47 +413,14 @@ def lift_curve(fiber, slp, kappa=None):
 
     q = _series_poly(fiber.min_poly, F)
     vparams = {j: _series_poly(v, F) for j, v in fiber.params.items()}
-
-    def coords_for(A, S):
-        coords = []
-        for j in range(free):
-            coords.append(embed_scalar(A, fiber.point[j]))
-        coords.append(A.embed(S.shifted_variable(base_value)))
-        coords.append(A.gen)
-        for j in range(prim + 1, n):
-            coords.append(vparams[j])
-        return coords
-
-    wrt = list(range(prim, n))
     m = 1
     iters = 0
     while m < target:
-        m2 = min(2 * m, target)
-        S = SeriesRing(F, m2)
-        A = PolyQuotient(S, q)
-        vals, jac = evaluate_jacobian(slp, coords_for(A, S), A, wrt, n_out=s)
-        try:
-            corr = solve_linear(jac, vals, A)
-        except NotInvertibleError:
-            raise JacobianNotInvertibleError(s) from None
-        e = A.neg(corr[0])
-        qp = poly_deriv(q, S)
-        q_new = poly_sub(q, A.mul(qp, e), S)
-        new_params = {}
-        for j, v in vparams.items():
-            nj = A.sub(v, corr[j - prim])
-            adj = poly_sub(nj, poly_mul(poly_deriv(nj, S), e, S), S)
-            new_params[j] = rem_monic(adj, q_new, S)
-        q = q_new
-        vparams = new_params
-        m = m2
+        m = min(2 * m, target)
+        S = SeriesRing(F, m)
+        point = base + (S.shifted_variable(base_value),)
+        q, vparams = newton_step(slp, s, prim, point, q, vparams, S)
         iters += 1
-        A = PolyQuotient(S, q)
-        check = evaluate(slp, coords_for(A, S), A)[:s]
-        if any(not A.is_zero(v) for v in check):
-            raise PrecisionStallError(
-                f"stage {s} curve residual nonzero at precision t^{m}"
-            )
 
     S = SeriesRing(F, target)
     A = PolyQuotient(S, q)
@@ -496,15 +492,8 @@ def specialize_curve(curve, a, into=None):
 
 def _curve_fiber_output(curve, a, slp, out_index, into=None):
     """Specialize, convert to univariate, and evaluate one output mod q_a."""
-    fib = specialize_curve(curve, a, into)
-    uni = to_univariate(fib)
-    K = uni.ring
-    A = PolyQuotient(K, uni.min_poly)
-    coords = fiber_coordinates(
-        slp.n_vars, uni.prim_var, uni.point, uni.params, A
-    )
-    val = evaluate(slp, coords, A)[out_index]
-    return uni, val
+    uni = to_univariate(specialize_curve(curve, a, into))
+    return uni, residuals(slp, uni, out_index + 1)[out_index]
 
 
 def intersect_minimal_poly(curve, slp, out_index, next_degree, rng):

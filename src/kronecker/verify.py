@@ -8,11 +8,16 @@ be checked modulo fresh primes (Monte Carlo) or exactly over Q.
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import BudgetExceededError, NotInvertibleError, UnluckyError
+from .errors import (
+    BudgetExceededError,
+    NoPrimeFoundError,
+    NotInvertibleError,
+    UnluckyError,
+)
 from .polys import (
     degree,
     divmod_monic,
@@ -23,10 +28,10 @@ from .polys import (
     poly_mul,
 )
 from .primes import random_prime_in_range
-from .rings import ZZ, PolyQuotient, PolyRing, PrimeField, Rationals, ResidueRing
+from .rings import ZZ, PolyQuotient, PrimeField, Rationals, ResidueRing
 from .slp import evaluate_jacobian
 from .solver import (
-    FiberRepresentation,
+    contract_u_expansion,
     det_division_free,
     fiber_coordinates,
     kronecker_residuals,
@@ -168,29 +173,11 @@ def _exact_kronecker_residuals(slp, rep):
         )[1]
         return A._reduce(num, den)
 
-    PR = PolyRing(A)
-    coords = []
-    for j in range(rep.prim_var):
-        coords.append(PR.embed(A.embed(rep.point[j])))
-    coords.append(PR.embed(convert((0, 1))))
-    for j in range(rep.prim_var + 1, slp.n_vars):
-        w = convert(rep.params[j])
-        coords.append((A.zero, w) if not A.is_zero(w) else PR.zero)
-    from .slp import evaluate
-
-    vals = evaluate(slp, coords, PR)
+    point = rep.point[: rep.prim_var]
+    params = [convert(rep.params[j]) for j in range(rep.prim_var + 1, slp.n_vars)]
     qp = convert(poly_deriv(rep.min_poly, rep.ring))
-    out = []
-    for expansion in vals[: rep.stage]:
-        top = len(expansion) - 1
-        acc = A.zero
-        power = A.one
-        for k in range(top, -1, -1):
-            acc = A.add(acc, A.mul(expansion[k], power))
-            if k:
-                power = A.mul(power, qp)
-        out.append(acc[0])
-    return out
+    vals = contract_u_expansion(slp, A, point, convert((0, 1)), params, qp, rep.stage)
+    return [v[0] for v in vals]
 
 
 def _residual_clauses(rep, slp, clauses):
@@ -236,13 +223,16 @@ def check_representation(rep, slp, *, exact=False, fresh_primes=1, rng=None):
             clauses.append(
                 (f"degree W_{j}", False, "parametrization degree >= deg Q")
             )
+    if isinstance(R, ResidueRing):
+        qbar = tuple(R.residue(c) for c in rep.min_poly)
+        sqf = ("squarefree mod p", is_squarefree(qbar, R.residue_field()))
+    else:
+        sqf = ("squarefree", is_squarefree(rep.min_poly, R))
+    clauses.append((*sqf, "gcd(Q, Q') = 1"))
     if isinstance(R, Rationals):
-        clauses.append(
-            ("squarefree", is_squarefree(rep.min_poly, R), "gcd(Q, Q') = 1")
-        )
         rng = rng or random.Random(0)
         for k in range(fresh_primes):
-            p, rep_p = _reduce_with_fresh_prime(rep, rng)
+            p, rep_p = _reduce_with_fresh_prime(rep, slp, rng)
             sub = CheckReport([])
             _residual_clauses(rep_p, slp, sub.clauses)
             clauses.append(
@@ -258,17 +248,7 @@ def check_representation(rep, slp, *, exact=False, fresh_primes=1, rng=None):
             clauses.append(
                 ("exact residual over Q", sub.passed, "checked exactly")
             )
-    elif isinstance(R, ResidueRing):
-        F = R.residue_field()
-        qbar = tuple(R.residue(c) for c in rep.min_poly)
-        clauses.append(
-            ("squarefree mod p", is_squarefree(qbar, F), "gcd(Q, Q') = 1")
-        )
-        _residual_clauses(rep, slp, clauses)
     else:
-        clauses.append(
-            ("squarefree", is_squarefree(rep.min_poly, R), "gcd(Q, Q') = 1")
-        )
         _residual_clauses(rep, slp, clauses)
     return CheckReport(clauses)
 
@@ -336,23 +316,28 @@ def reduce_rational_rep(rep, field):
             field.from_int(c.numerator), field.inv(field.from_int(c.denominator))
         )
 
-    return FiberRepresentation(
-        stage=rep.stage,
-        prim_var=rep.prim_var,
+    return replace(
+        rep,
         point=tuple(int(x) for x in rep.point),
         min_poly=tuple(red(c) for c in rep.min_poly),
         params={j: tuple(red(c) for c in w) for j, w in rep.params.items()},
-        form=rep.form,
         ring=field,
-        change=rep.change,
     )
 
 
-def _reduce_with_fresh_prime(rep, rng, tries=16):
+def _reduce_with_fresh_prime(rep, slp, rng, tries=16):
+    """A verify prime and ``rep`` reduced modulo it.  Primes that divide a
+    denominator of ``rep`` or the determinant of ``slp``'s change of
+    variables are skipped."""
+    det = slp.transform.det if slp.transform is not None else 1
     for _ in range(tries):
         p = random_prime_in_range(VERIFY_PRIME_LOW, VERIFY_PRIME_HIGH, rng)
+        if det % p == 0:
+            continue
         try:
             return p, reduce_rational_rep(rep, PrimeField(p, check=False))
         except ValueError:
             continue
-    raise RuntimeError("could not find a reduction prime avoiding denominators")
+    raise NoPrimeFoundError(
+        f"no reduction prime in {tries} draws avoids the denominators and det"
+    )

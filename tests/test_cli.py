@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from kronecker.cli import load_representation, run
 from kronecker.slp import AffineChange, compose_affine, parse_system
@@ -108,3 +111,35 @@ def test_modular_json_roundtrips_and_verifies(tmp_path):
         parse_system(TWO_QUADRICS), AffineChange.from_matrix(rows)
     )
     assert check_representation(rep, composed).passed
+
+
+# sha256 of the output document for TWO_QUADRICS at seed 42.  Two runs of
+# the same code agreeing cannot show drift in the representation, the
+# certificate or the JSON layout between versions; these pinned digests can.
+# The representation is canonical given (lambda, lifting point), so a
+# change here must be deliberate and said so.
+GOLDEN_SHA256 = {
+    (): "06fdfc3981930a573bf71c58b7917b1ef6b59fb09cd3b947caf8a0d38b972f07",
+    ("--mode", "provable"): (
+        "9722d44d394a6cb2d965f541c0a8e66e229fb67d95c117e2cf356a54ebe59f73"
+    ),
+    ("--mod-p-only",): (
+        "98861b05505b40e494cae739cd54c1ae5617225c2cb152b2866ccd9f0b8568a8"
+    ),
+}
+
+
+@pytest.mark.parametrize("flags", sorted(GOLDEN_SHA256))
+def test_golden_output_bytes(tmp_path, flags):
+    src = _write(tmp_path, TWO_QUADRICS)
+    out = tmp_path / "rep.json"
+    assert run([src, "--seed", "42", "--out", str(out), *flags]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[flags]
+
+
+@pytest.mark.parametrize("flags", [[], ["--mod-p-only"]])
+def test_non_prime_prime_exits_3(tmp_path, capsys, flags):
+    src = _write(tmp_path, TWO_QUADRICS)
+    assert run([src, "--prime", "4", *flags]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

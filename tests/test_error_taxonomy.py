@@ -1,0 +1,151 @@
+"""Every exception class in kronecker.errors has one documented route.
+
+* restart: raised inside an attempt, it discards the attempt, its cause is
+  recorded and the attempt driver draws fresh randomness;
+* structural: a restart too, but when every attempt ends in one the input is
+  rejected as not a reduced regular sequence;
+* local: caught where it is raised (and a restart should it escape);
+* oracle: raised only by the test oracles, never on a solve path;
+* parse: the input text is malformed (CLI exit 3);
+* outcome: what the attempt driver raises once no attempt is left (exit 2).
+
+A class added to errors.py without a route here fails the first test.
+"""
+
+import inspect
+import pkgutil
+
+import pytest
+
+import kronecker
+from kronecker import cli, errors, padic
+from kronecker.padic import SolveConfiguration, solve_over_rationals
+from kronecker.slp import parse_system
+
+ROUTES = {
+    "KroneckerError": "restart",
+    "UnluckyError": "restart",
+    "DegreeDropError": "restart",
+    "JacobianNotInvertibleError": "restart",
+    "NodeExhaustionError": "restart",
+    "NonlinearGcdError": "restart",
+    "ZeroResultantError": "restart",
+    "ResidualNonzeroError": "restart",
+    "NoPrimeFoundError": "restart",
+    "CharacteristicTooSmallError": "restart",
+    "DuplicateNodeError": "restart",
+    "ModuliNotCoprimeError": "restart",
+    "BudgetExceededError": "structural",
+    "EmptyIntersectionError": "structural",
+    "SingularMatrixError": "local",
+    "NotInvertibleError": "local",
+    "NoReconstructionError": "local",
+    "SizeGuardError": "oracle",
+    "ParseError": "parse",
+    "RetryExhaustedError": "outcome",
+    "InputNotRegularError": "outcome",
+}
+
+TEXT = "vars x, y;\nx^2 + y^2 - 5;\nx*y - 2;\n"
+
+
+def _names(*routes):
+    return sorted(name for name, route in ROUTES.items() if route in routes)
+
+
+def _instance(name):
+    cls = getattr(errors, name)
+    if name == "UnluckyError":
+        return cls(1, "injected")
+    if issubclass(cls, errors.UnluckyError):
+        return cls(1)
+    if name == "BudgetExceededError":
+        return cls(2, 5, 4)
+    if cls in (errors.RetryExhaustedError, errors.InputNotRegularError):
+        return cls(1, ["injected"])
+    return cls("injected")
+
+
+def _sources_except(*skipped):
+    """Source text of every kronecker module but errors and ``skipped``."""
+    out = {}
+    for info in pkgutil.iter_modules(kronecker.__path__):
+        if info.name in ("errors", *skipped):
+            continue
+        module = __import__(f"kronecker.{info.name}", fromlist=["_"])
+        out[info.name] = inspect.getsource(module)
+    return out
+
+
+def test_every_error_class_has_a_route():
+    classes = {
+        name
+        for name, obj in vars(errors).items()
+        if isinstance(obj, type)
+        and issubclass(obj, Exception)
+        and obj.__module__ == errors.__name__
+    }
+    assert classes == set(ROUTES)
+
+
+@pytest.mark.parametrize("name", _names("restart", "structural", "local"))
+def test_attempt_driver_routes(name, monkeypatch, tmp_path):
+    err = _instance(name)
+
+    def failing(state):
+        raise err
+
+    monkeypatch.setattr(padic, "solve_mod_p", failing)
+    expected = (
+        errors.InputNotRegularError
+        if ROUTES[name] == "structural"
+        else errors.RetryExhaustedError
+    )
+    with pytest.raises(errors.KroneckerError) as info:
+        solve_over_rationals(parse_system(TEXT), SolveConfiguration(retries=3))
+    assert type(info.value) is expected
+    assert len(info.value.causes) == 3
+    src = tmp_path / "sys.txt"
+    src.write_text(TEXT)
+    for flags in ([], ["--mod-p-only"]):
+        assert cli.run([str(src), "--retries", "3", *flags]) == 2
+
+
+@pytest.mark.parametrize("name", _names("local"))
+def test_local_errors_are_caught_in_the_package(name):
+    sources = _sources_except()
+    assert any(f"except {name}" in text for text in sources.values())
+
+
+@pytest.mark.parametrize("name", _names("oracle"))
+def test_oracle_errors_stay_in_the_oracle(name):
+    for module, text in _sources_except("oracle").items():
+        assert name not in text, module
+
+
+@pytest.mark.parametrize("name", _names("parse"))
+def test_parse_errors_exit_3(name, monkeypatch, tmp_path):
+    err = _instance(name)
+
+    def failing(source):
+        raise err
+
+    monkeypatch.setattr(cli, "parse_system", failing)
+    src = tmp_path / "sys.txt"
+    src.write_text(TEXT)
+    assert cli.run([str(src)]) == 3
+
+
+@pytest.mark.parametrize("name", _names("outcome"))
+def test_outcomes_exit_2(name, monkeypatch, tmp_path):
+    err = _instance(name)
+
+    def failing(slp, config):
+        raise err
+
+    monkeypatch.setattr(cli, "solve_over_rationals", failing)
+    monkeypatch.setattr(cli, "solve_modular", failing)
+    src = tmp_path / "sys.txt"
+    src.write_text(TEXT)
+    for flags in ([], ["--mod-p-only"]):
+        assert cli.run([str(src), *flags]) == 2

@@ -4,7 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from kronecker.errors import BudgetExceededError, UnluckyError
+from kronecker import verify
+from kronecker.errors import (
+    BudgetExceededError,
+    NoPrimeFoundError,
+    RetryExhaustedError,
+    UnluckyError,
+)
 from kronecker.padic import SolveConfiguration, solve_over_rationals
 from kronecker.polys import from_int_coeffs
 from kronecker.primes import is_probable_prime
@@ -136,3 +142,56 @@ def test_reduce_rational_rep_rejects_bad_prime():
     )
     with pytest.raises(ValueError):
         reduce_rational_rep(rep, PrimeField(3))
+
+
+# A verify prime P that divides det λ: the composed program cannot be
+# evaluated modulo P, so P must be skipped like a prime dividing a
+# denominator.
+P = 10007
+
+
+def _pin_verify_prime(monkeypatch, times):
+    real = verify.random_prime_in_range
+    calls = []
+
+    def pinned(lo, hi, rng, *args, **kwargs):
+        calls.append(lo)
+        if len(calls) <= times:
+            return P
+        return real(lo, hi, rng, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "random_prime_in_range", pinned)
+    return calls
+
+
+def test_verify_prime_dividing_det_lambda_is_skipped(monkeypatch):
+    calls = _pin_verify_prime(monkeypatch, times=1)
+    slp = parse_system("vars x,y; x^2 + y^2 - 5; x*y - 2;")
+    cfg = SolveConfiguration(seed=42, lambda_matrix=((P, 1), (0, 1)))
+    rep, cert = solve_over_rationals(slp, cfg)
+    assert len(calls) == 2
+    assert cert.verification["passed"]
+    assert P not in cert.verify_primes and len(cert.verify_primes) == 1
+
+
+def test_no_verify_prime_raises_no_prime_found(monkeypatch):
+    _pin_verify_prime(monkeypatch, times=10**6)
+    slp = parse_system("vars x,y; x^2 + y^2 - 5; x*y - 2;")
+    change = AffineChange.from_matrix(((P, 1), (0, 1)))
+    composed = compose_affine(slp, change)
+    rep = FiberRepresentation(
+        stage=2,
+        prim_var=0,
+        point=(),
+        min_poly=(Fraction(-1), Fraction(0), Fraction(1)),
+        params={1: (Fraction(1),)},
+        form="kronecker",
+        ring=QQ,
+        change=change,
+    )
+    with pytest.raises(NoPrimeFoundError):
+        verify._reduce_with_fresh_prime(rep, composed, random.Random(0))
+    cfg = SolveConfiguration(seed=42, retries=2, lambda_matrix=((P, 1), (0, 1)))
+    with pytest.raises(RetryExhaustedError) as info:
+        solve_over_rationals(slp, cfg)
+    assert all("reduction prime" in cause for _, _, cause in info.value.causes)
