@@ -88,7 +88,8 @@ class ZeroResultantError(UnluckyError):
 
 
 class ResidualNonzeroError(KroneckerError):
-    """A Newton step left a nonzero residual on the lifted fiber."""
+    """A lifted fiber has a nonzero residual: seen by the value pass of the
+    Newton step that leaves it, or by the check of the last rung."""
 
 
 class BudgetExceededError(KroneckerError):

@@ -34,6 +34,7 @@ from .slp import AffineChange, compose_affine
 from .solver import (
     FiberRepresentation,
     SolveState,
+    check_fiber,
     newton_step,
     solve_mod_p,
     to_kronecker,
@@ -112,18 +113,29 @@ class Certificate:
 def _rungs(uni, slp):
     """The p-adic ladder of a univariate fiber over F_p: yields
     (exponent, fiber over Z/p^exponent) for exponent = 1, 2, 4, ...; each
-    further rung costs one Newton step, taken only when it is asked for."""
+    further rung costs one Newton step, taken only when it is asked for.
+
+    A yielded rung is residual-checked only by the step that leaves it, so
+    the caller passes the rung it stops at to ``_check_rung``."""
     p = uni.ring.p
     exponent = 1
     rep = replace(uni, ring=ResidueRing(p, 1))
     while True:
         yield exponent, rep
-        exponent *= 2
-        R = ResidueRing(p, exponent)
+        R = ResidueRing(p, 2 * exponent)
         q, params = newton_step(
-            slp, rep.stage, rep.prim_var, rep.point, rep.min_poly, rep.params, R
+            slp, rep.stage, rep.prim_var, rep.point, rep.min_poly, rep.params,
+            R, exponent,
         )
+        exponent *= 2
         rep = replace(rep, min_poly=q, params=params, ring=R)
+
+
+def _check_rung(rep, slp):
+    """The residual check of the rung a ladder stops at."""
+    check_fiber(
+        slp, rep.stage, rep.prim_var, rep.point, rep.min_poly, rep.params, rep.ring
+    )
 
 
 def _budget_exponent(p, target_bits):
@@ -142,6 +154,8 @@ def hensel_lift_rep(rep, slp, target_bits):
     The Jacobian of the system on the fiber must be invertible mod (p, Q).
     The lift runs on the univariate form and comes back in the input's form
     (the Kronecker form is the one with small, height-bounded coefficients).
+    Raises ResidualNonzeroError when a rung, the last one included, has a
+    nonzero residual.
     """
     if target_bits < 1:
         raise ValueError("target_bits must be positive")
@@ -150,6 +164,7 @@ def hensel_lift_rep(rep, slp, target_bits):
     for exponent, current in _rungs(uni, slp):
         if exponent == target:
             break
+    _check_rung(current, slp)
     if rep.form == "kronecker":
         current = to_kronecker(current)
     return LiftedRepresentation(rep=current, exponent=exponent)
@@ -201,6 +216,7 @@ def _lift_and_reconstruct(uni_p, slp, mode, bounds):
         history.append((exponent, candidate is not None))
         # Rungs differ only in their coefficients, so == compares those.
         if candidate is not None and (mode == "provable" or candidate == previous):
+            _check_rung(current, slp)
             return candidate, exponent, tuple(history)
         if exponent >= last:
             raise UnluckyError(

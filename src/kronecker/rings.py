@@ -478,7 +478,10 @@ class PolyQuotient:
         except NotInvertibleError:
             return False
 
-    def _at_precision(self, prec):
+    def at_precision(self, prec):
+        """This quotient over the base ring truncated to precision ``prec``
+        (p-adic exponent or t-adic order); ``reduce_precision`` maps
+        elements there."""
         base = self.base
         if isinstance(base, ResidueRing):
             low = ResidueRing(base.p, prec)
@@ -503,7 +506,7 @@ class PolyQuotient:
         full = max(self.base.nilpotency, 1)
         while prec < full:
             prec = min(2 * prec, full)
-            A = self if prec == full else self._at_precision(prec)
+            A = self if prec == full else self.at_precision(prec)
             av = a if prec == full else A.reduce_precision(a)
             vv = v if prec == full else A.reduce_precision(v)
             two = A.from_int(2)

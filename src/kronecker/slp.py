@@ -9,8 +9,10 @@ per statement::
 
 Integer constants are arbitrary precision; ``^`` takes a nonnegative integer
 exponent and is expanded by repeated squaring at parse time, so programs stay
-division-free and the recorded length counts one instruction per ring
-operation actually performed.
+division-free.  The builder hash-conses: an operation on the same operands
+(in either order for ``+`` and ``*``) is emitted once and shared, so ``x^2``
+appearing in several monomials or outputs costs one multiplication, and the
+recorded ``length`` counts the distinct ring operations after that sharing.
 
 A program can carry an affine change of variables (an integer matrix with its
 adjugate and determinant).  Evaluation then maps the supplied point y to
@@ -294,6 +296,7 @@ class _Builder:
         self.instructions = []
         self.var_idx = {}
         self.const_idx = {}
+        self.op_idx = {}
         for i in range(n_vars):
             self.var_idx[i] = len(self.instructions)
             self.instructions.append(("var", i))
@@ -305,8 +308,16 @@ class _Builder:
         return self.const_idx[c]
 
     def emit(self, op, a, b):
-        self.instructions.append((op, a, b))
-        return len(self.instructions) - 1
+        """Index of the instruction (op, a, b), appended unless an identical
+        one exists; commutative operands are put in index order first."""
+        if op != "sub" and b < a:
+            a, b = b, a
+        ins = (op, a, b)
+        idx = self.op_idx.get(ins)
+        if idx is None:
+            idx = self.op_idx[ins] = len(self.instructions)
+            self.instructions.append(ins)
+        return idx
 
     def build(self, node):
         op = node[0]
@@ -447,10 +458,12 @@ def compose_affine(slp, change):
 
 
 def _transformed_inputs(slp, point, R):
+    """The program's inputs x = adj * y / det at the point y, and 1/det in R
+    (None when the program has no change of variables)."""
     point = [coerce(R, x) for x in point]
     tr = slp.transform
     if tr is None or tr.is_identity():
-        return point
+        return point, None
     n = slp.n_vars
     det = R.from_int(tr.det)
     try:
@@ -468,7 +481,7 @@ def _transformed_inputs(slp, point, R):
                 continue
             acc = R.add(acc, R.mul(R.from_int(a), point[j]))
         xs.append(R.mul(acc, det_inv))
-    return xs
+    return xs, det_inv
 
 
 def _run(slp, xs, R):
@@ -492,7 +505,7 @@ def evaluate(slp, point, R):
     """Evaluate every output at a point with entries in (or coercible to) R."""
     if len(point) != slp.n_vars:
         raise ValueError("point has the wrong number of coordinates")
-    xs = _transformed_inputs(slp, point, R)
+    xs, _ = _transformed_inputs(slp, point, R)
     vals = _run(slp, xs, R)
     return [vals[o] for o in slp.outputs]
 
@@ -507,12 +520,9 @@ def evaluate_jacobian(slp, point, R, wrt, n_out=None):
     """
     if n_out is None:
         n_out = len(wrt)
-    xs = _transformed_inputs(slp, point, R)
+    xs, det_inv = _transformed_inputs(slp, point, R)
     vals = _run(slp, xs, R)
     tr = slp.transform
-    det_inv = None
-    if tr is not None and not tr.is_identity():
-        det_inv = R.inv(R.from_int(tr.det))
     rows = [[R.zero] * len(wrt) for _ in range(n_out)]
     for col, direction in enumerate(wrt):
         tans = []

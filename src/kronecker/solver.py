@@ -247,33 +247,38 @@ def to_kronecker(rep):
 
 
 def det_division_free(mat, A):
-    """Determinant by expansion over column subsets; no divisions, any ring."""
+    """Determinant by Berkowitz's algorithm: no divisions, O(s^4) ring
+    operations, valid over any commutative ring.
+
+    Builds the characteristic polynomial of each leading principal block
+    [[M, c], [r, a]] from that of M by a Toeplitz product whose first column
+    is 1, -a, -r c, -r M c, ..., -r M^(k-1) c.
+    """
     s = len(mat)
-    if s == 0:
-        return A.one
-    memo = {}
+    coeffs = [A.one]  # char poly of the leading k x k block, x^k first
+    for k in range(s):
+        col = [mat[i][k] for i in range(k)]
+        row = mat[k][:k]
+        toeplitz = [A.one, A.neg(mat[k][k])]
+        for step in range(k):
+            toeplitz.append(A.neg(_dot(row, col, A)))
+            if step < k - 1:
+                col = [_dot(mat[i][:k], col, A) for i in range(k)]
+        new = [A.one]
+        for i in range(1, k + 2):
+            acc = toeplitz[i]  # times coeffs[0] = 1
+            for j in range(1, min(i, k) + 1):
+                acc = A.add(acc, A.mul(toeplitz[i - j], coeffs[j]))
+            new.append(acc)
+        coeffs = new
+    return coeffs[s] if s % 2 == 0 else A.neg(coeffs[s])
 
-    def minor(row, cols):
-        if len(cols) == 1:
-            return mat[row][cols[0]]
-        key = (row, cols)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        acc = A.zero
-        positive = True
-        for idx in range(len(cols)):
-            c = cols[idx]
-            entry = mat[row][c]
-            if not A.is_zero(entry):
-                sub = minor(row + 1, cols[:idx] + cols[idx + 1 :])
-                term = A.mul(entry, sub)
-                acc = A.add(acc, term) if positive else A.sub(acc, term)
-            positive = not positive
-        memo[key] = acc
-        return acc
 
-    return minor(0, tuple(range(s)))
+def _dot(u, v, A):
+    acc = A.zero
+    for x, y in zip(u, v):
+        acc = A.add(acc, A.mul(x, y))
+    return acc
 
 
 class _PivotStuck(Exception):
@@ -348,19 +353,25 @@ def solve_linear(mat, rhs, A):
 # -- Newton lifting -----------------------------------------------------------
 
 
-def newton_step(slp, stage, prim, point, q, params, R):
+def newton_step(slp, stage, prim, point, q, params, R, prec):
     """One primitive-element-corrected Newton step of a univariate fiber
     over R[T]/(q); returns the new minimal polynomial and parametrizations.
 
     ``R`` is the local ring at the new precision: a ``SeriesRing`` to lift
     the lifting curve t-adically (the freed coordinate is then the point
     entry ``base_value + t``), a ``ResidueRing`` to lift the final fiber
-    p-adically.  The first ``stage`` outputs are re-checked on the result.
+    p-adically.  ``prec`` is the precision of the input fiber (its t-adic
+    order or p-adic exponent).  The step's value pass is the residual check
+    of the input: reduced to precision ``prec``, the values of the first
+    ``stage`` outputs are their values on the input fiber, and must vanish.
+    The returned fiber is checked by the next step, or by ``check_fiber`` on
+    the rung a ladder stops at.
     """
     n = slp.n_vars
     A = PolyQuotient(R, q)
     coords = fiber_coordinates(n, prim, point, params, A)
     vals, jac = evaluate_jacobian(slp, coords, A, list(range(prim, n)), n_out=stage)
+    _require_vanishing(vals, A.at_precision(prec), stage)
     try:
         corr = solve_linear(jac, vals, A)
     except NotInvertibleError:
@@ -372,13 +383,26 @@ def newton_step(slp, stage, prim, point, q, params, R):
         nj = A.sub(v, corr[j - prim])
         adj = poly_sub(nj, poly_mul(poly_deriv(nj, R), e, R), R)
         new_params[j] = rem_monic(adj, q_new, R)
-    A = PolyQuotient(R, q_new)
-    check = evaluate(slp, fiber_coordinates(n, prim, point, new_params, A), A)
-    if any(not A.is_zero(v) for v in check[:stage]):
-        raise ResidualNonzeroError(
-            f"stage {stage} residual nonzero after the Newton step to {R!r}"
-        )
     return q_new, new_params
+
+
+def check_fiber(slp, stage, prim, point, q, params, R):
+    """Raise ResidualNonzeroError unless the first ``stage`` outputs vanish
+    on the univariate fiber over R[T]/(q).  A ladder of Newton steps runs
+    this on the rung it stops at only; every earlier rung is checked by the
+    value pass of the step that leaves it."""
+    A = PolyQuotient(R, q)
+    vals = evaluate(slp, fiber_coordinates(slp.n_vars, prim, point, params, A), A)
+    _require_vanishing(vals[:stage], A, stage)
+
+
+def _require_vanishing(vals, A, stage):
+    """Raise ResidualNonzeroError unless every value is zero in A, after
+    truncation to the precision of A's base ring."""
+    if any(not A.is_zero(A.reduce_precision(v)) for v in vals):
+        raise ResidualNonzeroError(
+            f"stage {stage} residual nonzero over {A.base!r}"
+        )
 
 
 # -- curve lifting ------------------------------------------------------------
@@ -416,13 +440,15 @@ def lift_curve(fiber, slp, kappa=None):
     m = 1
     iters = 0
     while m < target:
-        m = min(2 * m, target)
+        known, m = m, min(2 * m, target)
         S = SeriesRing(F, m)
         point = base + (S.shifted_variable(base_value),)
-        q, vparams = newton_step(slp, s, prim, point, q, vparams, S)
+        q, vparams = newton_step(slp, s, prim, point, q, vparams, S, known)
         iters += 1
 
     S = SeriesRing(F, target)
+    point = base + (S.shifted_variable(base_value),)
+    check_fiber(slp, s, prim, point, q, vparams, S)
     A = PolyQuotient(S, q)
     qp = poly_deriv(q, S)
     wparams = {j: A.mul(qp, v) for j, v in vparams.items()}

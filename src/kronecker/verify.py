@@ -23,12 +23,13 @@ from .polys import (
     divmod_monic,
     is_monic,
     is_squarefree,
+    normalize,
     poly_add,
     poly_deriv,
     poly_mul,
 )
 from .primes import random_prime_in_range
-from .rings import ZZ, PolyQuotient, PrimeField, Rationals, ResidueRing
+from .rings import QQ, ZZ, PolyQuotient, PrimeField, Rationals, ResidueRing
 from .slp import evaluate_jacobian
 from .solver import (
     contract_u_expansion,
@@ -41,6 +42,9 @@ from .solver import (
 
 VERIFY_PRIME_LOW = 2**59
 VERIFY_PRIME_HIGH = 2**62 - 1
+
+# The Mersenne prime 2^61 - 1: the fixed modulus of the squarefree shortcut.
+SQUAREFREE_PRIME = 2**61 - 1
 
 
 @dataclass
@@ -205,6 +209,25 @@ def _residual_clauses(rep, slp, clauses):
         )
 
 
+def _is_squarefree_over_q(q):
+    """Whether a polynomial over Q is squarefree, decided modulo
+    ``SQUAREFREE_PRIME`` when that suffices.
+
+    When no denominator of Q vanishes mod P and Q mod P keeps its degree,
+    disc(Q mod P) is disc(Q) mod P, so Q mod P squarefree implies Q
+    squarefree.  Otherwise, or when Q mod P has a square factor, the exact
+    gcd over Q decides.
+    """
+    F = PrimeField(SQUAREFREE_PRIME, check=False)
+    try:
+        qbar = normalize(_reduce_coefficients(q, F), F)
+    except ValueError:
+        qbar = None
+    if qbar is not None and degree(qbar) == degree(q) and is_squarefree(qbar, F):
+        return True
+    return is_squarefree(q, QQ)
+
+
 def check_representation(rep, slp, *, exact=False, fresh_primes=1, rng=None):
     """Structural and membership checks for a fiber representation.
 
@@ -226,6 +249,8 @@ def check_representation(rep, slp, *, exact=False, fresh_primes=1, rng=None):
     if isinstance(R, ResidueRing):
         qbar = tuple(R.residue(c) for c in rep.min_poly)
         sqf = ("squarefree mod p", is_squarefree(qbar, R.residue_field()))
+    elif isinstance(R, Rationals):
+        sqf = ("squarefree", _is_squarefree_over_q(rep.min_poly))
     else:
         sqf = ("squarefree", is_squarefree(rep.min_poly, R))
     clauses.append((*sqf, "gcd(Q, Q') = 1"))
@@ -301,12 +326,9 @@ def gate_stage(rep, slp, budget):
     raise UnluckyError(rep.stage, f"stage check failed: {name} ({detail})")
 
 
-def reduce_rational_rep(rep, field):
-    """Reduce a rational representation modulo a prime field.
-
-    Raises ValueError when any denominator vanishes mod p, in which case the
-    caller should draw a different prime.
-    """
+def _reduce_coefficients(coeffs, field):
+    """Images of rational coefficients in a prime field; raises ValueError
+    when a denominator vanishes mod p."""
 
     def red(c):
         c = Fraction(c)
@@ -316,11 +338,20 @@ def reduce_rational_rep(rep, field):
             field.from_int(c.numerator), field.inv(field.from_int(c.denominator))
         )
 
+    return tuple(red(c) for c in coeffs)
+
+
+def reduce_rational_rep(rep, field):
+    """Reduce a rational representation modulo a prime field.
+
+    Raises ValueError when any denominator vanishes mod p, in which case the
+    caller should draw a different prime.
+    """
     return replace(
         rep,
         point=tuple(int(x) for x in rep.point),
-        min_poly=tuple(red(c) for c in rep.min_poly),
-        params={j: tuple(red(c) for c in w) for j, w in rep.params.items()},
+        min_poly=_reduce_coefficients(rep.min_poly, field),
+        params={j: _reduce_coefficients(w, field) for j, w in rep.params.items()},
         ring=field,
     )
 

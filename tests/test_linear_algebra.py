@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -55,6 +56,45 @@ def test_det_division_free_matches_field_determinant():
         assert det_division_free(mat, F) == _field_det(
             [row[:] for row in mat], F
         )
+
+
+def test_det_division_free_matches_field_determinant_at_six_and_seven():
+    rng = random.Random(1)
+    from kronecker.oracle import _field_det
+
+    for s in (6, 7):
+        for _ in range(4):
+            mat = [[rng.randrange(10007) for _ in range(s)] for _ in range(s)]
+            assert det_division_free(mat, F) == _field_det(
+                [row[:] for row in mat], F
+            )
+
+
+def _leibniz_det(mat, A):
+    s = len(mat)
+    total = A.zero
+    for perm in itertools.permutations(range(s)):
+        inversions = sum(
+            1 for i in range(s) for j in range(i + 1, s) if perm[i] > perm[j]
+        )
+        term = A.one
+        for i in range(s):
+            term = A.mul(term, mat[i][perm[i]])
+        total = A.sub(total, term) if inversions % 2 else A.add(total, term)
+    return total
+
+
+def test_det_division_free_matches_permutation_expansion_with_zero_divisors():
+    A = _split_quotient()
+    rng = random.Random(2)
+    for s in range(1, 6):
+        mat = [
+            [from_int_coeffs([rng.randrange(-3, 4) for _ in range(2)], F)
+             for _ in range(s)]
+            for _ in range(s)
+        ]
+        mat = [[A.reduce(e) for e in row] for row in mat]
+        assert det_division_free(mat, A) == _leibniz_det(mat, A)
 
 
 def test_known_product_system_ground_truth():

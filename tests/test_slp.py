@@ -4,7 +4,7 @@ import pytest
 
 from kronecker.errors import NotInvertibleError, ParseError, SingularMatrixError
 from kronecker.polys import interpolate, poly_deriv, poly_eval
-from kronecker.rings import QQ, PolyRing, PrimeField
+from kronecker.rings import QQ, PolyRing, PrimeField, ResidueRing
 from kronecker.slp import (
     AffineChange,
     compose_affine,
@@ -37,6 +37,51 @@ def test_parse_power_chain_counts():
     slp = parse_system("vars x; x^5;")
     assert slp.length == 3
     assert slp.degrees == (5,)
+
+
+def test_parse_shares_powers_and_commuted_products():
+    # x^2, x^4 and x*y = y*x are emitted once each: x^2, x^4, x*y, the add,
+    # x^4*y and the sub.
+    slp = parse_system("vars x,y; x^4 + x*y; x^4*y - y*x;")
+    assert slp.length == 6
+    F = PrimeField(10007)
+    assert evaluate(slp, (3, 5), F) == [81 + 15, 81 * 5 - 15]
+
+
+def _acceptance_dense_systems(count):
+    from test_acceptance import _random_dense_system
+
+    rng = random.Random(20260811)
+    for _ in range(count):
+        n = rng.choice([1, 2, 3])
+        degrees = [rng.choice([1, 2, 3]) for _ in range(n)]
+        yield parse_system(_random_dense_system(n, degrees, rng))
+
+
+def test_parsed_dense_systems_repeat_no_instruction():
+    for slp in _acceptance_dense_systems(40):
+        ops = [ins for ins in slp.instructions if ins[0] in ("add", "sub", "mul")]
+        assert len(set(ops)) == len(ops)
+        assert all(a <= b for op, a, b in ops if op != "sub")
+
+
+def _dense_value(dense, point, modulus):
+    total = 0
+    for mono, coeff in dense.items():
+        term = coeff
+        for x, e in zip(point, mono):
+            term *= x**e
+        total += term
+    return total % modulus
+
+
+def test_evaluate_matches_dense_forms_on_dense_systems():
+    rng = random.Random(11)
+    for R in (PrimeField(10007), ResidueRing(7, 5)):
+        for slp in _acceptance_dense_systems(40):
+            pt = tuple(rng.randrange(R.int_modulus) for _ in range(slp.n_vars))
+            want = [_dense_value(d, pt, R.int_modulus) for d in slp.dense_forms]
+            assert evaluate(slp, pt, R) == want
 
 
 def test_parse_height_from_dense_coefficients():
@@ -120,8 +165,11 @@ def test_compose_rejects_singular_matrix():
 def test_compose_evaluation_needs_unit_determinant():
     slp = parse_system("vars x,y; x;")
     comp = compose_affine(slp, AffineChange.from_matrix([[7, 0], [0, 1]]))
-    with pytest.raises(NotInvertibleError):
+    message = "determinant of the change of variables is not a unit here"
+    with pytest.raises(NotInvertibleError, match=message):
         evaluate(comp, (1, 1), PrimeField(7))
+    with pytest.raises(NotInvertibleError, match=message):
+        evaluate_jacobian(comp, (1, 1), PrimeField(7), wrt=[0, 1])
 
 
 def test_compose_inverse_identity_property():

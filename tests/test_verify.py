@@ -12,7 +12,7 @@ from kronecker.errors import (
     UnluckyError,
 )
 from kronecker.padic import SolveConfiguration, solve_over_rationals
-from kronecker.polys import from_int_coeffs
+from kronecker.polys import from_int_coeffs, poly_mul
 from kronecker.primes import is_probable_prime
 from kronecker.rings import PrimeField, QQ
 from kronecker.slp import AffineChange, compose_affine, parse_system
@@ -77,6 +77,51 @@ def test_rational_representation_checks_exactly():
     composed = compose_affine(slp, AffineChange.from_matrix(cert.lam))
     report = check_representation(rep, composed, exact=True)
     assert report.passed
+
+
+def _rational_rep_with_roots(roots):
+    q = (Fraction(1),)
+    for r in roots:
+        q = poly_mul(q, (-Fraction(r), Fraction(1)), QQ)
+    return FiberRepresentation(
+        stage=1,
+        prim_var=0,
+        point=(),
+        min_poly=q,
+        params={},
+        form="kronecker",
+        ring=QQ,
+    )
+
+
+_P = verify.SQUAREFREE_PRIME
+
+
+@pytest.mark.parametrize(
+    "roots, squarefree, exact_gcd_runs",
+    [
+        ((1, 2, 3), True, False),  # decided modulo P
+        ((1, 1 + _P), True, True),  # (T-1)(T-1-P) is a square mod P only
+        ((1, 1, 2), False, True),  # (T-1)^2 (T-2)
+        ((Fraction(1, _P), 2), True, True),  # a denominator divisible by P
+    ],
+)
+def test_squarefree_clause_over_q_matches_exact_gcd(
+    monkeypatch, roots, squarefree, exact_gcd_runs
+):
+    rep = _rational_rep_with_roots(roots)
+    exact = verify.is_squarefree
+    assert exact(rep.min_poly, QQ) == squarefree
+    rings = []
+
+    def recording(f, R):
+        rings.append(R)
+        return exact(f, R)
+
+    monkeypatch.setattr(verify, "is_squarefree", recording)
+    report = check_representation(rep, parse_system("vars x; x;"), fresh_primes=0)
+    assert ("squarefree", squarefree, "gcd(Q, Q') = 1") in report.clauses
+    assert (QQ in rings) == exact_gcd_runs
 
 
 def test_rational_check_reduces_mod_many_primes():
