@@ -8,7 +8,9 @@ choices all flow from the single seeded generator.
 
 Exit codes: 0 verified success, 2 retries exhausted (or input rejected as
 not a reduced regular sequence), 3 unreadable or malformed input or an
-unusable option value (a ``--prime`` that is not an odd prime).
+unusable option value (a ``--prime`` that is not an odd prime, ``--retries``
+below 1, ``--verify-primes`` below 1, or a ``KRONECKER_SEED`` that is not an
+integer).
 """
 
 import argparse
@@ -119,7 +121,15 @@ def run(argv):
     if args.seed is not None:
         seed = args.seed
     else:
-        seed = int(os.environ.get("KRONECKER_SEED", "0"))
+        env_seed = os.environ.get("KRONECKER_SEED", "0")
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            print(
+                f"error: KRONECKER_SEED={env_seed!r} is not an integer",
+                file=sys.stderr,
+            )
+            return 3
 
     try:
         with open(args.input, "r", encoding="utf-8") as fh:

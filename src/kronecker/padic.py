@@ -226,9 +226,18 @@ def _lift_and_reconstruct(uni_p, slp, mode, bounds):
 
 
 def check_configuration(config, n_vars):
-    """Raise ValueError for a configuration that no attempt could use."""
+    """Raise ValueError for a configuration that no attempt could use, or
+    whose result no check would back: no attempts, or no verification
+    prime without the exact check."""
     if config.mode not in ("heuristic", "provable"):
         raise ValueError(f"unknown mode {config.mode!r}")
+    if config.retries < 1:
+        raise ValueError(f"retries must be at least 1, not {config.retries}")
+    if config.verify_primes < 1 and not config.exact_check:
+        raise ValueError(
+            "verify_primes must be at least 1 unless exact_check is set, "
+            f"not {config.verify_primes}"
+        )
     p = config.prime
     if p is not None and (p <= 2 or not is_probable_prime(p)):
         raise ValueError(f"pinned prime {p} is not an odd prime")
@@ -343,7 +352,7 @@ def solve_over_rationals(slp, config=None):
         )
         fresh = []
         ok = True
-        for _ in range(max(config.verify_primes, 0)):
+        for _ in range(config.verify_primes):
             vp, rep_vp = verify._reduce_with_fresh_prime(rep_q, composed, state.rng)
             report = verify.check_representation(rep_vp, composed)
             fresh.append(vp)

@@ -519,6 +519,27 @@ class PolyQuotient:
             return polys.normalize([c % base.modulus for c in a], base)
         return polys.normalize([base._trim(list(c)) for c in a], base)
 
+    def shift_down(self, a, k):
+        """a / π^k in this quotient, for an element ``a`` of a quotient of
+        the same modulus at a higher precision that π^k divides (π is p over
+        Z/p^m, t over F[t]/(t^m)); the division is exact, so only a that
+        vanishes at precision k may be passed."""
+        base = self.base
+        if isinstance(base, ResidueRing):
+            step = base.p**k
+            return self.reduce_precision([c // step for c in a])
+        return self.reduce_precision([c[k:] for c in a])
+
+    def shift_up(self, a, k):
+        """π^k · a in this quotient, for an element ``a`` of a quotient of
+        the same modulus at a lower precision, trimmed to this precision."""
+        base = self.base
+        if isinstance(base, ResidueRing):
+            step = base.p**k
+            return self.reduce_precision([c * step for c in a])
+        zeros = (base.field.zero,) * k
+        return self.reduce_precision([zeros + tuple(c) for c in a])
+
     def __repr__(self):
         return f"PolyQuotient({self.base!r}, deg={self.deg})"
 

@@ -510,20 +510,33 @@ def evaluate(slp, point, R):
     return [vals[o] for o in slp.outputs]
 
 
-def evaluate_jacobian(slp, point, R, wrt, n_out=None):
+def evaluate_jacobian(slp, point, R, wrt, n_out=None, tangent_ring=None):
     """Values and partial derivatives of the first ``n_out`` outputs.
 
     ``wrt`` lists the variable indices to differentiate against (0-based,
     referring to the post-change variables).  Forward-mode: one value pass,
     then one tangent pass per direction; exact over any ring.
     Returns (values, rows) with rows[i][k] = dF_i/dY_{wrt[k]}.
+
+    The value pass runs over R.  The tangent passes run over
+    ``tangent_ring`` when one is given: a lower-precision quotient of the
+    ``PolyQuotient`` R (from ``R.at_precision``), into which the program's
+    values and 1/det are reduced with its ``reduce_precision``; the rows are
+    then elements of ``tangent_ring``.  Without one they run over R.
     """
     if n_out is None:
         n_out = len(wrt)
     xs, det_inv = _transformed_inputs(slp, point, R)
     vals = _run(slp, xs, R)
+    T = R
+    tvals = vals
+    if tangent_ring is not None:
+        T = tangent_ring
+        tvals = [T.reduce_precision(v) for v in vals]
+        if det_inv is not None:
+            det_inv = T.reduce_precision(det_inv)
     tr = slp.transform
-    rows = [[R.zero] * len(wrt) for _ in range(n_out)]
+    rows = [[T.zero] * len(wrt) for _ in range(n_out)]
     for col, direction in enumerate(wrt):
         tans = []
         for ins in slp.instructions:
@@ -531,22 +544,22 @@ def evaluate_jacobian(slp, point, R, wrt, n_out=None):
             if op == "var":
                 i = ins[1]
                 if det_inv is None:
-                    tans.append(R.one if i == direction else R.zero)
+                    tans.append(T.one if i == direction else T.zero)
                 else:
                     a = tr.adjugate[i][direction]
                     tans.append(
-                        R.mul(R.from_int(a), det_inv) if a else R.zero
+                        T.mul(T.from_int(a), det_inv) if a else T.zero
                     )
             elif op == "const":
-                tans.append(R.zero)
+                tans.append(T.zero)
             elif op == "add":
-                tans.append(R.add(tans[ins[1]], tans[ins[2]]))
+                tans.append(T.add(tans[ins[1]], tans[ins[2]]))
             elif op == "sub":
-                tans.append(R.sub(tans[ins[1]], tans[ins[2]]))
+                tans.append(T.sub(tans[ins[1]], tans[ins[2]]))
             else:
                 a, b = ins[1], ins[2]
                 tans.append(
-                    R.add(R.mul(vals[a], tans[b]), R.mul(tans[a], vals[b]))
+                    T.add(T.mul(tvals[a], tans[b]), T.mul(tans[a], tvals[b]))
                 )
         for i in range(n_out):
             rows[i][col] = tans[slp.outputs[i]]

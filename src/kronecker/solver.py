@@ -357,25 +357,35 @@ def newton_step(slp, stage, prim, point, q, params, R, prec):
     """One primitive-element-corrected Newton step of a univariate fiber
     over R[T]/(q); returns the new minimal polynomial and parametrizations.
 
-    ``R`` is the local ring at the new precision: a ``SeriesRing`` to lift
+    ``R`` is the local ring at the new precision m: a ``SeriesRing`` to lift
     the lifting curve t-adically (the freed coordinate is then the point
     entry ``base_value + t``), a ``ResidueRing`` to lift the final fiber
-    p-adically.  ``prec`` is the precision of the input fiber (its t-adic
-    order or p-adic exponent).  The step's value pass is the residual check
-    of the input: reduced to precision ``prec``, the values of the first
-    ``stage`` outputs are their values on the input fiber, and must vanish.
-    The returned fiber is checked by the next step, or by ``check_fiber`` on
-    the rung a ladder stops at.
+    p-adically.  ``prec`` is the precision k < m of the input fiber (its
+    t-adic order or p-adic exponent).
+
+    Only the value pass runs at precision m.  Reduced to precision k, the
+    values F of the first ``stage`` outputs are their values on the input
+    fiber, and must vanish: that is the residual check of the input.  So
+    π^k divides F (π = p or t), and the correction J⁻¹F is π^k times
+    J⁻¹(F/π^k), which is needed only to precision m - k.  The tangent
+    passes, the Jacobian J and the linear solve run there; the correction
+    is multiplied back by π^k.  The returned fiber is checked by the next
+    step, or by ``check_fiber`` on the rung a ladder stops at.
     """
     n = slp.n_vars
     A = PolyQuotient(R, q)
+    low = A.at_precision(R.nilpotency - prec)
     coords = fiber_coordinates(n, prim, point, params, A)
-    vals, jac = evaluate_jacobian(slp, coords, A, list(range(prim, n)), n_out=stage)
+    vals, jac = evaluate_jacobian(
+        slp, coords, A, list(range(prim, n)), n_out=stage, tangent_ring=low
+    )
     _require_vanishing(vals, A.at_precision(prec), stage)
+    rhs = [low.shift_down(v, prec) for v in vals]
     try:
-        corr = solve_linear(jac, vals, A)
+        corr = solve_linear(jac, rhs, low)
     except NotInvertibleError:
         raise JacobianNotInvertibleError(stage) from None
+    corr = [A.shift_up(c, prec) for c in corr]
     e = A.neg(corr[0])
     q_new = poly_sub(q, A.mul(poly_deriv(q, R), e), R)
     new_params = {}

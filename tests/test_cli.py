@@ -143,3 +143,25 @@ def test_non_prime_prime_exits_3(tmp_path, capsys, flags):
     assert run([src, "--prime", "4", *flags]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_bad_seed_in_environment_exits_3(tmp_path, capsys, monkeypatch):
+    src = _write(tmp_path, TWO_QUADRICS)
+    monkeypatch.setenv("KRONECKER_SEED", "abc")
+    assert run([src]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: KRONECKER_SEED") and err.count("\n") == 1
+    # An explicit --seed does not read the environment.
+    assert run([src, "--seed", "1", "--out", str(tmp_path / "rep.json")]) == 0
+
+
+@pytest.mark.parametrize("mod_p_only", [[], ["--mod-p-only"]])
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--retries", "0"], "retries"), (["--verify-primes", "0"], "verify_primes")],
+)
+def test_unusable_counts_exit_3(tmp_path, capsys, flags, message, mod_p_only):
+    src = _write(tmp_path, TWO_QUADRICS)
+    assert run([src, *flags, *mod_p_only]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1

@@ -1,10 +1,13 @@
 """The residual check of a Newton ladder fires on a wrong rung.
 
 Each Newton step's value pass checks its input fiber, and the rung a ladder
-stops at gets one full check.  One Newton correction is perturbed by the
-last digit its precision carries (p^(k-1) over Z/p^k, t^(m-1) over
-F[t]/(t^m)): zero at the input's precision, so the step itself sees nothing,
-but the fiber it returns is wrong.
+stops at gets one full check.  A step from precision k to m solves for its
+correction over the ring of precision m - k handed to ``solve_linear``, and
+multiplies the solution back by p^k (t^k).  One such solution is perturbed
+by the last digit its ring carries (p^(k-1) over Z/p^k, t^(m-k-1) over
+F[t]/(t^(m-k))), which is the last digit of the new precision after the
+multiply-back (p^(2k-1), t^(m-1)): zero at the input's precision, so the
+step itself sees nothing, but the fiber it returns is wrong.
 """
 
 import random
@@ -31,7 +34,8 @@ def _last_digit(A):
 
 def _perturb(monkeypatch, chosen, base_type):
     """Perturb the ``chosen``-th (1-based) Newton correction over a quotient
-    of ``base_type``; returns the list of bases seen, one per such call."""
+    of ``base_type``; returns the list of correction rings seen, one per
+    such call."""
     original = solver.solve_linear
     seen = []
 
@@ -65,7 +69,7 @@ def test_value_pass_catches_a_wrong_rung_mid_ladder(monkeypatch):
     seen = _perturb(monkeypatch, 2, ResidueRing)  # the step to p^4
     with pytest.raises(ResidualNonzeroError, match=rf"ResidueRing\({P}, 4\)"):
         hensel_lift_rep(fiber, slp, target_bits=100)  # ladder heads to p^8
-    assert [R.k for R in seen] == [2, 4]
+    assert [R.k for R in seen] == [1, 2]  # p^2 -> p^4 corrects mod p^2
 
 
 def test_last_rung_of_hensel_lift_is_checked(monkeypatch):
@@ -74,7 +78,7 @@ def test_last_rung_of_hensel_lift_is_checked(monkeypatch):
     seen = _perturb(monkeypatch, 2, ResidueRing)
     with pytest.raises(ResidualNonzeroError, match=rf"ResidueRing\({P}, 4\)"):
         hensel_lift_rep(fiber, slp, target_bits=40)  # stops at p^4
-    assert [R.k for R in seen] == [2, 4]
+    assert [R.k for R in seen] == [1, 2]  # p^2 -> p^4 corrects mod p^2
 
 
 @pytest.mark.parametrize("chosen", [1, 2])
@@ -84,7 +88,7 @@ def test_lift_curve_checks_every_iteration_and_the_curve(monkeypatch, chosen):
     seen = _perturb(monkeypatch, chosen, SeriesRing)
     with pytest.raises(ResidualNonzeroError):
         lift_curve(fiber, slp)  # t-adic precision 1 -> 2 -> 4
-    assert len(seen) == chosen
+    assert [S.prec for S in seen] == [1, 2][:chosen]
 
 
 def test_solve_restarts_after_a_wrong_rung(monkeypatch):

@@ -10,6 +10,7 @@ from kronecker.errors import (
 from kronecker.padic import (
     LiftedRepresentation,
     SolveConfiguration,
+    check_configuration,
     hensel_lift_rep,
     reconstruct_rep,
     solve_over_rationals,
@@ -203,3 +204,29 @@ def test_accepted_solution_verifies_against_fresh_primes():
         rng=random.Random(123),
     )
     assert report.passed
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"retries": 0}, "retries"),
+        ({"retries": -2}, "retries"),
+        ({"verify_primes": 0}, "verify_primes"),
+        ({"verify_primes": -1}, "verify_primes"),
+    ],
+)
+def test_configuration_without_a_checked_result_is_rejected(fields, message):
+    config = SolveConfiguration(**fields)
+    with pytest.raises(ValueError, match=message):
+        check_configuration(config, 2)
+    with pytest.raises(ValueError, match=message):
+        solve_over_rationals(parse_system("vars x; x^2 - 2;"), config)
+
+
+def test_exact_check_stands_in_for_verification_primes():
+    slp = parse_system("vars x, y; x^2 + y^2 - 5; x*y - 2;")
+    config = SolveConfiguration(seed=42, verify_primes=0, exact_check=True)
+    check_configuration(config, 2)
+    rep, cert = solve_over_rationals(slp, config)
+    assert cert.verify_primes == () and cert.exact_checked
+    assert cert.verification["passed"]
