@@ -7,10 +7,11 @@ is deterministic for a fixed seed and input: primes, coordinates and node
 choices all flow from the single seeded generator.
 
 Exit codes: 0 verified success, 2 retries exhausted (or input rejected as
-not a reduced regular sequence), 3 unreadable or malformed input or an
+not a reduced regular sequence), 3 unreadable or malformed input, an
 unusable option value (a ``--prime`` that is not an odd prime, ``--retries``
 below 1, ``--verify-primes`` below 1, or a ``KRONECKER_SEED`` that is not an
-integer).
+integer) or an ``--out`` path that cannot be written (a directory, or a
+missing parent directory).
 """
 
 import argparse
@@ -59,15 +60,6 @@ def _rep_payload(rep, univariate=None):
             str(j): _poly_to_json(v) for j, v in sorted(univariate.params.items())
         }
     return payload
-
-
-def _dump(doc, out_path):
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _coeff_from_json(c, ring):
@@ -196,7 +188,16 @@ def run(argv):
     except (RetryExhaustedError, InputNotRegularError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    _dump(doc, args.out)
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    if not args.out:
+        sys.stdout.write(text)
+        return 0
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as err:
+        print(f"error: cannot write {args.out}: {err}", file=sys.stderr)
+        return 3
     return 0
 
 

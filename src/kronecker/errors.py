@@ -77,11 +77,6 @@ class NodeExhaustionError(UnluckyError):
         super().__init__(stage, cause)
 
 
-class NonlinearGcdError(UnluckyError):
-    def __init__(self, stage, cause="primitive element failed to separate"):
-        super().__init__(stage, cause)
-
-
 class ZeroResultantError(UnluckyError):
     def __init__(self, stage, cause="resultant vanished at every node"):
         super().__init__(stage, cause)

@@ -464,7 +464,6 @@ def _transformed_inputs(slp, point, R):
     tr = slp.transform
     if tr is None or tr.is_identity():
         return point, None
-    n = slp.n_vars
     det = R.from_int(tr.det)
     try:
         det_inv = R.inv(det)
@@ -472,16 +471,22 @@ def _transformed_inputs(slp, point, R):
         raise NotInvertibleError(
             "determinant of the change of variables is not a unit here"
         ) from None
+    return _apply_adjugate(tr, point, det_inv, R), det_inv
+
+
+def _apply_adjugate(tr, ys, det_inv, R):
+    """adj * ys / det over R, given 1/det."""
+    n = tr.n
     xs = []
     for i in range(n):
         acc = R.zero
         for j in range(n):
             a = tr.adjugate[i][j]
-            if a == 0:
+            if a == 0 or R.is_zero(ys[j]):
                 continue
-            acc = R.add(acc, R.mul(R.from_int(a), point[j]))
+            acc = R.add(acc, R.mul(R.from_int(a), ys[j]))
         xs.append(R.mul(acc, det_inv))
-    return xs, det_inv
+    return xs
 
 
 def _run(slp, xs, R):
@@ -511,12 +516,14 @@ def evaluate(slp, point, R):
 
 
 def evaluate_jacobian(slp, point, R, wrt, n_out=None, tangent_ring=None):
-    """Values and partial derivatives of the first ``n_out`` outputs.
+    """Values and directional derivatives of the first ``n_out`` outputs.
 
-    ``wrt`` lists the variable indices to differentiate against (0-based,
-    referring to the post-change variables).  Forward-mode: one value pass,
-    then one tangent pass per direction; exact over any ring.
-    Returns (values, rows) with rows[i][k] = dF_i/dY_{wrt[k]}.
+    Each entry of ``wrt`` is a direction in the post-change variables: a
+    variable index k (0-based) for the partial derivative d/dY_k, or a
+    vector of n_vars elements of the tangent ring for the derivative along
+    it.  Forward-mode: one value pass, then one tangent pass per direction;
+    exact over any ring.  Returns (values, rows) with rows[i][k] the
+    derivative of F_i along ``wrt[k]``.
 
     The value pass runs over R.  The tangent passes run over
     ``tangent_ring`` when one is given: a lower-precision quotient of the
@@ -526,6 +533,7 @@ def evaluate_jacobian(slp, point, R, wrt, n_out=None, tangent_ring=None):
     """
     if n_out is None:
         n_out = len(wrt)
+    n = slp.n_vars
     xs, det_inv = _transformed_inputs(slp, point, R)
     vals = _run(slp, xs, R)
     T = R
@@ -535,21 +543,18 @@ def evaluate_jacobian(slp, point, R, wrt, n_out=None, tangent_ring=None):
         tvals = [T.reduce_precision(v) for v in vals]
         if det_inv is not None:
             det_inv = T.reduce_precision(det_inv)
-    tr = slp.transform
     rows = [[T.zero] * len(wrt) for _ in range(n_out)]
     for col, direction in enumerate(wrt):
+        if isinstance(direction, int):
+            direction = [T.one if i == direction else T.zero for i in range(n)]
+        seeds = direction
+        if det_inv is not None:
+            seeds = _apply_adjugate(slp.transform, direction, det_inv, T)
         tans = []
         for ins in slp.instructions:
             op = ins[0]
             if op == "var":
-                i = ins[1]
-                if det_inv is None:
-                    tans.append(T.one if i == direction else T.zero)
-                else:
-                    a = tr.adjugate[i][direction]
-                    tans.append(
-                        T.mul(T.from_int(a), det_inv) if a else T.zero
-                    )
+                tans.append(seeds[ins[1]])
             elif op == "const":
                 tans.append(T.zero)
             elif op == "add":

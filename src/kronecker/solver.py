@@ -4,10 +4,11 @@ zero-dimensional lifting fiber of the input system over F_p.
 The pipeline runs one stage per input polynomial.  Stage 1 is a univariate
 normalization of the first polynomial.  Each later round converts the current
 fiber to univariate form, Newton-lifts it to a one-dimensional curve in the
-freed coordinate, intersects the curve with the next polynomial through a
-specialize-and-interpolate resultant, recovers the new parametrizations
-factor by factor over extension fields, and recombines them by Chinese
-remaindering.
+freed coordinate, and intersects the curve with the next polynomial through a
+specialize-and-interpolate resultant.  The same nodes give the new fiber's
+Kronecker parametrizations, as the derivatives of that resultant in a
+perturbed primitive element t - s·y: no factorization, and arithmetic over
+F_p only.
 
 Variable indexing is 0-based throughout: at stage s the free variables are
 Y_0..Y_{n-s-1} (pinned to the lifting point), the primitive variable is
@@ -17,13 +18,11 @@ Y_{n-s}, and the parametrized variables are Y_{n-s+1}..Y_{n-1}.
 import random
 from dataclasses import dataclass, field, replace
 
-from . import polys
 from .errors import (
     DegreeDropError,
     EmptyIntersectionError,
     JacobianNotInvertibleError,
     NodeExhaustionError,
-    NonlinearGcdError,
     NotInvertibleError,
     ResidualNonzeroError,
     UnluckyError,
@@ -37,14 +36,12 @@ from .polys import (
     normalize,
     poly_deriv,
     poly_eval,
-    poly_gcd,
     poly_inverse_mod,
     poly_mul,
-    poly_sub,
     rem_monic,
     resultant,
 )
-from .rings import ExtField, PolyQuotient, PolyRing, SeriesRing
+from .rings import PolyQuotient, PolyRing, SeriesRing
 from .slp import evaluate, evaluate_jacobian
 
 
@@ -360,8 +357,8 @@ def newton_step(slp, stage, prim, point, q, params, R, prec):
     ``R`` is the local ring at the new precision m: a ``SeriesRing`` to lift
     the lifting curve t-adically (the freed coordinate is then the point
     entry ``base_value + t``), a ``ResidueRing`` to lift the final fiber
-    p-adically.  ``prec`` is the precision k < m of the input fiber (its
-    t-adic order or p-adic exponent).
+    p-adically.  ``prec`` is the precision k of the input fiber (its t-adic
+    order or p-adic exponent), with k < m <= 2k.
 
     Only the value pass runs at precision m.  Reduced to precision k, the
     values F of the first ``stage`` outputs are their values on the input
@@ -369,8 +366,11 @@ def newton_step(slp, stage, prim, point, q, params, R, prec):
     π^k divides F (π = p or t), and the correction J⁻¹F is π^k times
     J⁻¹(F/π^k), which is needed only to precision m - k.  The tangent
     passes, the Jacobian J and the linear solve run there; the correction
-    is multiplied back by π^k.  The returned fiber is checked by the next
-    step, or by ``check_fiber`` on the rung a ladder stops at.
+    is multiplied back by π^k.  With m <= 2k, the update products q'·e and
+    n_j'·e of the primitive element correction e = π^k·ê are π^k times
+    q'·ê and n_j'·ê mod q at precision m - k, where q_new ≡ q, so they are
+    formed there too.  The returned fiber is checked by the next step, or
+    by ``check_fiber`` on the rung a ladder stops at.
     """
     n = slp.n_vars
     A = PolyQuotient(R, q)
@@ -385,14 +385,17 @@ def newton_step(slp, stage, prim, point, q, params, R, prec):
         corr = solve_linear(jac, rhs, low)
     except NotInvertibleError:
         raise JacobianNotInvertibleError(stage) from None
-    corr = [A.shift_up(c, prec) for c in corr]
-    e = A.neg(corr[0])
-    q_new = poly_sub(q, A.mul(poly_deriv(q, R), e), R)
+    e_hat = low.neg(corr[0])
+
+    def times_e(f):
+        df = low.reduce_precision(poly_deriv(f, R))
+        return A.shift_up(low.mul(df, e_hat), prec)
+
+    q_new = A.sub(q, times_e(q))
     new_params = {}
     for j, v in params.items():
-        nj = A.sub(v, corr[j - prim])
-        adj = poly_sub(nj, poly_mul(poly_deriv(nj, R), e, R), R)
-        new_params[j] = rem_monic(adj, q_new, R)
+        nj = A.sub(v, A.shift_up(corr[j - prim], prec))
+        new_params[j] = A.sub(nj, times_e(nj))
     return q_new, new_params
 
 
@@ -526,18 +529,79 @@ def specialize_curve(curve, a, into=None):
 # -- intersection step --------------------------------------------------------
 
 
-def _curve_fiber_output(curve, a, slp, out_index, into=None):
-    """Specialize, convert to univariate, and evaluate one output mod q_a."""
-    uni = to_univariate(specialize_curve(curve, a, into))
-    return uni, residuals(slp, uni, out_index + 1)[out_index]
+def _at_node(poly_ts, ta, F):
+    """Value and t-derivative at t = ta of a T-major bivariate polynomial."""
+    vals = []
+    ders = []
+    for c in poly_ts:
+        v = d = F.zero
+        for coeff in reversed(c):
+            d = F.add(F.mul(d, ta), v)
+            v = F.add(F.mul(v, ta), coeff)
+        vals.append(v)
+        ders.append(d)
+    return normalize(vals, F), normalize(ders, F)
+
+
+def _next_on_curve(curve, a, slp, out_index):
+    """The curve over its freed coordinate = a, to first order along t, and
+    the output ``out_index`` on it.
+
+    Returns A = F_p[T]/(q_a), the fiber's coordinates in A (Y_j = W_j/q_T),
+    and g = F_out_index on the fiber with g' its derivative along the curve:
+    one value pass and one tangent pass in the direction of the coordinates'
+    derivatives (T' = -q_t/q_T, and Y_j' from differentiating W_j = q_T Y_j),
+    read off the exact bivariate data.  Raises NotInvertibleError where q_a
+    is not squarefree (a ramified node).
+    """
+    F = curve.field
+    ta = F.sub(F.from_int(a), F.from_int(curve.base_value))
+    q, q_t = _at_node(curve.min_poly, ta, F)
+    A = PolyQuotient(F, q)
+    q_T = poly_deriv(q, F)
+    inv_qT = A.inv(q_T)
+    dT = A.neg(A.mul(q_t, inv_qT))
+    dq_T = A.add(poly_deriv(q_t, F), A.mul(poly_deriv(q_T, F), dT))
+    coords = [embed_scalar(A, x) for x in curve.base + (a,)] + [A.gen]
+    direction = [A.zero] * curve.free_var + [A.one, dT]
+    for j in sorted(curve.params):
+        w, w_t = _at_node(curve.params[j], ta, F)
+        y = A.mul(w, inv_qT)
+        dw = A.add(w_t, A.mul(poly_deriv(w, F), dT))
+        coords.append(y)
+        direction.append(A.mul(A.sub(dw, A.mul(y, dq_T)), inv_qT))
+    vals, rows = evaluate_jacobian(
+        slp, coords, A, [direction], n_out=out_index + 1
+    )
+    return A, coords, vals[out_index], rows[out_index][0]
+
+
+def _power_sums(q, F):
+    """Newton power sums p_0..p_(d-1) of the roots of a monic q of degree d."""
+    d = degree(q)
+    sums = [F.from_int(d)]
+    for k in range(1, d):
+        acc = F.mul(F.from_int(k), q[d - k])
+        for i in range(1, k):
+            acc = F.add(acc, F.mul(q[d - i], sums[k - i]))
+        sums.append(F.neg(acc))
+    return sums
 
 
 def intersect_minimal_poly(curve, slp, out_index, next_degree, rng):
-    """Minimal polynomial of the freed coordinate on the next-stage fiber.
+    """Minimal polynomial of the freed coordinate on the next-stage fiber,
+    and the node samples its parametrizations are interpolated from.
 
-    Specializes the curve at distinct nodes, forms the next polynomial modulo
-    each specialized fiber, takes scalar resultants and interpolates; monic
-    normalization absorbs the unit in front of the resultant identity.
+    At each node a the next polynomial gives g = f on the specialized fiber
+    A = F_p[T]/(q_a) and g' = df/dt along the curve.  R(a) = Res(q_a, g) is
+    interpolated to c·Q_new, normalized to monic.  A sample is (a, tr) with
+    tr[v] = Tr_A(y_v·g'/g) for each coordinate y_v of the curve's fiber (T
+    and the Y_j), the trace taken from the power sums of q_a: then
+    R(a)·tr[v] is the derivative in s at s = 0 of the resultant in the
+    perturbed primitive element t - s·y_v, see ``intersect_parametrization``.
+
+    A node where q_a is not squarefree (ramified) or g is not a unit (R(a)
+    = 0) is skipped; dδ + 1 zero resultants mean R vanishes identically.
     """
     F = curve.field
     delta = curve.fiber_degree
@@ -548,85 +612,71 @@ def intersect_minimal_poly(curve, slp, out_index, next_degree, rng):
         )
     cap = min(4 * needed, F.p)
     tried = set()
+    values = []
     samples = []
+    zeros = 0
     while len(samples) < needed and len(tried) < cap:
         a = rng.randrange(F.p)
         if a in tried:
             continue
         tried.add(a)
         try:
-            uni, h = _curve_fiber_output(curve, a, slp, out_index)
+            A, coords, g, dg = _next_on_curve(curve, a, slp, out_index)
         except NotInvertibleError:
             continue  # bad node: specialized fiber is ramified here
-        samples.append((a, resultant(uni.min_poly, h, F)))
+        r = resultant(A.modulus, g, F)
+        if F.is_zero(r):
+            zeros += 1
+            if zeros == needed:
+                raise ZeroResultantError(curve.stage)
+            continue
+        ratio = A.mul(dg, A.inv(g))
+        sums = _power_sums(A.modulus, F)
+        tr = {}
+        for v in range(curve.prim_var, slp.n_vars):
+            h = A.mul(coords[v], ratio)
+            tr[v] = F.from_int(sum(x * y for x, y in zip(h, sums)))
+        values.append((a, r))
+        samples.append((a, tr))
     if len(samples) < needed:
         raise NodeExhaustionError(curve.stage)
-    if all(F.is_zero(v) for _, v in samples):
-        raise ZeroResultantError(curve.stage)
-    result = interpolate(samples, F)
+    result = interpolate(values, F)
     if degree(result) < 1:
         raise EmptyIntersectionError(
             f"stage {curve.stage + 1} intersection is empty"
         )
-    return monic(result, F)
+    return monic(result, F), samples
 
 
-def intersect_parametrization(curve, new_min_poly, slp, out_index, rng):
-    """Parametrizations of the next-stage fiber, recovered factor by factor.
+def intersect_parametrization(curve, new_min_poly, samples):
+    """Kronecker parametrizations of the next-stage fiber, from the node
+    samples of ``intersect_minimal_poly``.
 
-    For each irreducible factor of the new minimal polynomial, specializes
-    the curve at the corresponding root (over the factor's extension field),
-    pins the next primitive-element value down as the root of a linear gcd,
-    evaluates the old parametrizations there, and recombines the per-factor
-    residues by Chinese remaindering.
+    With R = c·Q_new, S_v = R·tr[v] is the derivative in s at s = 0 of the
+    resultant in the primitive element t - s·y_v, whose roots are t(P) -
+    s·y_v(P) over the new fiber's points P.  So S_v has degree <= dδ and
+    S_v/c ≡ Σ_P y_v(P)·∏_{P'≠P}(t - t(P')) ≡ Q_new'·y_v mod Q_new when
+    Q_new is squarefree: the samples Q_new(a)·tr[v] = S_v(a)/c interpolate
+    S_v/c, whose remainder mod Q_new is the Kronecker numerator W_v.  Two
+    points over one t make Q_new not squarefree, which is an unlucky choice.
     """
     F = curve.field
-    stage = curve.stage
-    n = slp.n_vars
     if not is_squarefree(new_min_poly, F):
-        raise UnluckyError(stage + 1, "minimal polynomial is not squarefree")
-    factors = polys.factor_squarefree(new_min_poly, F, rng)
-    collected = {j: [] for j in range(curve.prim_var, n)}
-    for qk in factors:
-        if degree(qk) == 1:
-            K = F
-            a = F.neg(qk[0])
-
-            def to_residue(x):
-                return polys.constant(x, F)
-
-        else:
-            K = ExtField(F, qk)
-            a = K.gen
-
-            def to_residue(x):
-                return normalize(x, F)
-
-        try:
-            uni, g = _curve_fiber_output(curve, a, slp, out_index, into=K)
-        except NotInvertibleError:
-            raise UnluckyError(
-                stage, "curve specialization at a factor root is ramified"
-            ) from None
-        linear = poly_gcd(g, uni.min_poly, K)
-        if degree(linear) != 1:
-            raise NonlinearGcdError(stage + 1)
-        b = K.neg(linear[0])
-        values = {curve.prim_var: b}
-        for j, vp in uni.params.items():
-            values[j] = poly_eval(vp, b, K)
-        for j, val in values.items():
-            collected[j].append((to_residue(val), qk))
-    params = {
-        j: polys.crt_polys(residues, F) for j, residues in collected.items()
-    }
+        raise UnluckyError(
+            curve.stage + 1, "minimal polynomial is not squarefree"
+        )
+    scale = [poly_eval(new_min_poly, a, F) for a, _ in samples]
+    params = {}
+    for v in samples[0][1]:
+        points = [(a, F.mul(c, tr[v])) for (a, tr), c in zip(samples, scale)]
+        params[v] = rem_monic(interpolate(points, F), new_min_poly, F)
     return FiberRepresentation(
-        stage=stage + 1,
+        stage=curve.stage + 1,
         prim_var=curve.free_var,
         point=curve.base,
         min_poly=new_min_poly,
         params=params,
-        form="univariate",
+        form="kronecker",
         ring=F,
         change=curve.change,
     )
@@ -655,11 +705,10 @@ def solve_mod_p(state):
         except NotInvertibleError:
             raise UnluckyError(s, "fiber minimal polynomial not squarefree") from None
         curve = lift_curve(uni, slp)
-        q_next = intersect_minimal_poly(
+        q_next, samples = intersect_minimal_poly(
             curve, slp, s, slp.degrees[s], state.rng
         )
-        uni_next = intersect_parametrization(curve, q_next, slp, s, state.rng)
-        fiber = to_kronecker(uni_next)
+        fiber = intersect_parametrization(curve, q_next, samples)
         state.stage_degrees.append(fiber.fiber_degree)
         verify.gate_stage(fiber, slp, budgets[s])
     return fiber

@@ -87,7 +87,7 @@ def _dense_poly_text(names, d, rng):
 
 
 def _random_dense_system(n, degrees, rng):
-    names = ["x", "y", "z"][:n]
+    names = ["x", "y", "z", "w"][:n]
     lines = []
     for d in degrees:
         while True:

@@ -119,12 +119,24 @@ def test_modular_json_roundtrips_and_verifies(tmp_path):
 # The representation is canonical given (lambda, lifting point), so a
 # change here must be deliberate and said so.
 GOLDEN_SHA256 = {
-    (): "06fdfc3981930a573bf71c58b7917b1ef6b59fb09cd3b947caf8a0d38b972f07",
+    (): "f8c91ed80d135d84f6c8087bb672c84b3cfb1254c498faad891d6f16450aabeb",
     ("--mode", "provable"): (
-        "9722d44d394a6cb2d965f541c0a8e66e229fb67d95c117e2cf356a54ebe59f73"
+        "6a036a7004fec86cb69f1633fbcffb801bf1837ec4fd4f1db8f3925b4fd4cb36"
     ),
     ("--mod-p-only",): (
         "98861b05505b40e494cae739cd54c1ae5617225c2cb152b2866ccd9f0b8568a8"
+    ),
+}
+
+# The same documents without certificate.verify_primes, re-serialized as the
+# CLI writes them.  The verify primes are drawn from the attempt's generator
+# after the modular solve, so they move whenever the solve takes a different
+# number of draws; everything else must not.  Pinned while the intersection
+# still factored Q_new (Cantor-Zassenhaus draws), and unchanged since.
+GOLDEN_SHA256_WITHOUT_VERIFY_PRIMES = {
+    (): "a480cb68bd9b51242c91195445e0af72870ee007c9e949cce1ac74d6f76d61d6",
+    ("--mode", "provable"): (
+        "b57a5d655540175acca6e2d5b57cbd5bd4021b969af5bc331e9a53692960ba21"
     ),
 }
 
@@ -135,6 +147,18 @@ def test_golden_output_bytes(tmp_path, flags):
     out = tmp_path / "rep.json"
     assert run([src, "--seed", "42", "--out", str(out), *flags]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[flags]
+
+
+@pytest.mark.parametrize("flags", sorted(GOLDEN_SHA256_WITHOUT_VERIFY_PRIMES))
+def test_golden_output_without_verify_primes(tmp_path, flags):
+    src = _write(tmp_path, TWO_QUADRICS)
+    out = tmp_path / "rep.json"
+    assert run([src, "--seed", "42", "--out", str(out), *flags]) == 0
+    doc = json.loads(out.read_bytes())
+    assert len(doc["certificate"].pop("verify_primes")) == 1
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == GOLDEN_SHA256_WITHOUT_VERIFY_PRIMES[flags]
 
 
 @pytest.mark.parametrize("flags", [[], ["--mod-p-only"]])
@@ -165,3 +189,16 @@ def test_unusable_counts_exit_3(tmp_path, capsys, flags, message, mod_p_only):
     assert run([src, *flags, *mod_p_only]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mod_p_only", [[], ["--mod-p-only"]])
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+def test_unwritable_out_exits_3(tmp_path, capsys, target, mod_p_only):
+    src = _write(tmp_path, TWO_QUADRICS)
+    out = tmp_path if target == "directory" else tmp_path / "no" / "rep.json"
+    assert run([src, "--seed", "1", "--out", str(out), *mod_p_only]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
+    assert err.startswith(f"error: cannot write {out}") and err.count("\n") == 1
+    assert not (tmp_path / "no").exists()

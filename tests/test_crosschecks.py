@@ -11,7 +11,7 @@ from kronecker.rings import PrimeField
 from kronecker.slp import AffineChange, compose_affine, evaluate, parse_system
 from kronecker.solver import (
     SolveState,
-    _curve_fiber_output,
+    _next_on_curve,
     first_stage,
     intersect_minimal_poly,
     lift_curve,
@@ -36,7 +36,7 @@ def test_intersection_matches_charpoly_oracle_on_real_curve():
         rng=random.Random(0),
     )
     curve = lift_curve(to_univariate(first_stage(state)), slp)
-    produced = intersect_minimal_poly(curve, slp, 1, 2, state.rng)
+    produced, _ = intersect_minimal_poly(curve, slp, 1, 2, state.rng)
     delta = curve.fiber_degree
     rng = random.Random(1)
     samples = []
@@ -46,14 +46,14 @@ def test_intersection_matches_charpoly_oracle_on_real_curve():
         if any(a == s[0] for s in samples):
             continue
         try:
-            uni, h = _curve_fiber_output(curve, a, slp, 1)
+            A, _, h, _ = _next_on_curve(curve, a, slp, 1)
         except Exception:
             continue
-        chi = mulmat_charpoly(h, uni.min_poly, FBIG)
+        chi = mulmat_charpoly(h, A.modulus, FBIG)
         const = chi[0] if chi else FBIG.zero
         samples.append((a, FBIG.mul(sign, const)))
         # pointwise identity with the resultant route
-        assert const == FBIG.mul(sign, resultant(uni.min_poly, h, FBIG))
+        assert const == FBIG.mul(sign, resultant(A.modulus, h, FBIG))
     via_charpoly = monic(interpolate(samples, FBIG), FBIG)
     assert via_charpoly == produced
 

@@ -28,7 +28,6 @@ ROUTES = {
     "DegreeDropError": "restart",
     "JacobianNotInvertibleError": "restart",
     "NodeExhaustionError": "restart",
-    "NonlinearGcdError": "restart",
     "ZeroResultantError": "restart",
     "ResidualNonzeroError": "restart",
     "NoPrimeFoundError": "restart",

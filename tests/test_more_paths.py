@@ -93,9 +93,11 @@ def test_stage_two_curve_specializes_consistently():
     fiber = first_stage(state)
     uni = to_univariate(fiber)
     curve1 = lift_curve(uni, composed)
-    q2 = intersect_minimal_poly(curve1, composed, 1, slp.degrees[1], state.rng)
-    uni2 = intersect_parametrization(curve1, q2, composed, 1, state.rng)
-    curve2 = lift_curve(uni2, composed)
+    q2, samples = intersect_minimal_poly(
+        curve1, composed, 1, slp.degrees[1], state.rng
+    )
+    fiber2 = intersect_parametrization(curve1, q2, samples)
+    curve2 = lift_curve(fiber2, composed)
     assert curve2.params  # stage-2 curve has a parametrized coordinate
     for a in (0, 5, 1234):
         fib = specialize_curve(curve2, a)

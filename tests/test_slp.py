@@ -4,7 +4,7 @@ import pytest
 
 from kronecker.errors import NotInvertibleError, ParseError, SingularMatrixError
 from kronecker.polys import interpolate, poly_deriv, poly_eval
-from kronecker.rings import QQ, PolyRing, PrimeField, ResidueRing
+from kronecker.rings import QQ, PolyQuotient, PolyRing, PrimeField, ResidueRing
 from kronecker.slp import (
     AffineChange,
     compose_affine,
@@ -248,6 +248,34 @@ def test_jacobian_matches_interpolated_derivatives():
             for j in range(3):
                 want = _derivative_by_interpolation(slp, pt, F, j, i, 5)
                 assert rows[i][j] == want
+
+
+def test_jacobian_direction_vector_is_combination_of_partials():
+    # A wrt entry may be a direction vector over the tangent ring; its row
+    # is the combination of the partial derivatives, with or without a
+    # change of variables, over F_p and over F_p[T]/(q).
+    rng = random.Random(12)
+    base = parse_system("vars x,y,z; x^3*y - 2*z + 1; x*y*z - y^2; z^4 - x - 7;")
+    F = PrimeField(10007)
+    A = PolyQuotient(F, (3, 5, 0, 1))
+    change = AffineChange.from_matrix([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
+    for slp in (base, compose_affine(base, change)):
+        for R in (F, A):
+
+            def draw():
+                if R is F:
+                    return rng.randrange(F.p)
+                return A.reduce([rng.randrange(F.p) for _ in range(3)])
+
+            pt = [draw() for _ in range(3)]
+            v = [draw() for _ in range(3)]
+            vals, rows = evaluate_jacobian(slp, pt, R, wrt=[0, 1, 2, v], n_out=3)
+            assert vals == evaluate(slp, pt, R)
+            for row in rows:
+                want = R.zero
+                for vk, partial in zip(v, row[:3]):
+                    want = R.add(want, R.mul(vk, partial))
+                assert row[3] == want
 
 
 def test_jacobian_matches_central_differences_on_quadratics():

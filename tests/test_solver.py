@@ -5,8 +5,8 @@ import pytest
 from kronecker.errors import (
     DegreeDropError,
     EmptyIntersectionError,
-    NonlinearGcdError,
     NotInvertibleError,
+    UnluckyError,
 )
 from kronecker.polys import from_int_coeffs
 from kronecker.rings import ExtField, PrimeField
@@ -224,7 +224,7 @@ def _two_quadrics_curve(seed=0):
 
 def test_intersect_minimal_poly_two_quadrics():
     curve, state = _two_quadrics_curve()
-    q2 = intersect_minimal_poly(curve, state.slp, 1, 2, state.rng)
+    q2, _ = intersect_minimal_poly(curve, state.slp, 1, 2, state.rng)
     assert q2 == from_int_coeffs([4, 0, -5, 0, 1], FBIG)
 
 
@@ -239,14 +239,14 @@ def test_intersect_linear_pair_single_point():
     # x + y - 3 and x - y - 1 meet at (2, 1); primitive variable is x.
     state = make_state("vars x,y; x + y - 3; x - y - 1;", 2, point=(5,))
     curve = lift_curve(to_univariate(first_stage(state)), state.slp)
-    q2 = intersect_minimal_poly(curve, state.slp, 1, 1, state.rng)
+    q2, _ = intersect_minimal_poly(curve, state.slp, 1, 1, state.rng)
     assert q2 == from_int_coeffs([-2, 1], FBIG)
 
 
 def test_intersect_parametrization_two_quadrics():
     curve, state = _two_quadrics_curve()
-    q2 = intersect_minimal_poly(curve, state.slp, 1, 2, state.rng)
-    uni = intersect_parametrization(curve, q2, state.slp, 1, state.rng)
+    q2, samples = intersect_minimal_poly(curve, state.slp, 1, 2, state.rng)
+    uni = to_univariate(intersect_parametrization(curve, q2, samples))
     # V_y interpolates (1,2), (-1,-2), (2,1), (-2,-1): (5T - T^3)/2
     half = FBIG.inv(2)
     want = from_int_coeffs([0, 5 * half, 0, -half], FBIG)
@@ -258,19 +258,21 @@ def test_intersect_parametrization_two_quadrics():
 def test_intersect_parametrization_single_rational_factor():
     state = make_state("vars x,y; x + y - 3; x - y - 1;", 2, point=(5,))
     curve = lift_curve(to_univariate(first_stage(state)), state.slp)
-    q2 = intersect_minimal_poly(curve, state.slp, 1, 1, state.rng)
-    uni = intersect_parametrization(curve, q2, state.slp, 1, state.rng)
+    q2, samples = intersect_minimal_poly(curve, state.slp, 1, 1, state.rng)
+    uni = to_univariate(intersect_parametrization(curve, q2, samples))
     assert uni.min_poly == from_int_coeffs([-2, 1], FBIG)
     assert uni.params[1] == from_int_coeffs([1], FBIG)  # y = 1
 
 
-def test_intersect_parametrization_vanishing_gcd_raises():
-    # Intersecting with a copy of F_1 makes g vanish identically mod q_a.
-    state = make_state("vars x,y; y^2 - x; y^2 - x;", 2, point=(3,))
+def test_intersect_two_points_over_one_value_is_unlucky():
+    # x = 1 meets the circle at (1, 2) and (1, -2): two points over one
+    # value of the new primitive variable x, so Q_new = (x - 1)^2.
+    state = make_state("vars x,y; x^2 + y^2 - 5; x - 1;", 2, point=(0,))
     curve = lift_curve(to_univariate(first_stage(state)), state.slp)
-    fake_q = from_int_coeffs([-1, 0, 1], FBIG)
-    with pytest.raises(NonlinearGcdError):
-        intersect_parametrization(curve, fake_q, state.slp, 1, state.rng)
+    q2, samples = intersect_minimal_poly(curve, state.slp, 1, 1, state.rng)
+    assert q2 == from_int_coeffs([1, -2, 1], FBIG)
+    with pytest.raises(UnluckyError, match="not squarefree"):
+        intersect_parametrization(curve, q2, samples)
 
 
 # -- full modular solve -------------------------------------------------------
