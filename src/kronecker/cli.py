@@ -92,6 +92,18 @@ def load_representation(doc):
     )
 
 
+def _unwritable(path):
+    """Why ``path`` cannot be created as a file, checked before any work:
+    it names a directory, or its parent directory is missing.  Other
+    failures, such as permissions, surface when the file is written."""
+    if os.path.isdir(path):
+        return "it is a directory"
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        return f"no directory {parent}"
+    return None
+
+
 def run(argv):
     parser = argparse.ArgumentParser(
         prog="kronecker-solve",
@@ -122,6 +134,11 @@ def run(argv):
                 file=sys.stderr,
             )
             return 3
+
+    reason = _unwritable(args.out) if args.out else None
+    if reason:
+        print(f"error: cannot write {args.out}: {reason}", file=sys.stderr)
+        return 3
 
     try:
         with open(args.input, "r", encoding="utf-8") as fh:

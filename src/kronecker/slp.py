@@ -19,6 +19,14 @@ adjugate and determinant).  Evaluation then maps the supplied point y to
 x = adj(m) * y / det(m) inside the evaluation ring, which keeps the program
 itself integer-parameterized and defers the division to rings where det is a
 unit.
+
+Evaluation runs only what the requested outputs use.  The slice of a
+selection of outputs is the ascending list of the instructions they depend
+on, found by one backward walk from ``outputs``; the value pass and the
+tangent passes of ``evaluate`` and ``evaluate_jacobian`` run over it.  Each
+program keeps its slices in a dict of its own, filled on first use.  A slice
+is a function of the program and the selection alone, so threads that race
+on it store equal tuples, and the slices are freed with the program.
 """
 
 import re
@@ -149,10 +157,30 @@ class StraightLineProgram:
     height: int
     dense_forms: tuple = field(repr=False, default=())
     transform: AffineChange | None = None
+    _slices: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def n_outputs(self):
         return len(self.outputs)
+
+    def slice(self, outs):
+        """Ascending indices of the instructions that the outputs at
+        positions ``outs`` (a tuple) depend on; computed on first use and
+        kept on the program, see the module docstring."""
+        order = self._slices.get(outs)
+        if order is None:
+            need = [False] * len(self.instructions)
+            for k in outs:
+                need[self.outputs[k]] = True
+            for i in range(len(need) - 1, -1, -1):
+                ins = self.instructions[i]
+                if need[i] and ins[0] in ("add", "sub", "mul"):
+                    need[ins[1]] = need[ins[2]] = True
+            order = tuple(i for i, used in enumerate(need) if used)
+            self._slices[outs] = order
+        return order
 
     @property
     def length(self):
@@ -489,41 +517,69 @@ def _apply_adjugate(tr, ys, det_inv, R):
     return xs
 
 
-def _run(slp, xs, R):
-    vals = []
-    for ins in slp.instructions:
+def _selected(slp, n_out):
+    """Output positions named by ``n_out``: a count n for the first n
+    outputs, or a tuple of positions."""
+    count = isinstance(n_out, int)
+    outs = tuple(range(n_out)) if count else tuple(n_out)
+    if (count and n_out < 0) or any(
+        not 0 <= k < slp.n_outputs for k in outs
+    ):
+        raise ValueError(
+            f"outputs {n_out!r} requested of a program with "
+            f"{slp.n_outputs} outputs"
+        )
+    return outs
+
+
+def _run(slp, order, xs, R):
+    """Values of the instructions in ``order``, indexed by instruction."""
+    vals = [None] * len(slp.instructions)
+    for i in order:
+        ins = slp.instructions[i]
         op = ins[0]
         if op == "var":
-            vals.append(xs[ins[1]])
+            vals[i] = xs[ins[1]]
         elif op == "const":
-            vals.append(R.from_int(ins[1]))
+            vals[i] = R.from_int(ins[1])
         elif op == "add":
-            vals.append(R.add(vals[ins[1]], vals[ins[2]]))
+            vals[i] = R.add(vals[ins[1]], vals[ins[2]])
         elif op == "sub":
-            vals.append(R.sub(vals[ins[1]], vals[ins[2]]))
+            vals[i] = R.sub(vals[ins[1]], vals[ins[2]])
         else:
-            vals.append(R.mul(vals[ins[1]], vals[ins[2]]))
+            vals[i] = R.mul(vals[ins[1]], vals[ins[2]])
     return vals
 
 
-def evaluate(slp, point, R):
-    """Evaluate every output at a point with entries in (or coercible to) R."""
+def evaluate(slp, point, R, n_out=None):
+    """Evaluate the selected outputs at a point with entries in (or
+    coercible to) R.
+
+    ``n_out`` selects the outputs, by default all of them: a count n for
+    the first n, or a tuple of output positions, returned in that order.
+    Only the instructions those outputs depend on are run (see
+    ``StraightLineProgram.slice``).
+    """
     if len(point) != slp.n_vars:
         raise ValueError("point has the wrong number of coordinates")
     xs, _ = _transformed_inputs(slp, point, R)
-    vals = _run(slp, xs, R)
-    return [vals[o] for o in slp.outputs]
+    outs = _selected(slp, slp.n_outputs if n_out is None else n_out)
+    vals = _run(slp, slp.slice(outs), xs, R)
+    return [vals[slp.outputs[k]] for k in outs]
 
 
 def evaluate_jacobian(slp, point, R, wrt, n_out=None, tangent_ring=None):
-    """Values and directional derivatives of the first ``n_out`` outputs.
+    """Values and directional derivatives of the selected outputs.
 
+    ``n_out`` selects the outputs as in ``evaluate``: a count n for the
+    first n (by default ``len(wrt)``), or a tuple of output positions.
     Each entry of ``wrt`` is a direction in the post-change variables: a
     variable index k (0-based) for the partial derivative d/dY_k, or a
     vector of n_vars elements of the tangent ring for the derivative along
     it.  Forward-mode: one value pass, then one tangent pass per direction;
-    exact over any ring.  Returns (values, rows) with rows[i][k] the
-    derivative of F_i along ``wrt[k]``.
+    exact over any ring.  Both kinds of pass run only the slice of the
+    selected outputs.  Returns (values, rows) with rows[i][k] the
+    derivative of the i-th selected output along ``wrt[k]``.
 
     The value pass runs over R.  The tangent passes run over
     ``tangent_ring`` when one is given: a lower-precision quotient of the
@@ -531,42 +587,45 @@ def evaluate_jacobian(slp, point, R, wrt, n_out=None, tangent_ring=None):
     values and 1/det are reduced with its ``reduce_precision``; the rows are
     then elements of ``tangent_ring``.  Without one they run over R.
     """
-    if n_out is None:
-        n_out = len(wrt)
     n = slp.n_vars
     xs, det_inv = _transformed_inputs(slp, point, R)
-    vals = _run(slp, xs, R)
+    outs = _selected(slp, len(wrt) if n_out is None else n_out)
+    order = slp.slice(outs)
+    vals = _run(slp, order, xs, R)
     T = R
     tvals = vals
     if tangent_ring is not None:
         T = tangent_ring
-        tvals = [T.reduce_precision(v) for v in vals]
+        tvals = [None] * len(vals)
+        for i in order:
+            tvals[i] = T.reduce_precision(vals[i])
         if det_inv is not None:
             det_inv = T.reduce_precision(det_inv)
-    rows = [[T.zero] * len(wrt) for _ in range(n_out)]
+    rows = [[T.zero] * len(wrt) for _ in outs]
+    tans = [None] * len(vals)
     for col, direction in enumerate(wrt):
         if isinstance(direction, int):
             direction = [T.one if i == direction else T.zero for i in range(n)]
         seeds = direction
         if det_inv is not None:
             seeds = _apply_adjugate(slp.transform, direction, det_inv, T)
-        tans = []
-        for ins in slp.instructions:
+        for i in order:
+            ins = slp.instructions[i]
             op = ins[0]
             if op == "var":
-                tans.append(seeds[ins[1]])
+                tans[i] = seeds[ins[1]]
             elif op == "const":
-                tans.append(T.zero)
+                tans[i] = T.zero
             elif op == "add":
-                tans.append(T.add(tans[ins[1]], tans[ins[2]]))
+                tans[i] = T.add(tans[ins[1]], tans[ins[2]])
             elif op == "sub":
-                tans.append(T.sub(tans[ins[1]], tans[ins[2]]))
+                tans[i] = T.sub(tans[ins[1]], tans[ins[2]])
             else:
                 a, b = ins[1], ins[2]
-                tans.append(
-                    T.add(T.mul(tvals[a], tans[b]), T.mul(tans[a], tvals[b]))
+                tans[i] = T.add(
+                    T.mul(tvals[a], tans[b]), T.mul(tans[a], tvals[b])
                 )
-        for i in range(n_out):
-            rows[i][col] = tans[slp.outputs[i]]
-    values = [vals[slp.outputs[i]] for i in range(n_out)]
+        for row, k in zip(rows, outs):
+            row[col] = tans[slp.outputs[k]]
+    values = [vals[slp.outputs[k]] for k in outs]
     return values, rows

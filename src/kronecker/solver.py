@@ -138,10 +138,9 @@ def residuals(slp, rep_uni, count=None):
     coords = fiber_coordinates(
         slp.n_vars, rep_uni.prim_var, rep_uni.point, rep_uni.params, A
     )
-    vals = evaluate(slp, coords, A)
     if count is None:
         count = rep_uni.stage
-    return vals[:count]
+    return evaluate(slp, coords, A, n_out=count)
 
 
 def contract_u_expansion(slp, A, point, gen, params, qp, count):
@@ -155,9 +154,8 @@ def contract_u_expansion(slp, A, point, gen, params, qp, count):
     coords = [PR.embed(embed_scalar(A, x)) for x in point]
     coords.append(PR.embed(gen))
     coords.extend((A.zero, w) if not A.is_zero(w) else PR.zero for w in params)
-    vals = evaluate(slp, coords, PR)
     out = []
-    for expansion in vals[:count]:
+    for expansion in evaluate(slp, coords, PR, n_out=count):
         acc = A.zero
         power = A.one
         for k in range(len(expansion) - 1, -1, -1):
@@ -196,7 +194,7 @@ def first_stage(state):
     n = state.n
     PR = PolyRing(F)
     coords = list(state.point[: n - 1]) + [PR.gen]
-    q = evaluate(slp, coords, PR)[0]
+    q = evaluate(slp, coords, PR, n_out=1)[0]
     d1 = slp.degrees[0]
     if degree(q) != d1:
         raise DegreeDropError(
@@ -405,8 +403,8 @@ def check_fiber(slp, stage, prim, point, q, params, R):
     this on the rung it stops at only; every earlier rung is checked by the
     value pass of the step that leaves it."""
     A = PolyQuotient(R, q)
-    vals = evaluate(slp, fiber_coordinates(slp.n_vars, prim, point, params, A), A)
-    _require_vanishing(vals[:stage], A, stage)
+    coords = fiber_coordinates(slp.n_vars, prim, point, params, A)
+    _require_vanishing(evaluate(slp, coords, A, n_out=stage), A, stage)
 
 
 def _require_vanishing(vals, A, stage):
@@ -571,9 +569,9 @@ def _next_on_curve(curve, a, slp, out_index):
         coords.append(y)
         direction.append(A.mul(A.sub(dw, A.mul(y, dq_T)), inv_qT))
     vals, rows = evaluate_jacobian(
-        slp, coords, A, [direction], n_out=out_index + 1
+        slp, coords, A, [direction], n_out=(out_index,)
     )
-    return A, coords, vals[out_index], rows[out_index][0]
+    return A, coords, vals[0], rows[0][0]
 
 
 def _power_sums(q, F):

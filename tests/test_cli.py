@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import kronecker.cli as cli
 from kronecker.cli import load_representation, run
 from kronecker.slp import AffineChange, compose_affine, parse_system
 from kronecker.verify import check_representation
@@ -202,3 +203,22 @@ def test_unwritable_out_exits_3(tmp_path, capsys, target, mod_p_only):
     err = captured.err
     assert err.startswith(f"error: cannot write {out}") and err.count("\n") == 1
     assert not (tmp_path / "no").exists()
+
+
+@pytest.mark.parametrize("mod_p_only", [[], ["--mod-p-only"]])
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+def test_unwritable_out_is_refused_before_solving(
+    tmp_path, capsys, monkeypatch, target, mod_p_only
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved although --out cannot be written")
+
+    monkeypatch.setattr(cli, "solve_modular", refuse)
+    monkeypatch.setattr(cli, "solve_over_rationals", refuse)
+    monkeypatch.setattr(cli, "parse_system", refuse)
+    src = _write(tmp_path, TWO_QUADRICS)
+    out = tmp_path if target == "directory" else tmp_path / "no" / "rep.json"
+    assert run([src, "--seed", "1", "--out", str(out), *mod_p_only]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert err.count("\n") == 1

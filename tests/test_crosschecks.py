@@ -3,7 +3,13 @@ concurrency and scale smoke tests."""
 
 import random
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
+import sympy
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from kronecker.errors import RetryExhaustedError, SingularMatrixError
 from kronecker.oracle import mulmat_charpoly
 from kronecker.padic import SolveConfiguration, solve_over_rationals
 from kronecker.polys import interpolate, monic, resultant
@@ -106,3 +112,48 @@ def test_parser_handles_nested_parentheses_and_big_constants():
 
     val = evaluate(slp, (2,), QQ)[0]
     assert val == ((2 - 10**19) ** 2 + 1) * 2
+
+
+def _sympy_eliminant(slp, lam):
+    """Monic eliminant in y_0 of the system in the variables y = lam * x:
+    the polynomial itself for n = 1, its resultant in y_1 for n = 2."""
+    ys = sympy.symbols(f"y0:{slp.n_vars}")
+    xs = sympy.Matrix(lam).inv() * sympy.Matrix(ys)
+    polys = [
+        sum(
+            c * sympy.prod([x**e for x, e in zip(xs, mono)])
+            for mono, c in dense.items()
+        )
+        for dense in slp.dense_forms
+    ]
+    elim = polys[0] if slp.n_vars == 1 else sympy.resultant(*polys, ys[1])
+    coeffs = sympy.Poly(sympy.expand(elim), ys[0]).monic().all_coeffs()
+    return tuple(Fraction(int(c.p), int(c.q)) for c in reversed(coeffs))
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_min_poly_matches_sympy_resultant(seed):
+    # With λ pinned, the rational minimal polynomial of a square system in
+    # n <= 2 variables is its monic eliminant in the first new coordinate.
+    from test_acceptance import _random_dense_system
+
+    rng = random.Random(seed)
+    n = rng.choice([1, 2])
+    degrees = [rng.choice([1, 2, 3]) for _ in range(n)]
+    slp = parse_system(_random_dense_system(n, degrees, rng))
+    while True:
+        lam = tuple(
+            tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n)
+        )
+        try:
+            AffineChange.from_matrix(lam)
+            break
+        except SingularMatrixError:
+            continue
+    try:
+        rep, _ = solve_over_rationals(
+            slp, SolveConfiguration(seed=seed, lambda_matrix=lam)
+        )
+    except RetryExhaustedError:
+        assume(False)  # λ does not separate the solutions: no fiber to check
+    assert rep.min_poly == _sympy_eliminant(slp, lam)

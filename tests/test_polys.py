@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kronecker.errors import (
     CharacteristicTooSmallError,
@@ -328,3 +330,47 @@ def test_rational_reconstruct_roundtrip_property():
         den //= g
         a = num * pow(den, -1, m) % m
         assert rational_reconstruct(a, m) == (num, den)
+
+
+@st.composite
+def _bounded_fractions(draw):
+    """A fraction num/den in lowest terms with |num|, den <= B, and a
+    modulus m > 2B^2 prime to den."""
+    bound = draw(st.integers(1, 2**64))
+    m = draw(st.integers(2 * bound * bound + 1, 2 * bound * bound + 2**70))
+    den = draw(st.integers(1, bound).filter(lambda d: gcd(d, m) == 1))
+    num = draw(st.integers(-bound, bound).filter(lambda u: gcd(u, den) == 1))
+    return num, den, bound, m
+
+
+@settings(max_examples=200)
+@given(_bounded_fractions())
+def test_rational_reconstruct_recovers_every_bounded_fraction(case):
+    num, den, bound, m = case
+    a = num * pow(den, -1, m) % m
+    assert rational_reconstruct(a, m, bound) == (num, den)
+
+
+@st.composite
+def _residues(draw):
+    """A modulus m and a residue a = num/den mod m, for num anywhere in
+    [-m, m] and den up to sqrt(m): within the reconstruction bound or not,
+    and with den = 1 any residue at all."""
+    m = draw(st.integers(3, 2**80))
+    den = draw(st.integers(1, isqrt(m)).filter(lambda d: gcd(d, m) == 1))
+    num = draw(st.integers(-m, m))
+    return m, num * pow(den, -1, m) % m
+
+
+@settings(max_examples=200)
+@given(_residues())
+def test_rational_reconstruct_of_any_residue_is_bounded_or_refused(case):
+    m, a = case
+    bound = isqrt((m - 1) // 2)  # the largest B with 2B^2 < m
+    try:
+        num, den = rational_reconstruct(a, m)
+    except NoReconstructionError:
+        return
+    assert abs(num) <= bound and 0 < den <= bound
+    assert gcd(num, den) == 1
+    assert (num - a * den) % m == 0

@@ -1,10 +1,21 @@
+import gc
 import random
+import weakref
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kronecker.errors import NotInvertibleError, ParseError, SingularMatrixError
 from kronecker.polys import interpolate, poly_deriv, poly_eval
-from kronecker.rings import QQ, PolyQuotient, PolyRing, PrimeField, ResidueRing
+from kronecker.rings import (
+    QQ,
+    PolyQuotient,
+    PolyRing,
+    PrimeField,
+    ResidueRing,
+    SeriesRing,
+)
 from kronecker.slp import (
     AffineChange,
     compose_affine,
@@ -332,3 +343,173 @@ def test_jacobian_with_affine_change_chain_rule():
     for j in range(2):
         want = _derivative_by_interpolation(comp, pt, F, j, 0, 4)
         assert rows[0][j] == want
+
+
+def test_jacobian_rejects_outputs_the_program_lacks():
+    slp = parse_system("vars x,y; x*y - 1;")
+    F = PrimeField(7)
+    # The default n_out = len(wrt) = 2 asks for an output the program lacks.
+    for n_out in (None, 3, -1, (1,), (0, 1)):
+        with pytest.raises(ValueError, match="outputs"):
+            evaluate_jacobian(slp, (1, 2), F, wrt=[0, 1], n_out=n_out)
+        if n_out is not None:
+            with pytest.raises(ValueError, match="outputs"):
+                evaluate(slp, (1, 2), F, n_out=n_out)
+
+
+# -- output slices ------------------------------------------------------------
+
+
+def _full_program_pass(slp, point, R, wrt, T):
+    """Values and tangent rows of every output, running every instruction:
+    the reference the sliced passes are compared against.  Tangents run
+    over T, into which the values are reduced when T is not R."""
+    n = slp.n_vars
+    tr = slp.transform
+
+    def inputs(ys, ring):
+        if tr is None or tr.is_identity():
+            return list(ys)
+        det_inv = ring.inv(ring.from_int(tr.det))
+        out = []
+        for row in tr.adjugate:
+            acc = ring.zero
+            for a, y in zip(row, ys):
+                acc = ring.add(acc, ring.mul(ring.from_int(a), y))
+            out.append(ring.mul(acc, det_inv))
+        return out
+
+    xs = inputs([R.from_int(x) if isinstance(x, int) else x for x in point], R)
+    vals = []
+    for ins in slp.instructions:
+        if ins[0] == "var":
+            vals.append(xs[ins[1]])
+        elif ins[0] == "const":
+            vals.append(R.from_int(ins[1]))
+        else:
+            vals.append(getattr(R, ins[0])(vals[ins[1]], vals[ins[2]]))
+    tvals = vals if T is R else [T.reduce_precision(v) for v in vals]
+    rows = [[None] * len(wrt) for _ in slp.outputs]
+    for col, direction in enumerate(wrt):
+        if isinstance(direction, int):
+            direction = [T.one if i == direction else T.zero for i in range(n)]
+        seeds = inputs(direction, T)
+        tans = []
+        for ins in slp.instructions:
+            if ins[0] == "var":
+                tans.append(seeds[ins[1]])
+            elif ins[0] == "const":
+                tans.append(T.zero)
+            elif ins[0] == "mul":
+                a, b = ins[1], ins[2]
+                tans.append(
+                    T.add(T.mul(tvals[a], tans[b]), T.mul(tans[a], tvals[b]))
+                )
+            else:
+                tans.append(getattr(T, ins[0])(tans[ins[1]], tans[ins[2]]))
+        for row, o in zip(rows, slp.outputs):
+            row[col] = tans[o]
+    return [vals[o] for o in slp.outputs], rows
+
+
+_P = 10007
+
+
+def _slice_test_rings(rng):
+    """(R, tangent ring, element drawer) over F_p, over F_p[T]/(q) on
+    Z/p^4 with tangents at Z/p^2, over F_p[t]/(t^3)[T]/(q) with tangents at
+    order 2, and over F_p[t]/(t^3) alone."""
+    F = PrimeField(_P)
+    S = SeriesRing(F, 3)
+
+    def series():
+        return S._trim([rng.randrange(_P) for _ in range(3)])
+
+    A_res = PolyQuotient(ResidueRing(_P, 4), (rng.randrange(_P**4), 5, 1))
+    A_ser = PolyQuotient(S, (series(), series(), S.one))
+    low_res = A_res.at_precision(2)
+    low_ser = A_ser.at_precision(2)
+    return [
+        (F, F, lambda ring: rng.randrange(_P)),
+        (
+            A_res,
+            low_res,
+            lambda ring: ring.reduce(
+                [rng.randrange(ring.base.modulus) for _ in range(2)]
+            ),
+        ),
+        (
+            A_ser,
+            low_ser,
+            lambda ring: ring.reduce_precision(
+                A_ser.reduce([series() for _ in range(2)])
+            ),
+        ),
+        (S, S, lambda ring: series()),
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@given(seed=st.integers(0, 2**32 - 1))
+def test_sliced_passes_match_the_full_program(n, seed):
+    # Every prefix and every single output, with and without a change of
+    # variables, over each ring: values and tangent rows equal those of a
+    # pass that runs every instruction.
+    from test_acceptance import _random_dense_system
+
+    rng = random.Random(seed)
+    degrees = [rng.choice([1, 2, 3] if n < 4 else [1, 2]) for _ in range(n)]
+    base = parse_system(_random_dense_system(n, degrees, rng))
+    while True:
+        rows = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(n)]
+        try:
+            change = AffineChange.from_matrix(rows)
+        except SingularMatrixError:
+            continue
+        if change.det % _P:
+            break
+    selections = list(range(1, n + 1)) + [(k,) for k in range(n)]
+    identity = compose_affine(base, AffineChange.identity(n))
+    for slp in (base, identity, compose_affine(base, change)):
+        for R, T, draw in _slice_test_rings(rng):
+            pt = [draw(R) for _ in range(n)]
+            wrt = list(range(n)) + [[draw(T) for _ in range(n)]]
+            want_vals, want_rows = _full_program_pass(slp, pt, R, wrt, T)
+            for sel in selections:
+                outs = range(sel) if isinstance(sel, int) else sel
+                low = None if T is R else T
+                vals, rows = evaluate_jacobian(
+                    slp, pt, R, wrt, n_out=sel, tangent_ring=low
+                )
+                assert vals == [want_vals[k] for k in outs]
+                assert rows == [want_rows[k] for k in outs]
+                assert evaluate(slp, pt, R, n_out=sel) == vals
+            assert evaluate(slp, pt, R) == want_vals
+
+
+def test_slice_of_one_output_is_shorter_than_the_program():
+    from test_acceptance import _random_dense_system
+
+    slp = parse_system(_random_dense_system(4, [2, 2, 2, 2], random.Random(5)))
+    whole = tuple(range(len(slp.instructions)))
+    assert len(slp.slice((0,))) < len(whole)
+    assert slp.slice((0, 1, 2, 3)) == whole
+    assert slp.slice((0,)) is slp.slice((0,))  # computed once, then kept
+
+
+def test_evaluated_programs_are_not_kept_alive():
+    # Slices are cached on the program itself, so a program and its slices
+    # die together once no caller holds the program.
+    from test_acceptance import _random_dense_system
+
+    rng = random.Random(9)
+    F = PrimeField(_P)
+    refs = []
+    for _ in range(50):
+        slp = parse_system(_random_dense_system(2, [2, 2], rng))
+        evaluate(slp, (3, 4), F, n_out=(1,))
+        evaluate_jacobian(slp, (3, 4), F, wrt=[0, 1])
+        refs.append(weakref.ref(slp))
+    del slp
+    gc.collect()
+    assert all(ref() is None for ref in refs)
