@@ -2,9 +2,9 @@
 
 The degree budget D and the sample sizes (a, b) = (8D, 9D) are exact
 formulas.  The height and prime budgets instantiate asymptotic bounds with
-frozen constants (C_HEIGHT, C_PRIME, overridable per call) and integer
-ceiling-log2 polylog factors; any over-estimate is safe, it only costs
-lifting precision or prime size.
+the frozen constants C_HEIGHT and C_PRIME and integer ceiling-log2 polylog
+factors; any over-estimate is safe, it only costs lifting precision or prime
+size.
 """
 
 from dataclasses import dataclass
@@ -33,17 +33,17 @@ def _polylog(x):
     return 1 + ceil_log2(x)
 
 
-def height_budget(n, d, h, r, s, c=C_HEIGHT):
+def height_budget(n, d, h, r, s):
     """Bit-size budget for the stage-s output coefficients.
 
-    c * n * d**(s-1) * (h + r*d) * (1 + ceil_log2(n+2)) * (1 + ceil_log2(d+1)).
+    C_HEIGHT * n * d**(s-1) * (h + r*d) * (1 + ceil_log2(n+2)) * (1 + ceil_log2(d+1)).
     """
     if min(n, d, h, r, s) < 1:
         raise ValueError("all arguments must be >= 1")
-    return c * n * d ** (s - 1) * (h + r * d) * _polylog(n + 2) * _polylog(d + 1)
+    return C_HEIGHT * n * d ** (s - 1) * (h + r * d) * _polylog(n + 2) * _polylog(d + 1)
 
 
-def prime_budget(n, d, h, r, c=C_PRIME):
+def prime_budget(n, d, h, r):
     """Budget H for the bit size of the bad-prime multiple, and B = 12H.
 
     Primes are then drawn from (B, 2B] = [12H + 1, 24H].  H is floored at
@@ -52,7 +52,7 @@ def prime_budget(n, d, h, r, c=C_PRIME):
     if min(n, d, h, r) < 1:
         raise ValueError("all arguments must be >= 1")
     bezout = d**r
-    H = c * n**3 * d ** (8 * r - 7) * (h + r * d) * _polylog(n + 2) ** 3
+    H = C_PRIME * n**3 * d ** (8 * r - 7) * (h + r * d) * _polylog(n + 2) ** 3
     H = max(H, 60 * n**2 * d * bezout**4)
     return H, 12 * H
 
@@ -74,7 +74,7 @@ class BoundSet:
     prime_lower: int  # B = 12H
 
     @classmethod
-    def for_system(cls, n, degrees, h, c_height=C_HEIGHT, c_prime=C_PRIME):
+    def for_system(cls, n, degrees, h):
         r = len(degrees)
         if r < 1 or n < r:
             raise ValueError("need 1 <= r <= n")
@@ -88,8 +88,8 @@ class BoundSet:
             bez.append(acc)
         D = degree_budget(n, r, acc)
         a, b = sample_bounds(D)
-        heights = tuple(height_budget(n, d, h, r, s, c_height) for s in range(1, r + 1))
-        H, B = prime_budget(n, d, h, r, c_prime)
+        heights = tuple(height_budget(n, d, h, r, s) for s in range(1, r + 1))
+        H, B = prime_budget(n, d, h, r)
         return cls(
             n=n,
             r=r,
@@ -103,7 +103,3 @@ class BoundSet:
             prime_bits_budget=H,
             prime_lower=B,
         )
-
-    def bezout(self, s):
-        return self.bezout_stages[s - 1]
-

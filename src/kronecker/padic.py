@@ -71,9 +71,6 @@ class SolveConfiguration:
     prime: int | None = None
     lambda_matrix: tuple | None = None
     lifting_point: tuple | None = None
-    c_height: int = 16
-    c_prime: int = 64
-    coefficient_height: int | None = None
 
 
 @dataclass
@@ -116,7 +113,7 @@ def _rungs(uni, slp):
     further rung costs one Newton step, taken only when it is asked for.
 
     A yielded rung is residual-checked only by the step that leaves it, so
-    the caller passes the rung it stops at to ``_check_rung``."""
+    the caller passes the rung it stops at to ``check_fiber``."""
     p = uni.ring.p
     exponent = 1
     rep = replace(uni, ring=ResidueRing(p, 1))
@@ -129,13 +126,6 @@ def _rungs(uni, slp):
         )
         exponent *= 2
         rep = replace(rep, min_poly=q, params=params, ring=R)
-
-
-def _check_rung(rep, slp):
-    """The residual check of the rung a ladder stops at."""
-    check_fiber(
-        slp, rep.stage, rep.prim_var, rep.point, rep.min_poly, rep.params, rep.ring
-    )
 
 
 def _budget_exponent(p, target_bits):
@@ -164,7 +154,7 @@ def hensel_lift_rep(rep, slp, target_bits):
     for exponent, current in _rungs(uni, slp):
         if exponent == target:
             break
-    _check_rung(current, slp)
+    check_fiber(slp, current)
     if rep.form == "kronecker":
         current = to_kronecker(current)
     return LiftedRepresentation(rep=current, exponent=exponent)
@@ -216,7 +206,7 @@ def _lift_and_reconstruct(uni_p, slp, mode, bounds):
         history.append((exponent, candidate is not None))
         # Rungs differ only in their coefficients, so == compares those.
         if candidate is not None and (mode == "provable" or candidate == previous):
-            _check_rung(current, slp)
+            check_fiber(slp, current)
             return candidate, exponent, tuple(history)
         if exponent >= last:
             raise UnluckyError(
@@ -227,8 +217,9 @@ def _lift_and_reconstruct(uni_p, slp, mode, bounds):
 
 def check_configuration(config, n_vars):
     """Raise ValueError for a configuration that no attempt could use, or
-    whose result no check would back: no attempts, or no verification
-    prime without the exact check."""
+    whose result no check would back: no attempts, a pinned prime, λ or
+    lifting point that does not fit, or no verification prime without the
+    exact check."""
     if config.mode not in ("heuristic", "provable"):
         raise ValueError(f"unknown mode {config.mode!r}")
     if config.retries < 1:
@@ -241,9 +232,14 @@ def check_configuration(config, n_vars):
     p = config.prime
     if p is not None and (p <= 2 or not is_probable_prime(p)):
         raise ValueError(f"pinned prime {p} is not an odd prime")
-    if config.lambda_matrix is not None:
+    lam = config.lambda_matrix
+    if lam is not None:
+        if len(lam) != n_vars or any(len(row) != n_vars for row in lam):
+            raise ValueError(
+                f"pinned change of variables must be {n_vars} x {n_vars}"
+            )
         try:
-            AffineChange.from_matrix(config.lambda_matrix)
+            AffineChange.from_matrix(lam)
         except SingularMatrixError:
             raise ValueError("pinned change of variables is singular") from None
     if config.lifting_point is not None and len(config.lifting_point) != n_vars - 1:
@@ -303,10 +299,7 @@ def _run_attempts(slp, config, finish):
     """
     check_configuration(config, slp.n_vars)
     rng = random.Random(config.seed)
-    height = config.coefficient_height or max(slp.height, 1)
-    bounds = BoundSet.for_system(
-        slp.n_vars, slp.degrees, height, config.c_height, config.c_prime
-    )
+    bounds = BoundSet.for_system(slp.n_vars, slp.degrees, max(slp.height, 1))
     causes = []
     structural = []
     for attempt in range(1, config.retries + 1):
@@ -350,13 +343,9 @@ def solve_over_rationals(slp, config=None):
         rep_q, exponent, history = _lift_and_reconstruct(
             to_univariate(fiber_p), composed, config.mode, bounds
         )
-        fresh = []
-        ok = True
-        for _ in range(config.verify_primes):
-            vp, rep_vp = verify._reduce_with_fresh_prime(rep_q, composed, state.rng)
-            report = verify.check_representation(rep_vp, composed)
-            fresh.append(vp)
-            ok = ok and report.passed
+        fresh = verify.fresh_prime_checks(
+            rep_q, composed, config.verify_primes, state.rng
+        )
         final_report = verify.check_representation(
             rep_q,
             composed,
@@ -364,7 +353,7 @@ def solve_over_rationals(slp, config=None):
             fresh_primes=0,
             rng=state.rng,
         )
-        if not (ok and final_report.passed):
+        if not (all(ok for _, ok in fresh) and final_report.passed):
             raise UnluckyError(state.r, "verification failed after lifting")
         certificate = Certificate(
             mode=config.mode,
@@ -375,7 +364,7 @@ def solve_over_rationals(slp, config=None):
             prime=state.field.p,
             precision_exponent=exponent,
             reconstruction_exponents=history,
-            verify_primes=tuple(fresh),
+            verify_primes=tuple(p for p, _ in fresh),
             verification=final_report.to_dict(),
             stage_degrees=tuple(state.stage_degrees),
             exact_checked=config.exact_check,

@@ -278,7 +278,7 @@ class ExtField:
 
 
 class SeriesRing:
-    """F[t]/(t**prec): truncated power series over a field."""
+    """F[t]/(t**prec): truncated power series over a prime field F."""
 
     is_field = False
 
@@ -305,25 +305,14 @@ class SeriesRing:
     def mul(self, a, b):
         if not a or not b:
             return ()
-        F = self.field
         n = min(len(a) + len(b) - 1, self.prec)
-        m = getattr(F, "int_modulus", None)
-        if m is not None:
-            out = [0] * n
-            for i, c in enumerate(a):
-                if c and i < n:
-                    top = min(len(b), n - i)
-                    for j in range(top):
-                        out[i + j] += c * b[j]
-            return polys.normalize([c % m for c in out], F)
-        out = [F.zero] * n
+        out = [0] * n
         for i, c in enumerate(a):
-            if F.is_zero(c) or i >= n:
-                continue
-            top = min(len(b), n - i)
-            for j in range(top):
-                out[i + j] = F.add(out[i + j], F.mul(c, b[j]))
-        return polys.normalize(out, F)
+            if c and i < n:
+                top = min(len(b), n - i)
+                for j in range(top):
+                    out[i + j] += c * b[j]
+        return polys.normalize([c % self.field.p for c in out], self.field)
 
     def neg(self, a):
         return polys.poly_neg(a, self.field)

@@ -36,7 +36,6 @@ from .polys import (
     normalize,
     poly_deriv,
     poly_eval,
-    poly_inverse_mod,
     poly_mul,
     rem_monic,
     resultant,
@@ -132,58 +131,14 @@ def fiber_coordinates(n, prim_var, point, params, A):
     return coords
 
 
-def residuals(slp, rep_uni, count=None):
-    """Values of the first ``count`` outputs on the parametrized fiber."""
-    A = PolyQuotient(rep_uni.ring, rep_uni.min_poly)
-    coords = fiber_coordinates(
-        slp.n_vars, rep_uni.prim_var, rep_uni.point, rep_uni.params, A
-    )
-    if count is None:
-        count = rep_uni.stage
-    return evaluate(slp, coords, A, n_out=count)
-
-
-def contract_u_expansion(slp, A, point, gen, params, qp, count):
-    """Outputs of ``slp`` at Y = (point, T, W_j * U) over A[U], each
-    contracted against powers of Q' so that U stands for 1/Q'.
-
-    ``gen`` is T in A, ``params`` the W_j in A in variable order, and ``qp``
-    is Q' in A.  A zero W_j keeps its coordinate zero.
-    """
-    PR = PolyRing(A)
-    coords = [PR.embed(embed_scalar(A, x)) for x in point]
-    coords.append(PR.embed(gen))
-    coords.extend((A.zero, w) if not A.is_zero(w) else PR.zero for w in params)
-    out = []
-    for expansion in evaluate(slp, coords, PR, n_out=count):
-        acc = A.zero
-        power = A.one
-        for k in range(len(expansion) - 1, -1, -1):
-            acc = A.add(acc, A.mul(expansion[k], power))
-            if k:
-                power = A.mul(power, qp)
-        out.append(acc)
-    return out
-
-
-def kronecker_residuals(slp, rep, count=None):
-    """Division-free residuals of a Kronecker-form fiber.
-
-    Substitutes Y_j = W_j * U with U a formal stand-in for 1/Q', then
-    contracts the resulting U-expansion against powers of Q'.  Valid whenever
-    Q is squarefree (so Q' is a unit mod Q and the contraction being zero is
-    equivalent to the residual being zero); avoids the coefficient blowup of
-    inverting Q' over Q.
-    """
-    if rep.form != "kronecker":
-        return residuals(slp, rep, count)
-    R = rep.ring
-    A = PolyQuotient(R, rep.min_poly)
-    qp = rem_monic(poly_deriv(rep.min_poly, R), rep.min_poly, R)
-    point = rep.point[: rep.prim_var]
-    params = [rep.params[j] for j in range(rep.prim_var + 1, slp.n_vars)]
-    count = rep.stage if count is None else count
-    return contract_u_expansion(slp, A, point, A.gen, params, qp, count)
+def residuals(slp, rep, count=None):
+    """Values of the first ``count`` outputs (default: the stage) on the
+    fiber of ``rep``, in either form, over R[T]/(Q) for a field or a local
+    ring R.  Raises NotInvertibleError when Q is not squarefree."""
+    uni = to_univariate(rep)
+    A = PolyQuotient(uni.ring, uni.min_poly)
+    coords = fiber_coordinates(slp.n_vars, uni.prim_var, uni.point, uni.params, A)
+    return evaluate(slp, coords, A, n_out=uni.stage if count is None else count)
 
 
 def first_stage(state):
@@ -213,15 +168,14 @@ def first_stage(state):
 
 
 def to_univariate(rep):
-    """Kronecker -> univariate: V_j = Q'^{-1} W_j mod Q (needs Q squarefree)."""
+    """Kronecker -> univariate: V_j = Q'^{-1} W_j mod Q, over a field or a
+    local ring (needs Q squarefree, mod the maximal ideal for a local ring;
+    raises NotInvertibleError otherwise)."""
     if rep.form == "univariate":
         return rep
-    F = rep.ring
-    q = rep.min_poly
-    inv = poly_inverse_mod(poly_deriv(q, F), q, F)
-    params = {
-        j: rem_monic(poly_mul(inv, w, F), q, F) for j, w in rep.params.items()
-    }
+    A = PolyQuotient(rep.ring, rep.min_poly)
+    inv = A.inv(poly_deriv(rep.min_poly, rep.ring))
+    params = {j: A.mul(inv, w) for j, w in rep.params.items()}
     return replace(rep, params=params, form="univariate")
 
 
@@ -241,9 +195,10 @@ def to_kronecker(rep):
 # -- linear algebra over quotient rings --------------------------------------
 
 
-def det_division_free(mat, A):
-    """Determinant by Berkowitz's algorithm: no divisions, O(s^4) ring
-    operations, valid over any commutative ring.
+def charpoly_division_free(mat, A):
+    """Coefficients 1, c_1, ..., c_s of det(x·I - M), x^s first, by
+    Berkowitz's algorithm: no divisions, O(s^4) ring operations, valid over
+    any commutative ring.
 
     Builds the characteristic polynomial of each leading principal block
     [[M, c], [r, a]] from that of M by a Toeplitz product whose first column
@@ -266,7 +221,13 @@ def det_division_free(mat, A):
                 acc = A.add(acc, A.mul(toeplitz[i - j], coeffs[j]))
             new.append(acc)
         coeffs = new
-    return coeffs[s] if s % 2 == 0 else A.neg(coeffs[s])
+    return coeffs
+
+
+def det_division_free(mat, A):
+    """Determinant as (-1)^s c_s of ``charpoly_division_free``."""
+    c_s = charpoly_division_free(mat, A)[-1]
+    return c_s if len(mat) % 2 == 0 else A.neg(c_s)
 
 
 def _dot(u, v, A):
@@ -306,27 +267,16 @@ def _solve_by_elimination(mat, rhs, A):
     return [aug[i][s] for i in range(s)]
 
 
-def _solve_by_adjugate(mat, rhs, A):
-    s = len(mat)
-    det = det_division_free(mat, A)
-    det_inv = A.inv(det)
-
-    def cofactor(i, j):
-        sub = [
-            [mat[r][c] for c in range(s) if c != j]
-            for r in range(s)
-            if r != i
-        ]
-        m = det_division_free(sub, A)
-        return m if (i + j) % 2 == 0 else A.neg(m)
-
-    out = []
-    for i in range(s):
-        acc = A.zero
-        for j in range(s):
-            acc = A.add(acc, A.mul(cofactor(j, i), rhs[j]))
-        out.append(A.mul(det_inv, acc))
-    return out
+def _solve_by_cayley_hamilton(mat, rhs, A):
+    """x = -(M^(s-1) b + c_1 M^(s-2) b + ... + c_(s-1) b) / c_s, from
+    M^s + c_1 M^(s-1) + ... + c_s I = 0; needs only c_s = ±det(M) to be a
+    unit."""
+    coeffs = charpoly_division_free(mat, A)
+    c_inv = A.inv(coeffs[-1])
+    acc = list(rhs)
+    for c in coeffs[1:-1]:
+        acc = [A.add(_dot(row, acc, A), A.mul(c, b)) for row, b in zip(mat, rhs)]
+    return [A.neg(A.mul(c_inv, v)) for v in acc]
 
 
 def solve_linear(mat, rhs, A):
@@ -334,15 +284,15 @@ def solve_linear(mat, rhs, A):
 
     Gaussian elimination with unit-pivot search first; if no pivot column
     offers a unit (possible over a split algebra even for an invertible
-    matrix), falls back to the adjugate formula, which only needs det(M) to
-    be a unit.  Raises NotInvertibleError when the matrix is singular.
+    matrix), falls back to Cayley–Hamilton, which only needs det(M) to be a
+    unit.  Raises NotInvertibleError when the matrix is singular.
     """
     if len(mat) == 0:
         return []
     try:
         return _solve_by_elimination(mat, rhs, A)
     except _PivotStuck:
-        return _solve_by_adjugate(mat, rhs, A)
+        return _solve_by_cayley_hamilton(mat, rhs, A)
 
 
 # -- Newton lifting -----------------------------------------------------------
@@ -360,7 +310,9 @@ def newton_step(slp, stage, prim, point, q, params, R, prec):
 
     Only the value pass runs at precision m.  Reduced to precision k, the
     values F of the first ``stage`` outputs are their values on the input
-    fiber, and must vanish: that is the residual check of the input.  So
+    fiber, and must vanish: that is the residual check of the input, read
+    off the value pass truncated to precision k rather than run through
+    ``residuals``.  So
     π^k divides F (π = p or t), and the correction J⁻¹F is π^k times
     J⁻¹(F/π^k), which is needed only to precision m - k.  The tangent
     passes, the Jacobian J and the linear solve run there; the correction
@@ -397,14 +349,15 @@ def newton_step(slp, stage, prim, point, q, params, R, prec):
     return q_new, new_params
 
 
-def check_fiber(slp, stage, prim, point, q, params, R):
-    """Raise ResidualNonzeroError unless the first ``stage`` outputs vanish
-    on the univariate fiber over R[T]/(q).  A ladder of Newton steps runs
-    this on the rung it stops at only; every earlier rung is checked by the
-    value pass of the step that leaves it."""
-    A = PolyQuotient(R, q)
-    coords = fiber_coordinates(slp.n_vars, prim, point, params, A)
-    _require_vanishing(evaluate(slp, coords, A, n_out=stage), A, stage)
+def check_fiber(slp, rep):
+    """Raise ResidualNonzeroError unless ``residuals`` of the univariate
+    fiber ``rep`` all vanish.  A ladder of Newton steps runs this on the
+    rung it stops at only; every earlier rung is checked by the value pass
+    of the step that leaves it."""
+    if any(residuals(slp, rep)):
+        raise ResidualNonzeroError(
+            f"stage {rep.stage} residual nonzero over {rep.ring!r}"
+        )
 
 
 def _require_vanishing(vals, A, stage):
@@ -459,7 +412,9 @@ def lift_curve(fiber, slp, kappa=None):
 
     S = SeriesRing(F, target)
     point = base + (S.shifted_variable(base_value),)
-    check_fiber(slp, s, prim, point, q, vparams, S)
+    check_fiber(
+        slp, replace(fiber, point=point, min_poly=q, params=vparams, ring=S)
+    )
     A = PolyQuotient(S, q)
     qp = poly_deriv(q, S)
     wparams = {j: A.mul(qp, v) for j, v in vparams.items()}

@@ -3,8 +3,11 @@
 Every "lucky prime" condition the solver relies on is checked directly on
 the computed objects: monicity, squarefreeness, Bezout degree budgets,
 Jacobian invertibility on the fiber, and the residual membership identity
-F_i(point, T, V(T)) = 0 mod Q(T).  Rational representations can additionally
-be checked modulo fresh primes (Monte Carlo) or exactly over Q.
+F_i(point, T, V(T)) = 0 mod Q(T).  Over a field or a local ring the residual
+is ``solver.residuals`` of the fiber's univariate form.  A rational
+representation is checked modulo fresh primes (Monte Carlo), where it is a
+fiber over a field, and, on request, exactly over Q by a fraction-free
+U-expansion, since inverting Q' over Q blows up the coefficients.
 """
 
 import random
@@ -29,13 +32,12 @@ from .polys import (
     poly_mul,
 )
 from .primes import random_prime_in_range
-from .rings import QQ, ZZ, PolyQuotient, PrimeField, Rationals, ResidueRing
-from .slp import evaluate_jacobian
+from .rings import QQ, ZZ, PolyQuotient, PolyRing, PrimeField, Rationals, ResidueRing
+from .slp import evaluate, evaluate_jacobian
 from .solver import (
-    contract_u_expansion,
     det_division_free,
+    embed_scalar,
     fiber_coordinates,
-    kronecker_residuals,
     residuals,
     to_univariate,
 )
@@ -149,12 +151,38 @@ class _ScaledQuotient:
         return self._reduce((den if k > 0 else -den,), abs(k))
 
 
+def contract_u_expansion(slp, A, point, gen, params, qp, count):
+    """Outputs of ``slp`` at Y = (point, T, W_j * U) over A[U], each
+    contracted against powers of Q' so that U stands for 1/Q'.
+
+    ``gen`` is T in A, ``params`` the W_j in A in variable order, and ``qp``
+    is Q' in A.  A zero W_j keeps its coordinate zero.  When Q' is a unit
+    mod Q the contraction is Q'^e times the residual, for e the U-degree of
+    the expansion, so one vanishes exactly when the other does.
+    """
+    PR = PolyRing(A)
+    coords = [PR.embed(embed_scalar(A, x)) for x in point]
+    coords.append(PR.embed(gen))
+    coords.extend((A.zero, w) if not A.is_zero(w) else PR.zero for w in params)
+    out = []
+    for expansion in evaluate(slp, coords, PR, n_out=count):
+        acc = A.zero
+        power = A.one
+        for k in range(len(expansion) - 1, -1, -1):
+            acc = A.add(acc, A.mul(expansion[k], power))
+            if k:
+                power = A.mul(power, qp)
+        out.append(acc)
+    return out
+
+
 def _exact_kronecker_residuals(slp, rep):
     """Division-free and fraction-free residuals of a rational Kronecker rep.
 
     Rescales the primitive variable T = S/c (c clearing the denominators of
     Q) so the modulus becomes integer and monic, then runs the W_j*U
-    substitution of kronecker_residuals over the scaled integer quotient.
+    substitution of ``contract_u_expansion`` over the scaled integer
+    quotient.
     """
     q = rep.min_poly
     delta = degree(q)
@@ -187,17 +215,14 @@ def _exact_kronecker_residuals(slp, rep):
 def _residual_clauses(rep, slp, clauses):
     if rep.form == "kronecker" and isinstance(rep.ring, Rationals):
         vals = _exact_kronecker_residuals(slp, rep)
-    elif rep.form == "kronecker":
-        vals = kronecker_residuals(slp, rep)
     else:
         try:
-            uni = to_univariate(rep)
+            vals = residuals(slp, rep)
         except NotInvertibleError:
             clauses.append(
                 ("residual", False, "cannot convert to univariate form")
             )
             return
-        vals = residuals(slp, uni)
     for i, v in enumerate(vals):
         ok = len(v) == 0
         clauses.append(
@@ -231,9 +256,10 @@ def _is_squarefree_over_q(q):
 def check_representation(rep, slp, *, exact=False, fresh_primes=1, rng=None):
     """Structural and membership checks for a fiber representation.
 
-    Prime-field and residue-ring representations are checked directly.  For
-    rational representations the residual is checked modulo ``fresh_primes``
-    independently drawn large primes, plus exactly over Q when ``exact``.
+    Prime-field and residue-ring representations are checked directly.  A
+    rational representation is checked in full modulo ``fresh_primes``
+    independently drawn large primes (``fresh_prime_checks``), and its
+    residual exactly over Q when ``exact``.
     """
     R = rep.ring
     clauses = []
@@ -255,18 +281,9 @@ def check_representation(rep, slp, *, exact=False, fresh_primes=1, rng=None):
         sqf = ("squarefree", is_squarefree(rep.min_poly, R))
     clauses.append((*sqf, "gcd(Q, Q') = 1"))
     if isinstance(R, Rationals):
-        rng = rng or random.Random(0)
-        for k in range(fresh_primes):
-            p, rep_p = _reduce_with_fresh_prime(rep, slp, rng)
-            sub = CheckReport([])
-            _residual_clauses(rep_p, slp, sub.clauses)
-            clauses.append(
-                (
-                    f"residual mod fresh prime #{k + 1}",
-                    sub.passed,
-                    f"p = {p}",
-                )
-            )
+        checks = fresh_prime_checks(rep, slp, fresh_primes, rng or random.Random(0))
+        for k, (p, passed) in enumerate(checks, start=1):
+            clauses.append((f"residual mod fresh prime #{k}", passed, f"p = {p}"))
         if exact:
             sub = CheckReport([])
             _residual_clauses(rep, slp, sub.clauses)
@@ -354,6 +371,17 @@ def reduce_rational_rep(rep, field):
         params={j: _reduce_coefficients(w, field) for j, w in rep.params.items()},
         ring=field,
     )
+
+
+def fresh_prime_checks(rep, slp, count, rng):
+    """[(p, passed)] for ``count`` verify primes p drawn from ``rng``, where
+    ``passed`` is whether ``check_representation`` passes on the rational
+    ``rep`` reduced mod p."""
+    checks = []
+    for _ in range(count):
+        p, rep_p = _reduce_with_fresh_prime(rep, slp, rng)
+        checks.append((p, check_representation(rep_p, slp).passed))
+    return checks
 
 
 def _reduce_with_fresh_prime(rep, slp, rng, tries=16):

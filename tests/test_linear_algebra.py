@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -25,17 +26,36 @@ def test_solve_linear_adjugate_fallback_on_zero_divisor_column():
     t_plus = from_int_coeffs([1, 1], F)
     one = A.one
     # First column holds only zero divisors, yet det = (T-1) - (T+1) = -2
-    # is a unit: elimination cannot find a pivot, the adjugate path must.
-    mat = [[t_minus, one], [t_plus, one]]
-    det = det_division_free(mat, A)
-    assert A.is_unit(det)
-    rhs = [from_int_coeffs([2, 3], F), from_int_coeffs([5], F)]
-    x = solve_linear(mat, rhs, A)
-    got = [
-        A.add(A.mul(mat[i][0], x[0]), A.mul(mat[i][1], x[1]))
-        for i in range(2)
-    ]
-    assert got == [A.reduce(r) for r in rhs]
+    # is a unit: elimination cannot find a pivot, the Cayley-Hamilton
+    # fallback must.
+    mats = [[[t_minus, one], [t_plus, one]]]
+    # s = 3, 4: M = E1·P + E2·Q for the orthogonal idempotents E1 = (1+T)/2,
+    # E2 = (1-T)/2 and permutation matrices P = I and Q a cyclic shift, which
+    # put column 0's ones in different rows.  So column 0 holds only E1, E2
+    # and 0, and det M = E1·det P + E2·det Q is a unit.
+    half = F.inv(2)
+    e1, e2 = (half, half), (half, F.neg(half))
+    for s in (3, 4):
+        mats.append([
+            [
+                A.add(e1 if i == j else A.zero, e2 if (i + 1) % s == j else A.zero)
+                for j in range(s)
+            ]
+            for i in range(s)
+        ])
+    rng = random.Random(3)
+    for mat in mats:
+        s = len(mat)
+        assert not any(A.is_unit(row[0]) for row in mat)
+        assert A.is_unit(det_division_free(mat, A))
+        rhs = [from_int_coeffs([rng.randrange(10007) for _ in range(2)], F)
+               for _ in range(s)]
+        x = solve_linear(mat, rhs, A)
+        got = [
+            functools.reduce(A.add, (A.mul(mat[i][j], x[j]) for j in range(s)))
+            for i in range(s)
+        ]
+        assert got == [A.reduce(r) for r in rhs]
 
 
 def test_solve_linear_reports_singular():

@@ -18,8 +18,8 @@ from kronecker.slp import AffineChange, compose_affine, evaluate, parse_system
 from kronecker.solver import (
     SolveState,
     first_stage,
-    kronecker_residuals,
     lift_curve,
+    residuals,
     solve_mod_p,
     specialize_curve,
     to_univariate,
@@ -102,7 +102,7 @@ def test_stage_two_curve_specializes_consistently():
     for a in (0, 5, 1234):
         fib = specialize_curve(curve2, a)
         try:
-            vals = kronecker_residuals(composed, fib, count=2)
+            vals = residuals(composed, fib, count=2)
         except NotInvertibleError:
             continue  # ramified specialization: not a valid fiber
         assert all(v == () for v in vals)

@@ -230,3 +230,23 @@ def test_exact_check_stands_in_for_verification_primes():
     rep, cert = solve_over_rationals(slp, config)
     assert cert.verify_primes == () and cert.exact_checked
     assert cert.verification["passed"]
+
+
+@pytest.mark.parametrize(
+    "lam", [((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((1,),), ((1, 0), (0,))]
+)
+def test_wrongly_sized_lambda_is_rejected_before_the_first_attempt(
+    monkeypatch, lam
+):
+    import kronecker.padic as padic
+
+    def never(*args):
+        raise AssertionError("an attempt ran")
+
+    monkeypatch.setattr(padic, "solve_mod_p", never)
+    monkeypatch.setattr(padic, "_draw_attempt", never)
+    config = SolveConfiguration(lambda_matrix=lam)
+    with pytest.raises(ValueError, match="2 x 2"):
+        check_configuration(config, 2)
+    with pytest.raises(ValueError, match="2 x 2"):
+        solve_over_rationals(parse_system("vars x, y; x^2 - 2; y^2 - 3;"), config)

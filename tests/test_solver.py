@@ -17,8 +17,8 @@ from kronecker.solver import (
     first_stage,
     intersect_minimal_poly,
     intersect_parametrization,
-    kronecker_residuals,
     lift_curve,
+    residuals,
     solve_mod_p,
     specialize_curve,
     to_kronecker,
@@ -311,7 +311,7 @@ def test_solve_mod_p_residuals_vanish_every_stage():
         rng=random.Random(9),
     )
     fiber = solve_mod_p(state)
-    vals = kronecker_residuals(state.slp, fiber)
+    vals = residuals(state.slp, fiber)
     assert all(v == () for v in vals)
     budgets = [2, 4, 4]
     for s, d in enumerate(state.stage_degrees, start=1):

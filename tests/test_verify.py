@@ -235,7 +235,7 @@ def test_no_verify_prime_raises_no_prime_found(monkeypatch):
         change=change,
     )
     with pytest.raises(NoPrimeFoundError):
-        verify._reduce_with_fresh_prime(rep, composed, random.Random(0))
+        verify.fresh_prime_checks(rep, composed, 1, random.Random(0))
     cfg = SolveConfiguration(seed=42, retries=2, lambda_matrix=((P, 1), (0, 1)))
     with pytest.raises(RetryExhaustedError) as info:
         solve_over_rationals(slp, cfg)
