@@ -10,7 +10,6 @@ from .bounds import BoundSet, degree_budget, height_budget, prime_budget, sample
 from .errors import KroneckerError
 from .padic import (
     Certificate,
-    LiftedRepresentation,
     SolveConfiguration,
     hensel_lift_rep,
     reconstruct_rep,
@@ -49,7 +48,6 @@ __all__ = [
     "ExtField",
     "FiberRepresentation",
     "KroneckerError",
-    "LiftedRepresentation",
     "PolyQuotient",
     "PolyRing",
     "PrimeField",

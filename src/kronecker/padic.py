@@ -2,10 +2,15 @@
 
 The fiber over F_p climbs one ladder, Z/p, Z/p^2, Z/p^4, ..., one Newton
 step (``solver.newton_step``) per rung, and its Kronecker coefficients are
-rationally reconstructed at each rung from the first one the mode names:
-heuristic mode from Z/p on, stopping once two consecutive rungs agree (the
-result must then verify modulo fresh primes); provable mode from the rung
-the height budget asks for, stopping at the first reconstruction.
+rationally reconstructed at each rung from the first one the mode names.
+Both modes stop at the first rung whose reconstruction passes the
+acceptance check (the fresh-prime verification, plus the exact check over
+Q when asked for), as Giusti-Lecerf-Salvy's lift may.  The mode only picks
+the range of rungs: heuristic mode climbs from Z/p to p^(2^16) at the
+latest; provable mode from the rung the height budget asks for to 2^7
+times that exponent.  A candidate that fails the check and equals the
+previous rung's candidate is a fixed point of the lift that does not
+verify, so the attempt is restarted instead of climbing to the cap.
 
 The attempt driver behind ``solve_over_rationals`` and ``solve_modular``
 draws λ, the lifting point and the prime of each attempt, restarts unlucky
@@ -32,7 +37,6 @@ from .primes import is_probable_prime, random_prime_avoiding, random_prime_in_ra
 from .rings import QQ, PrimeField, ResidueRing
 from .slp import AffineChange, compose_affine
 from .solver import (
-    FiberRepresentation,
     SolveState,
     check_fiber,
     newton_step,
@@ -45,18 +49,6 @@ HEURISTIC_PRIME_LOW = 2**59
 HEURISTIC_PRIME_HIGH = 2**62 - 1
 
 _MAX_PRECISION_EXPONENT = 2**16
-
-
-@dataclass(frozen=True)
-class LiftedRepresentation:
-    """A fiber representation over Z/p^(2^k) plus its precision exponent."""
-
-    rep: FiberRepresentation
-    exponent: int
-
-    @property
-    def modulus(self):
-        return self.rep.ring.modulus
 
 
 @dataclass
@@ -139,7 +131,7 @@ def _budget_exponent(p, target_bits):
 
 def hensel_lift_rep(rep, slp, target_bits):
     """Climb the ladder of a modular fiber to the first rung Z/p^(2^k) with
-    2^k * log2(p) >= target_bits.
+    2^k * log2(p) >= target_bits; returns the fiber over that ring.
 
     The Jacobian of the system on the fiber must be invertible mod (p, Q).
     The lift runs on the univariate form and comes back in the input's form
@@ -156,15 +148,14 @@ def hensel_lift_rep(rep, slp, target_bits):
             break
     check_fiber(slp, current)
     if rep.form == "kronecker":
-        current = to_kronecker(current)
-    return LiftedRepresentation(rep=current, exponent=exponent)
+        return to_kronecker(current)
+    return current
 
 
-def reconstruct_rep(lifted):
-    """Rational reconstruction of every coefficient; raises
-    NoReconstructionError when the precision is insufficient."""
-    rep = lifted.rep
-    m = lifted.modulus
+def reconstruct_rep(rep):
+    """Rational reconstruction of every coefficient of a fiber over Z/p^k;
+    raises NoReconstructionError when the precision is insufficient."""
+    m = rep.ring.modulus
 
     def recover(c):
         num, den = rational_reconstruct(c % m, m)
@@ -179,38 +170,39 @@ def reconstruct_rep(lifted):
     )
 
 
-def _lift_and_reconstruct(uni_p, slp, mode, bounds):
+def _lift_and_reconstruct(uni_p, slp, first, last, gate):
     """Climb the ladder of ``uni_p``, reconstructing over Q at each rung from
-    the mode's first one; returns (representation over Q, exponent, history
-    of (exponent, reconstructed?) pairs).
+    exponent ``first`` on, and stop at the first candidate that ``gate``
+    accepts; returns (representation over Q, exponent, history of
+    (exponent, reconstructed?) pairs, the gate's verdict).
 
-    heuristic: from exponent 1 until two consecutive rungs agree, by p^(2^16)
-    at the latest.  provable: from the exponent the height budget asks for
-    until the first reconstruction, by 2^7 times that exponent at the latest.
+    ``gate(candidate)`` returns its verdict, or None to reject.  A rejected
+    candidate equal to the previous rung's is raised as unlucky at once; a
+    changing one keeps climbing, by p^last at the latest.
     """
-    if mode == "provable":
-        first = _budget_exponent(uni_p.ring.p, 2 * bounds.heights[-1] + 2)
-        last = first * 2**7
-    else:
-        first, last = 1, _MAX_PRECISION_EXPONENT
     history = []
     previous = None
     for exponent, current in _rungs(uni_p, slp):
         if exponent < first:
             continue
-        lifted = LiftedRepresentation(rep=to_kronecker(current), exponent=exponent)
         try:
-            candidate = reconstruct_rep(lifted)
+            candidate = reconstruct_rep(to_kronecker(current))
         except NoReconstructionError:
             candidate = None
         history.append((exponent, candidate is not None))
-        # Rungs differ only in their coefficients, so == compares those.
-        if candidate is not None and (mode == "provable" or candidate == previous):
-            check_fiber(slp, current)
-            return candidate, exponent, tuple(history)
+        if candidate is not None:
+            verdict = gate(candidate)
+            if verdict is not None:
+                check_fiber(slp, current)
+                return candidate, exponent, tuple(history), verdict
+            # Rungs differ only in their coefficients, so == compares those.
+            if candidate == previous:
+                raise UnluckyError(
+                    uni_p.stage, "verification failed after lifting"
+                )
         if exponent >= last:
             raise UnluckyError(
-                uni_p.stage, f"no {mode} reconstruction by p^{exponent}"
+                uni_p.stage, f"no verified reconstruction by p^{exponent}"
             )
         previous = candidate
 
@@ -340,21 +332,31 @@ def solve_over_rationals(slp, config=None):
 
     def lift_and_verify(state, fiber_p, bounds, attempt):
         composed = state.slp
-        rep_q, exponent, history = _lift_and_reconstruct(
-            to_univariate(fiber_p), composed, config.mode, bounds
+        uni_p = to_univariate(fiber_p)
+        if config.mode == "provable":
+            first = _budget_exponent(uni_p.ring.p, 2 * bounds.heights[-1] + 2)
+            last = first * 2**7
+        else:
+            first, last = 1, _MAX_PRECISION_EXPONENT
+
+        def accept(candidate):
+            fresh = verify.fresh_prime_checks(
+                candidate, composed, config.verify_primes, state.rng
+            )
+            report = verify.check_representation(
+                candidate,
+                composed,
+                exact=config.exact_check,
+                fresh_primes=0,
+                rng=state.rng,
+            )
+            if all(ok for _, ok in fresh) and report.passed:
+                return fresh, report
+            return None
+
+        rep_q, exponent, history, (fresh, report) = _lift_and_reconstruct(
+            uni_p, composed, first, last, accept
         )
-        fresh = verify.fresh_prime_checks(
-            rep_q, composed, config.verify_primes, state.rng
-        )
-        final_report = verify.check_representation(
-            rep_q,
-            composed,
-            exact=config.exact_check,
-            fresh_primes=0,
-            rng=state.rng,
-        )
-        if not (all(ok for _, ok in fresh) and final_report.passed):
-            raise UnluckyError(state.r, "verification failed after lifting")
         certificate = Certificate(
             mode=config.mode,
             seed=config.seed,
@@ -365,10 +367,10 @@ def solve_over_rationals(slp, config=None):
             precision_exponent=exponent,
             reconstruction_exponents=history,
             verify_primes=tuple(p for p, _ in fresh),
-            verification=final_report.to_dict(),
+            verification=report.to_dict(),
             stage_degrees=tuple(state.stage_degrees),
             exact_checked=config.exact_check,
         )
-        return to_kronecker(rep_q), certificate
+        return rep_q, certificate
 
     return _run_attempts(slp, config, lift_and_verify)

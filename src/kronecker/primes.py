@@ -81,15 +81,4 @@ def random_prime_avoiding(B, k, M, rng):
         raise ValueError("B must be at least 2")
     if M == 0:
         raise ValueError("M must be nonzero")
-    M = abs(M)
-    for _ in range(k):
-        c = rng.randrange(B + 1, 2 * B + 1)
-        if c % 2 == 0:
-            c += 1
-            if c > 2 * B:
-                continue
-        if M % c == 0:
-            continue
-        if is_probable_prime(c, rng):
-            return c
-    raise NoPrimeFoundError(f"no prime in ({B}, {2 * B}] after {k} draws")
+    return random_prime_in_range(B + 1, 2 * B, rng, avoid=M, tries=k)

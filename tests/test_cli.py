@@ -120,7 +120,7 @@ def test_modular_json_roundtrips_and_verifies(tmp_path):
 # The representation is canonical given (lambda, lifting point), so a
 # change here must be deliberate and said so.
 GOLDEN_SHA256 = {
-    (): "f8c91ed80d135d84f6c8087bb672c84b3cfb1254c498faad891d6f16450aabeb",
+    (): "39a7e83483c1b9acd391ce58f162b1b53f7eec08d12e1dcca1d9e55c7abbfb5d",
     ("--mode", "provable"): (
         "6a036a7004fec86cb69f1633fbcffb801bf1837ec4fd4f1db8f3925b4fd4cb36"
     ),
@@ -133,9 +133,10 @@ GOLDEN_SHA256 = {
 # CLI writes them.  The verify primes are drawn from the attempt's generator
 # after the modular solve, so they move whenever the solve takes a different
 # number of draws; everything else must not.  Pinned while the intersection
-# still factored Q_new (Cantor-Zassenhaus draws), and unchanged since.
+# still factored Q_new (Cantor-Zassenhaus draws); the provable one is
+# unchanged since.
 GOLDEN_SHA256_WITHOUT_VERIFY_PRIMES = {
-    (): "a480cb68bd9b51242c91195445e0af72870ee007c9e949cce1ac74d6f76d61d6",
+    (): "39015c2a352bd94a3588fb76faed0f68c1b0dd552ae303151e742de4f0facbc2",
     ("--mode", "provable"): (
         "b57a5d655540175acca6e2d5b57cbd5bd4021b969af5bc331e9a53692960ba21"
     ),
@@ -160,6 +161,27 @@ def test_golden_output_without_verify_primes(tmp_path, flags):
     text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == GOLDEN_SHA256_WITHOUT_VERIFY_PRIMES[flags]
+
+
+# The heuristic document without the two certificate fields that record how
+# far the p-adic ladder climbed, re-serialized as the CLI writes them.
+# Pinned while heuristic mode still stopped once two consecutive rungs
+# agreed; the stopping rule may move those fields and nothing else.
+GOLDEN_SHA256_WITHOUT_LADDER = (
+    "def7345f23050ac963a9997ca04c33c84584fecbc21b00bf92df4ff6fe19178a"
+)
+
+
+def test_golden_output_without_ladder_fields(tmp_path):
+    src = _write(tmp_path, TWO_QUADRICS)
+    out = tmp_path / "rep.json"
+    assert run([src, "--seed", "42", "--out", str(out)]) == 0
+    doc = json.loads(out.read_bytes())
+    doc["certificate"].pop("precision_exponent")
+    doc["certificate"].pop("reconstruction_exponents")
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == GOLDEN_SHA256_WITHOUT_LADDER
 
 
 @pytest.mark.parametrize("flags", [[], ["--mod-p-only"]])

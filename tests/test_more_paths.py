@@ -62,14 +62,14 @@ def test_check_representation_over_residue_ring():
     )
     fiber = solve_mod_p(state)
     lifted = hensel_lift_rep(fiber, slp, target_bits=60)
-    report = check_representation(lifted.rep, slp)
+    report = check_representation(lifted, slp)
     assert report.passed
     # perturbing one lifted coefficient must break the residual
     bad_params = {
-        j: (lifted.rep.ring.add(w[0], 1),) + w[1:]
-        for j, w in lifted.rep.params.items()
+        j: (lifted.ring.add(w[0], 1),) + w[1:]
+        for j, w in lifted.params.items()
     }
-    bad = replace(lifted.rep, params=bad_params)
+    bad = replace(lifted, params=bad_params)
     assert not check_representation(bad, slp).passed
 
 

@@ -1,14 +1,19 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from kronecker import padic
 from kronecker.errors import (
+    InputNotRegularError,
     NoReconstructionError,
     RetryExhaustedError,
+    SingularMatrixError,
 )
 from kronecker.padic import (
-    LiftedRepresentation,
     SolveConfiguration,
     check_configuration,
     hensel_lift_rep,
@@ -42,8 +47,8 @@ def test_hensel_square_root_of_two():
     slp = compose_affine(parse_system("vars x; x^2 - 2;"), IDENT)
     rep = _root_rep([-3, 1])  # T - 3: 3^2 = 2 mod 7
     lifted = hensel_lift_rep(rep, slp, target_bits=3)
-    assert lifted.exponent == 2
-    assert lifted.rep.min_poly == (39, 1)  # T - 10 mod 49; 10^2 = 2 mod 49
+    assert lifted.ring.k == 2
+    assert lifted.min_poly == (39, 1)  # T - 10 mod 49; 10^2 = 2 mod 49
     assert pow(10, 2, 49) == 2
 
 
@@ -51,9 +56,9 @@ def test_hensel_target_below_prime_returns_input():
     slp = compose_affine(parse_system("vars x; x^2 - 2;"), IDENT)
     rep = _root_rep([-3, 1])
     lifted = hensel_lift_rep(rep, slp, target_bits=1)
-    assert lifted.exponent == 1
-    assert lifted.rep.min_poly == (4, 1)  # T - 3 unchanged
-    assert lifted.modulus == 7
+    assert lifted.ring.k == 1
+    assert lifted.min_poly == (4, 1)  # T - 3 unchanged
+    assert lifted.ring.modulus == 7
 
 
 def test_hensel_linear_is_exact_at_every_precision():
@@ -61,7 +66,7 @@ def test_hensel_linear_is_exact_at_every_precision():
     rep = _root_rep([-5, 1])
     for bits in (1, 10, 40):
         lifted = hensel_lift_rep(rep, slp, target_bits=bits)
-        assert lifted.rep.min_poly == (lifted.modulus - 5, 1)
+        assert lifted.min_poly == (lifted.ring.modulus - 5, 1)
 
 
 def test_hensel_reduction_mod_p_matches_input():
@@ -81,12 +86,12 @@ def test_hensel_reduction_mod_p_matches_input():
     )
     fiber = solve_mod_p(state)
     lifted = hensel_lift_rep(fiber, slp, target_bits=100)
-    assert lifted.rep.form == "kronecker"
-    m = lifted.modulus
-    reduced_q = tuple(c % 10007 for c in lifted.rep.min_poly)
+    assert lifted.form == "kronecker"
+    m = lifted.ring.modulus
+    reduced_q = tuple(c % 10007 for c in lifted.min_poly)
     assert reduced_q == fiber.min_poly
     for j, w in fiber.params.items():
-        assert tuple(c % 10007 for c in lifted.rep.params[j]) == w
+        assert tuple(c % 10007 for c in lifted.params[j]) == w
 
 
 def test_reconstruct_small_integers_identity():
@@ -101,7 +106,7 @@ def test_reconstruct_small_integers_identity():
         ring=R,
         change=None,
     )
-    got = reconstruct_rep(LiftedRepresentation(rep=rep, exponent=1))
+    got = reconstruct_rep(rep)
     assert got.min_poly == (Fraction(-7), Fraction(1))
 
 
@@ -118,7 +123,7 @@ def test_reconstruct_recovers_one_third():
         ring=R,
         change=None,
     )
-    got = reconstruct_rep(LiftedRepresentation(rep=rep, exponent=2))
+    got = reconstruct_rep(rep)
     assert got.min_poly == (Fraction(1, 3), Fraction(1))
 
 
@@ -135,7 +140,7 @@ def test_reconstruct_failure_without_enough_precision():
         change=None,
     )
     with pytest.raises(NoReconstructionError):
-        reconstruct_rep(LiftedRepresentation(rep=rep, exponent=1))
+        reconstruct_rep(rep)
 
 
 def test_solve_two_quadrics_exactly():
@@ -250,3 +255,98 @@ def test_wrongly_sized_lambda_is_rejected_before_the_first_attempt(
         check_configuration(config, 2)
     with pytest.raises(ValueError, match="2 x 2"):
         solve_over_rationals(parse_system("vars x, y; x^2 - 2; y^2 - 3;"), config)
+
+
+TWO_QUADRICS = "vars x,y; x^2 + y^2 - 5; x*y - 2;"
+
+
+def _perturb_candidates(monkeypatch, count):
+    """Make ``padic.reconstruct_rep`` add one to the constant term of Q in
+    the first ``count`` candidates it returns (all of them for None); returns
+    the list of candidates it has returned so far."""
+    original = padic.reconstruct_rep
+    returned = []
+
+    def perturbed(rep):
+        candidate = original(rep)
+        if count is None or len(returned) < count:
+            q = candidate.min_poly
+            candidate = replace(candidate, min_poly=(q[0] + 1,) + q[1:])
+        returned.append(candidate)
+        # Two per attempt at most: fail instead of climbing to the cap.
+        assert len(returned) <= 2 * 5, "the ladder climbed past a repeat"
+        return candidate
+
+    monkeypatch.setattr(padic, "reconstruct_rep", perturbed)
+    return returned
+
+
+def test_a_wrong_first_candidate_climbs_one_more_rung(monkeypatch):
+    slp = parse_system(TWO_QUADRICS)
+    config = SolveConfiguration(seed=42)
+    rep, cert = solve_over_rationals(slp, config)
+    _perturb_candidates(monkeypatch, 1)
+    got, climbed = solve_over_rationals(slp, config)
+    assert got == rep
+    assert climbed.attempts == 1
+    assert climbed.precision_exponent == 2 * cert.precision_exponent
+    assert climbed.reconstruction_exponents == (
+        *cert.reconstruction_exponents,
+        (climbed.precision_exponent, True),
+    )
+    assert climbed.verification["passed"]
+
+
+def test_a_candidate_that_never_verifies_restarts_every_attempt(monkeypatch):
+    slp = parse_system(TWO_QUADRICS)
+    returned = _perturb_candidates(monkeypatch, None)
+    with pytest.raises(RetryExhaustedError) as info:
+        solve_over_rationals(slp, SolveConfiguration(seed=42))
+    causes = info.value.causes
+    assert len(causes) == 5
+    assert len(returned) == 2 * 5  # the rejected candidate and its repeat
+    assert {cause for _, _, cause in causes} == {
+        "verification failed after lifting"
+    }
+
+
+def _pinned_change(n, rng):
+    while True:
+        lam = tuple(
+            tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n)
+        )
+        try:
+            AffineChange.from_matrix(lam)
+            return lam
+        except SingularMatrixError:
+            continue
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_both_modes_stop_at_a_verified_rung_with_the_same_fiber(seed):
+    # Both modes stop at the first rung that verifies; heuristic mode starts
+    # at Z/p and provable mode at the height budget, so the heuristic rung
+    # is never the higher one, and with λ and the lifting point pinned the
+    # fiber over Q is the same.
+    from test_acceptance import _random_dense_system
+
+    rng = random.Random(seed)
+    n = rng.choice([1, 2])
+    degrees = [rng.choice([1, 2]) for _ in range(n)]
+    slp = parse_system(_random_dense_system(n, degrees, rng))
+    pins = dict(
+        seed=seed,
+        lambda_matrix=_pinned_change(n, rng),
+        lifting_point=tuple(rng.randint(-9, 9) for _ in range(n - 1)),
+    )
+    try:
+        rep, cert = solve_over_rationals(slp, SolveConfiguration(**pins))
+    except (RetryExhaustedError, InputNotRegularError):
+        assume(False)  # λ or the point is not generic: no fiber to compare
+    proven, proof = solve_over_rationals(
+        slp, SolveConfiguration(mode="provable", **pins)
+    )
+    assert proven == rep
+    for c in (cert, proof):
+        assert c.reconstruction_exponents[-1] == (c.precision_exponent, True)
+    assert cert.precision_exponent <= proof.precision_exponent

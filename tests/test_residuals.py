@@ -73,8 +73,8 @@ def _perturbed(rep):
 
 def _lifted(rep, slp):
     lifted = hensel_lift_rep(rep, slp, 4 * (F.p.bit_length() - 1))
-    assert lifted.exponent == 4 and lifted.rep.form == "kronecker"
-    return lifted.rep
+    assert lifted.ring.k == 4 and lifted.form == "kronecker"
+    return lifted
 
 
 @pytest.mark.parametrize("n, seed", [(2, 1), (2, 2), (3, 3), (3, 4)])
