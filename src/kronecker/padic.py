@@ -1,7 +1,8 @@
 """p-adic lifting of the modular fiber, and the attempt driver of every solve.
 
-The fiber over F_p climbs one ladder, Z/p, Z/p^2, Z/p^4, ..., one Newton
-step (``solver.newton_step``) per rung, and its Kronecker coefficients are
+The fiber over F_p climbs the precision ladder of ``solver.rungs`` over
+Z/p, Z/p^2, Z/p^4, ..., one Newton step per rung, the same ladder the
+lifting curve climbs over F_p[t]/(t^k), and its Kronecker coefficients are
 rationally reconstructed at each rung from the first one the mode names.
 Both modes stop at the first rung whose reconstruction passes the
 acceptance check (the fresh-prime verification, plus the exact check over
@@ -39,7 +40,7 @@ from .slp import AffineChange, compose_affine
 from .solver import (
     SolveState,
     check_fiber,
-    newton_step,
+    rungs,
     solve_mod_p,
     to_kronecker,
     to_univariate,
@@ -99,27 +100,6 @@ class Certificate:
         }
 
 
-def _rungs(uni, slp):
-    """The p-adic ladder of a univariate fiber over F_p: yields
-    (exponent, fiber over Z/p^exponent) for exponent = 1, 2, 4, ...; each
-    further rung costs one Newton step, taken only when it is asked for.
-
-    A yielded rung is residual-checked only by the step that leaves it, so
-    the caller passes the rung it stops at to ``check_fiber``."""
-    p = uni.ring.p
-    exponent = 1
-    rep = replace(uni, ring=ResidueRing(p, 1))
-    while True:
-        yield exponent, rep
-        R = ResidueRing(p, 2 * exponent)
-        q, params = newton_step(
-            slp, rep.stage, rep.prim_var, rep.point, rep.min_poly, rep.params,
-            R, exponent,
-        )
-        exponent *= 2
-        rep = replace(rep, min_poly=q, params=params, ring=R)
-
-
 def _budget_exponent(p, target_bits):
     """Least power of two k with k * (bit length of p - 1) >= target_bits."""
     bits_per_level = p.bit_length() - 1
@@ -143,9 +123,9 @@ def hensel_lift_rep(rep, slp, target_bits):
         raise ValueError("target_bits must be positive")
     uni = to_univariate(rep)
     target = _budget_exponent(uni.ring.p, target_bits)
-    for exponent, current in _rungs(uni, slp):
-        if exponent == target:
-            break
+    foot = replace(uni, ring=ResidueRing(uni.ring.p, 1))
+    for _, current in rungs(foot, slp, last=target):
+        pass
     check_fiber(slp, current)
     if rep.form == "kronecker":
         return to_kronecker(current)
@@ -182,7 +162,8 @@ def _lift_and_reconstruct(uni_p, slp, first, last, gate):
     """
     history = []
     previous = None
-    for exponent, current in _rungs(uni_p, slp):
+    foot = replace(uni_p, ring=ResidueRing(uni_p.ring.p, 1))
+    for exponent, current in rungs(foot, slp, last=last):
         if exponent < first:
             continue
         try:
@@ -200,11 +181,8 @@ def _lift_and_reconstruct(uni_p, slp, first, last, gate):
                 raise UnluckyError(
                     uni_p.stage, "verification failed after lifting"
                 )
-        if exponent >= last:
-            raise UnluckyError(
-                uni_p.stage, f"no verified reconstruction by p^{exponent}"
-            )
         previous = candidate
+    raise UnluckyError(uni_p.stage, f"no verified reconstruction by p^{last}")
 
 
 def check_configuration(config, n_vars):

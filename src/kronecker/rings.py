@@ -1,8 +1,8 @@
 """Coefficient ring contexts shared by the circuit and polynomial code.
 
 Each context exposes the same small protocol: ``zero``, ``one``, ``add``,
-``sub``, ``mul``, ``neg``, ``from_int``, ``is_zero``, ``is_unit`` and
-``inv``.  Elements are ordinary Python values:
+``sub``, ``mul``, ``neg``, ``from_int``, ``is_zero`` and ``inv``.
+Elements are ordinary Python values:
 
 * ``PrimeField`` / ``ResidueRing`` -- ints reduced into [0, modulus);
 * ``ExtField`` / ``SeriesRing``    -- tuples of ints (ascending powers);
@@ -11,6 +11,12 @@ Each context exposes the same small protocol: ``zero``, ``one``, ``add``,
 
 Everything is immutable and hashable, so contexts and elements can be shared
 freely across threads.
+
+The truncated local rings ``ResidueRing`` (Z/p^k, π = p) and ``SeriesRing``
+(F[t]/(t^k), π = t) own their precision k: ``at_precision(m)`` is the same
+ring at precision m, and ``truncate``, ``shift_down`` and ``shift_up`` take
+a whole coefficient list over the ring at another precision to this one,
+as it is, divided by π^j and multiplied by π^j.
 """
 
 from fractions import Fraction
@@ -58,9 +64,6 @@ class PrimeField:
 
     def is_zero(self, a):
         return a == 0
-
-    def is_unit(self, a):
-        return a % self.p != 0
 
     def inv(self, a):
         try:
@@ -114,9 +117,6 @@ class ResidueRing:
     def is_zero(self, a):
         return a == 0
 
-    def is_unit(self, a):
-        return a % self.p != 0
-
     def inv(self, a):
         try:
             return pow(a, -1, self.modulus)
@@ -132,6 +132,22 @@ class ResidueRing:
     def embed(self, a):
         """Canonical lift of a residue-field element."""
         return a % self.modulus
+
+    def at_precision(self, k):
+        return ResidueRing(self.p, k)
+
+    def truncate(self, coeffs):
+        m = self.modulus
+        return polys.normalize([c % m for c in coeffs], self)
+
+    def shift_down(self, coeffs, j):
+        """Exact division by p^j; every coefficient must be divisible."""
+        step = self.p**j
+        return self.truncate([c // step for c in coeffs])
+
+    def shift_up(self, coeffs, j):
+        step = self.p**j
+        return self.truncate([c * step for c in coeffs])
 
     def __repr__(self):
         return f"ResidueRing({self.p}, {self.k})"
@@ -164,9 +180,6 @@ class Rationals:
 
     def is_zero(self, a):
         return a == 0
-
-    def is_unit(self, a):
-        return a != 0
 
     def inv(self, a):
         if a == 0:
@@ -211,9 +224,6 @@ class Integers:
 
     def is_zero(self, a):
         return a == 0
-
-    def is_unit(self, a):
-        return a in (1, -1)
 
     def inv(self, a):
         if a in (1, -1):
@@ -266,9 +276,6 @@ class ExtField:
 
     def is_zero(self, a):
         return len(a) == 0
-
-    def is_unit(self, a):
-        return len(a) != 0
 
     def inv(self, a):
         return polys.poly_inverse_mod(a, self.modulus, self.base)
@@ -323,13 +330,10 @@ class SeriesRing:
     def is_zero(self, a):
         return len(a) == 0
 
-    def is_unit(self, a):
-        return bool(a) and not self.field.is_zero(a[0])
-
     def inv(self, a):
-        if not self.is_unit(a):
-            raise NotInvertibleError("series with zero constant term")
         F = self.field
+        if not a or F.is_zero(a[0]):
+            raise NotInvertibleError("series with zero constant term")
         inv0 = F.inv(a[0])
         b = (inv0,)
         # Newton: b <- b*(2 - a*b), doubling correct coefficients each pass.
@@ -351,6 +355,20 @@ class SeriesRing:
     def shifted_variable(self, base_value):
         """The series base_value + t."""
         return self._trim([self.field.from_int(base_value), self.field.one])
+
+    def at_precision(self, prec):
+        return SeriesRing(self.field, prec)
+
+    def truncate(self, coeffs):
+        return polys.normalize([self._trim(c) for c in coeffs], self)
+
+    def shift_down(self, coeffs, j):
+        """Exact division by t^j; every coefficient must vanish to order j."""
+        return self.truncate([c[j:] for c in coeffs])
+
+    def shift_up(self, coeffs, j):
+        zeros = (self.field.zero,) * j
+        return self.truncate([zeros + tuple(c) for c in coeffs])
 
     def __repr__(self):
         return f"SeriesRing({self.field!r}, prec={self.prec})"
@@ -389,11 +407,8 @@ class PolyRing:
     def is_zero(self, a):
         return len(a) == 0
 
-    def is_unit(self, a):
-        return polys.degree(a) == 0 and self.base.is_unit(a[0])
-
     def inv(self, a):
-        if not self.is_unit(a):
+        if polys.degree(a) != 0:
             raise NotInvertibleError("only degree-0 units are invertible in R[T]")
         return (self.base.inv(a[0]),)
 
@@ -460,27 +475,12 @@ class PolyQuotient:
         )
         return F, qbar
 
-    def is_unit(self, a):
-        try:
-            self.inv(a)
-            return True
-        except NotInvertibleError:
-            return False
-
     def at_precision(self, prec):
-        """This quotient over the base ring truncated to precision ``prec``
+        """This quotient over the local base ring at precision ``prec``
         (p-adic exponent or t-adic order); ``reduce_precision`` maps
         elements there."""
-        base = self.base
-        if isinstance(base, ResidueRing):
-            low = ResidueRing(base.p, prec)
-            q = tuple(c % low.modulus for c in self.modulus)
-            return PolyQuotient(low, q)
-        if isinstance(base, SeriesRing):
-            low = SeriesRing(base.field, prec)
-            q = tuple(low._trim(list(c)) for c in self.modulus)
-            return PolyQuotient(low, q)
-        raise TypeError(f"no precision ladder over {base!r}")
+        low = self.base.at_precision(prec)
+        return PolyQuotient(low, low.truncate(self.modulus))
 
     def inv(self, a):
         if self.base.is_field:
@@ -503,31 +503,19 @@ class PolyQuotient:
         return v
 
     def reduce_precision(self, a):
-        base = self.base
-        if isinstance(base, ResidueRing):
-            return polys.normalize([c % base.modulus for c in a], base)
-        return polys.normalize([base._trim(list(c)) for c in a], base)
+        return self.base.truncate(a)
 
     def shift_down(self, a, k):
         """a / π^k in this quotient, for an element ``a`` of a quotient of
         the same modulus at a higher precision that π^k divides (π is p over
         Z/p^m, t over F[t]/(t^m)); the division is exact, so only a that
         vanishes at precision k may be passed."""
-        base = self.base
-        if isinstance(base, ResidueRing):
-            step = base.p**k
-            return self.reduce_precision([c // step for c in a])
-        return self.reduce_precision([c[k:] for c in a])
+        return self.base.shift_down(a, k)
 
     def shift_up(self, a, k):
         """π^k · a in this quotient, for an element ``a`` of a quotient of
         the same modulus at a lower precision, trimmed to this precision."""
-        base = self.base
-        if isinstance(base, ResidueRing):
-            step = base.p**k
-            return self.reduce_precision([c * step for c in a])
-        zeros = (base.field.zero,) * k
-        return self.reduce_precision([zeros + tuple(c) for c in a])
+        return self.base.shift_up(a, k)
 
     def __repr__(self):
         return f"PolyQuotient({self.base!r}, deg={self.deg})"

@@ -487,7 +487,10 @@ def compose_affine(slp, change):
 
 def _transformed_inputs(slp, point, R):
     """The program's inputs x = adj * y / det at the point y, and 1/det in R
-    (None when the program has no change of variables)."""
+    (None when the program has no change of variables).  Raises ValueError
+    for a point of the wrong length."""
+    if len(point) != slp.n_vars:
+        raise ValueError("point has the wrong number of coordinates")
     point = [coerce(R, x) for x in point]
     tr = slp.transform
     if tr is None or tr.is_identity():
@@ -560,8 +563,6 @@ def evaluate(slp, point, R, n_out=None):
     Only the instructions those outputs depend on are run (see
     ``StraightLineProgram.slice``).
     """
-    if len(point) != slp.n_vars:
-        raise ValueError("point has the wrong number of coordinates")
     xs, _ = _transformed_inputs(slp, point, R)
     outs = _selected(slp, slp.n_outputs if n_out is None else n_out)
     vals = _run(slp, slp.slice(outs), xs, R)

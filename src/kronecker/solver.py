@@ -143,8 +143,13 @@ def residuals(slp, rep, count=None):
 
 def first_stage(state):
     """Stage-1 fiber: the first polynomial specialized at the lifting point,
-    made monic in the last variable."""
+    made monic in the last variable.  A nonzero constant first polynomial
+    has no zeros, whatever the random choices: EmptyIntersectionError."""
     slp = state.slp
+    if slp.degrees[0] == 0:
+        raise EmptyIntersectionError(
+            "stage 1: the first polynomial is a nonzero constant"
+        )
     F = state.field
     n = state.n
     PR = PolyRing(F)
@@ -298,15 +303,16 @@ def solve_linear(mat, rhs, A):
 # -- Newton lifting -----------------------------------------------------------
 
 
-def newton_step(slp, stage, prim, point, q, params, R, prec):
+def newton_step(slp, rep, R):
     """One primitive-element-corrected Newton step of a univariate fiber
-    over R[T]/(q); returns the new minimal polynomial and parametrizations.
+    over a local ring; returns the fiber over ``R``.
 
-    ``R`` is the local ring at the new precision m: a ``SeriesRing`` to lift
-    the lifting curve t-adically (the freed coordinate is then the point
-    entry ``base_value + t``), a ``ResidueRing`` to lift the final fiber
-    p-adically.  ``prec`` is the precision k of the input fiber (its t-adic
-    order or p-adic exponent), with k < m <= 2k.
+    ``rep`` is over the local ring at precision k (``rep.ring.nilpotency``:
+    its t-adic order or p-adic exponent), and ``R`` is the same ring at the
+    new precision m, with k < m <= 2k: a ``SeriesRing`` to lift the lifting
+    curve t-adically (the freed coordinate is then the point entry
+    ``base_value + t``), a ``ResidueRing`` to lift the final fiber
+    p-adically.
 
     Only the value pass runs at precision m.  Reduced to precision k, the
     values F of the first ``stage`` outputs are their values on the input
@@ -323,14 +329,16 @@ def newton_step(slp, stage, prim, point, q, params, R, prec):
     by ``check_fiber`` on the rung a ladder stops at.
     """
     n = slp.n_vars
+    stage, prim, q = rep.stage, rep.prim_var, rep.min_poly
+    k = rep.ring.nilpotency
     A = PolyQuotient(R, q)
-    low = A.at_precision(R.nilpotency - prec)
-    coords = fiber_coordinates(n, prim, point, params, A)
+    low = A.at_precision(R.nilpotency - k)
+    coords = fiber_coordinates(n, prim, rep.point, rep.params, A)
     vals, jac = evaluate_jacobian(
         slp, coords, A, list(range(prim, n)), n_out=stage, tangent_ring=low
     )
-    _require_vanishing(vals, A.at_precision(prec), stage)
-    rhs = [low.shift_down(v, prec) for v in vals]
+    _require_vanishing(vals, R.at_precision(k), stage)
+    rhs = [low.shift_down(v, k) for v in vals]
     try:
         corr = solve_linear(jac, rhs, low)
     except NotInvertibleError:
@@ -339,14 +347,31 @@ def newton_step(slp, stage, prim, point, q, params, R, prec):
 
     def times_e(f):
         df = low.reduce_precision(poly_deriv(f, R))
-        return A.shift_up(low.mul(df, e_hat), prec)
+        return A.shift_up(low.mul(df, e_hat), k)
 
     q_new = A.sub(q, times_e(q))
     new_params = {}
-    for j, v in params.items():
-        nj = A.sub(v, A.shift_up(corr[j - prim], prec))
+    for j, v in rep.params.items():
+        nj = A.sub(v, A.shift_up(corr[j - prim], k))
         new_params[j] = A.sub(nj, times_e(nj))
-    return q_new, new_params
+    return replace(rep, min_poly=q_new, params=new_params, ring=R)
+
+
+def rungs(rep, slp, last=None):
+    """The precision ladder of a univariate fiber over a local ring at
+    precision 1: yields (precision, fiber) for precisions 1, 2, 4, ...,
+    each doubling capped at ``last``, where the ladder stops.  Each further
+    rung costs one ``newton_step``, taken only when it is asked for.
+
+    A yielded rung is residual-checked only by the step that leaves it, so
+    the caller passes the rung it stops at to ``check_fiber``."""
+    while True:
+        k = rep.ring.nilpotency
+        yield k, rep
+        if k == last:
+            return
+        m = 2 * k if last is None else min(2 * k, last)
+        rep = newton_step(slp, rep, rep.ring.at_precision(m))
 
 
 def check_fiber(slp, rep):
@@ -360,13 +385,11 @@ def check_fiber(slp, rep):
         )
 
 
-def _require_vanishing(vals, A, stage):
-    """Raise ResidualNonzeroError unless every value is zero in A, after
-    truncation to the precision of A's base ring."""
-    if any(not A.is_zero(A.reduce_precision(v)) for v in vals):
-        raise ResidualNonzeroError(
-            f"stage {stage} residual nonzero over {A.base!r}"
-        )
+def _require_vanishing(vals, R, stage):
+    """Raise ResidualNonzeroError unless every value, a coefficient list
+    over a local ring, is zero truncated to the precision of ``R``."""
+    if any(R.truncate(v) for v in vals):
+        raise ResidualNonzeroError(f"stage {stage} residual nonzero over {R!r}")
 
 
 # -- curve lifting ------------------------------------------------------------
@@ -379,11 +402,13 @@ def _series_poly(coeffs, F):
 def lift_curve(fiber, slp, kappa=None):
     """Newton-lift a univariate fiber along its freed coordinate.
 
-    Doubles the t-adic precision each iteration, re-normalizing the minimal
-    polynomial and the parametrizations through the first-order primitive
-    element correction.  With the default precision (fiber degree + 1, plus
-    one internally checked guard coefficient) the returned Kronecker curve is
-    exact; passing ``kappa`` truncates at t^kappa instead.
+    Climbs ``rungs`` over F[t]/(t^k) from k = 1 to the target precision:
+    each step doubles k, re-normalizing the minimal polynomial and the
+    parametrizations through the first-order primitive element correction;
+    ``iterations`` counts the steps.  With the default precision (fiber
+    degree + 1, plus one internally checked guard coefficient) the returned
+    Kronecker curve is exact; passing ``kappa`` truncates at t^kappa
+    instead.
     """
     if fiber.form != "univariate":
         fiber = to_univariate(fiber)
@@ -399,25 +424,22 @@ def lift_curve(fiber, slp, kappa=None):
     base = fiber.point[:free]
     base_value = fiber.point[free]
 
-    q = _series_poly(fiber.min_poly, F)
-    vparams = {j: _series_poly(v, F) for j, v in fiber.params.items()}
-    m = 1
-    iters = 0
-    while m < target:
-        known, m = m, min(2 * m, target)
-        S = SeriesRing(F, m)
-        point = base + (S.shifted_variable(base_value),)
-        q, vparams = newton_step(slp, s, prim, point, q, vparams, S, known)
-        iters += 1
-
-    S = SeriesRing(F, target)
-    point = base + (S.shifted_variable(base_value),)
-    check_fiber(
-        slp, replace(fiber, point=point, min_poly=q, params=vparams, ring=S)
+    # The freed coordinate base_value + t, trimmed to the target: it is then
+    # exact at every precision the Newton steps and the final check use.
+    start = replace(
+        fiber,
+        point=base + (SeriesRing(F, target).shifted_variable(base_value),),
+        min_poly=_series_poly(fiber.min_poly, F),
+        params={j: _series_poly(v, F) for j, v in fiber.params.items()},
+        ring=SeriesRing(F, 1),
     )
-    A = PolyQuotient(S, q)
-    qp = poly_deriv(q, S)
-    wparams = {j: A.mul(qp, v) for j, v in vparams.items()}
+    for iters, (_, rep) in enumerate(rungs(start, slp, last=target)):
+        pass
+    check_fiber(slp, rep)
+    S = rep.ring
+    A = PolyQuotient(S, rep.min_poly)
+    qp = poly_deriv(rep.min_poly, S)
+    wparams = {j: A.mul(qp, v) for j, v in rep.params.items()}
 
     def finalize(poly_ts, limit):
         out = []
@@ -430,7 +452,7 @@ def lift_curve(fiber, slp, kappa=None):
         return tuple(out)
 
     limit = delta if guard else target - 1
-    min_poly = finalize(q, limit)
+    min_poly = finalize(rep.min_poly, limit)
     params = {j: finalize(w, limit) for j, w in wparams.items()}
     return CurveRepresentation(
         stage=s,

@@ -138,9 +138,6 @@ class _ScaledQuotient:
     def is_zero(self, a):
         return not a[0]
 
-    def is_unit(self, a):
-        return len(a[0]) == 1
-
     def inv(self, a):
         # Needed only for rational constants (e.g. change-of-variables
         # determinants); general quotient inversion is never used here.

@@ -55,6 +55,15 @@ def test_unsolvable_input_exits_2(tmp_path):
     assert run([src, "--retries", "2", "--seed", "0"]) == 2
 
 
+@pytest.mark.parametrize(
+    "source", ["vars x, y; 3; x - y;", "vars x, y; x - y; 3;"]
+)
+def test_constant_polynomial_exits_2(tmp_path, capsys, source):
+    src = _write(tmp_path, source)
+    assert run([src, "--seed", "0"]) == 2
+    assert "reduced regular sequence" in capsys.readouterr().err
+
+
 def test_determinism_byte_identical(tmp_path):
     src = _write(tmp_path, TWO_QUADRICS)
     out1 = str(tmp_path / "a.json")

@@ -5,11 +5,17 @@ import random
 import pytest
 
 from kronecker.errors import (
+    EmptyIntersectionError,
+    InputNotRegularError,
     JacobianNotInvertibleError,
     NodeExhaustionError,
     ZeroResultantError,
 )
-from kronecker.padic import hensel_lift_rep
+from kronecker.padic import (
+    SolveConfiguration,
+    hensel_lift_rep,
+    solve_over_rationals,
+)
 from kronecker.polys import from_int_coeffs
 from kronecker.rings import PrimeField
 from kronecker.slp import AffineChange, compose_affine, parse_system
@@ -70,3 +76,18 @@ def test_hensel_rejects_singular_jacobian():
     )
     with pytest.raises(JacobianNotInvertibleError):
         hensel_lift_rep(rep, slp, target_bits=30)
+
+
+@pytest.mark.parametrize(
+    "source, stage",
+    [("vars x, y; 3; x - y;", "stage 1"), ("vars x, y; x - y; 3;", "stage 2")],
+)
+def test_nonzero_constant_is_not_regular_in_either_place(source, stage):
+    # A nonzero constant has no zeros whatever λ, point and prime are drawn:
+    # every attempt is discarded as structural, never retried as unlucky.
+    with pytest.raises(InputNotRegularError) as info:
+        solve_over_rationals(parse_system(source), SolveConfiguration(seed=1))
+    assert all(stage in cause for cause in info.value.causes)
+    if stage == "stage 1":
+        with pytest.raises(EmptyIntersectionError):
+            first_stage(_state(source, 2, 10007, point=(1,)))

@@ -1,58 +1,72 @@
-"""The Newton step against a full-precision reference step.
+"""The Newton step against a full-precision reference step, and the one
+precision ladder that both lifts climb.
 
 ``solver.newton_step`` runs only its value pass at the new precision m and
 solves for the correction over the ring of precision m - k.  The reference
 below is the textbook step: Jacobian and linear solve over the whole of
-R[T]/(q).  Both must return the same (q_new, params) on every step of the
-t-adic curve lift and of the p-adic ladder.
+R[T]/(q).  Both must return the same fiber on every step of the t-adic
+curve lift and of the p-adic ladder, which ``solver.rungs`` climbs alike.
 """
 
+import itertools
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from kronecker import padic, solver
+from kronecker import solver
 from kronecker.padic import SolveConfiguration, solve_over_rationals
 from kronecker.polys import poly_deriv, poly_mul, poly_sub, rem_monic
 from kronecker.rings import PolyQuotient, PrimeField, ResidueRing, SeriesRing
 from kronecker.slp import evaluate_jacobian, parse_system
-from kronecker.solver import fiber_coordinates, solve_linear
+from kronecker.solver import (
+    FiberRepresentation,
+    check_fiber,
+    fiber_coordinates,
+    rungs,
+    solve_linear,
+)
 
 from test_acceptance import _random_dense_system
 
 
-def _reference_step(slp, stage, prim, point, q, params, R, prec):
+def _reference_step(slp, rep, R):
     """Newton step with the Jacobian and the correction at the new precision."""
     n = slp.n_vars
+    prim, q = rep.prim_var, rep.min_poly
     A = PolyQuotient(R, q)
-    coords = fiber_coordinates(n, prim, point, params, A)
-    vals, jac = evaluate_jacobian(slp, coords, A, list(range(prim, n)), n_out=stage)
+    coords = fiber_coordinates(n, prim, rep.point, rep.params, A)
+    vals, jac = evaluate_jacobian(
+        slp, coords, A, list(range(prim, n)), n_out=rep.stage
+    )
     corr = solve_linear(jac, vals, A)
     e = A.neg(corr[0])
     q_new = poly_sub(q, A.mul(poly_deriv(q, R), e), R)
     new_params = {}
-    for j, v in params.items():
+    for j, v in rep.params.items():
         nj = A.sub(v, corr[j - prim])
         adj = poly_sub(nj, poly_mul(poly_deriv(nj, R), e, R), R)
         new_params[j] = rem_monic(adj, q_new, R)
-    return q_new, new_params
+    return replace(rep, min_poly=q_new, params=new_params, ring=R)
 
 
 def _compare_every_step(monkeypatch):
     """Make every Newton step of a solve also run the reference step and
-    require the same result; returns the (ring, k, m, identity λ?) of each
+    require the same fiber; returns the (ring, k, m, identity λ?) of each
     step."""
     original = solver.newton_step
     steps = []
 
-    def compared(slp, stage, prim, point, q, params, R, prec):
-        got = original(slp, stage, prim, point, q, params, R, prec)
-        assert got == _reference_step(slp, stage, prim, point, q, params, R, prec)
-        steps.append((type(R), prec, R.nilpotency, slp.transform.is_identity()))
+    def compared(slp, rep, R):
+        got = original(slp, rep, R)
+        assert got == _reference_step(slp, rep, R)
+        k = rep.ring.nilpotency
+        steps.append((type(R), k, R.nilpotency, slp.transform.is_identity()))
         return got
 
     monkeypatch.setattr(solver, "newton_step", compared)
-    monkeypatch.setattr(padic, "newton_step", compared)
     return steps
 
 
@@ -101,3 +115,86 @@ def test_shift_down_and_up_invert_each_other():
     # Multiplying back trims to precision 5: t^3 * (t^2 + ...) vanishes.
     assert B.shift_up(((1, 2, 3),), 3) == ((0, 0, 0, 1, 2),)
     assert B.shift_up(((0, 0, 4),), 3) == ()
+
+
+
+def _parabola_fiber(F):
+    # y^2 - x at x = 1: Q = T^2 - 1, which lifts to T^2 - (1 + t).
+    return FiberRepresentation(
+        stage=1,
+        prim_var=1,
+        point=(1,),
+        min_poly=(F.p - 1, 0, 1),
+        params={},
+        form="univariate",
+        ring=F,
+    )
+
+
+def test_rungs_cap_at_last_and_stop():
+    F = PrimeField(P)
+    slp = parse_system("vars x, y; y^2 - x;")
+    fiber = _parabola_fiber(F)
+    start = replace(
+        fiber,
+        point=(SeriesRing(F, 5).shifted_variable(1),),
+        min_poly=((P - 1,), (), (1,)),
+        ring=SeriesRing(F, 1),
+    )
+    ladder = list(rungs(start, slp, last=5))
+    assert [k for k, _ in ladder] == [1, 2, 4, 5]
+    top = ladder[-1][1]
+    assert top.min_poly == ((P - 1, P - 1), (), (1,))
+    check_fiber(slp, top)
+
+    # Without a cap the p-adic ladder climbs for as long as it is asked.
+    start = replace(fiber, ring=ResidueRing(P, 1))
+    ladder = list(itertools.islice(rungs(start, slp), 4))
+    assert [k for k, _ in ladder] == [1, 2, 4, 8]
+    assert [rep.min_poly for _, rep in ladder] == [
+        (P**k - 1, 0, 1) for k in (1, 2, 4, 8)
+    ]
+
+
+def _raw_coefficient(kind):
+    """One coefficient over the local ring at any precision: an integer for
+    Z/7^k, a coefficient tuple for F_7[t]/(t^k)."""
+    if kind == "residue":
+        return st.integers(0, 7**9)
+    return st.lists(st.integers(0, 6), max_size=8).map(tuple)
+
+
+def _times_pi(kind, c, j):
+    return c * 7**j if kind == "residue" else (0,) * j + c
+
+
+@pytest.mark.parametrize("kind", ["residue", "series"])
+@given(data=st.data())
+def test_precision_protocol_round_trips(kind, data):
+    m = data.draw(st.integers(1, 6))
+    k = data.draw(st.integers(1, m))
+    j = data.draw(st.integers(0, m - 1))
+    raw = data.draw(st.lists(_raw_coefficient(kind), max_size=4))
+    R = ResidueRing(7, m) if kind == "residue" else SeriesRing(PrimeField(7), m)
+    low, below = R.at_precision(k), R.at_precision(m - j)
+    assert (low.nilpotency, below.nilpotency) == (k, m - j)
+
+    # Truncation is idempotent, and truncating twice is truncating once.
+    a = R.truncate(raw)
+    assert R.truncate(a) == a
+    assert low.truncate(a) == low.truncate(raw)
+    # Up by π^j then down is the identity; down then up is too, on
+    # coefficient lists that π^j divides.
+    b = below.truncate(raw)
+    assert below.shift_down(R.shift_up(b, j), j) == b
+    divisible = R.truncate([_times_pi(kind, c, j) for c in raw])
+    assert R.shift_up(below.shift_down(divisible, j), j) == divisible
+
+    # PolyQuotient's precision methods are its base ring's.
+    A = PolyQuotient(R, a + (R.one,))
+    A_below = A.at_precision(m - j)
+    assert A_below.base.nilpotency == m - j
+    assert A_below.modulus == below.truncate(A.modulus)
+    assert A_below.reduce_precision(a) == b
+    assert A_below.shift_down(divisible, j) == below.shift_down(divisible, j)
+    assert A.shift_up(b, j) == R.shift_up(b, j)

@@ -357,6 +357,17 @@ def test_jacobian_rejects_outputs_the_program_lacks():
                 evaluate(slp, (1, 2), F, n_out=n_out)
 
 
+def test_both_passes_reject_a_point_of_the_wrong_length():
+    slp = parse_system("vars x, y; x^2 + y - 5; x*y - 2;")
+    F = PrimeField(101)
+    for point in ([1], [1, 2, 3]):
+        with pytest.raises(ValueError, match="coordinates"):
+            evaluate(slp, point, F)
+        with pytest.raises(ValueError, match="coordinates"):
+            evaluate_jacobian(slp, point, F, wrt=[0, 1])
+    assert evaluate(slp, [1, 2], F) == [F.from_int(-2), 0]
+
+
 # -- output slices ------------------------------------------------------------
 
 
