@@ -74,7 +74,7 @@ def load_representation(doc):
     if doc["coefficients"] == "rational":
         ring = QQ
     else:
-        ring = PrimeField(int(doc["modulus"]), check=False)
+        ring = PrimeField(int(doc["modulus"]))
     min_poly = tuple(_coeff_from_json(c, ring) for c in body["minimal_poly"])
     params = {
         int(j): tuple(_coeff_from_json(c, ring) for c in coeffs)
@@ -88,7 +88,6 @@ def load_representation(doc):
         params=params,
         form=body["form"],
         ring=ring,
-        change=None,
     )
 
 

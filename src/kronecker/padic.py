@@ -35,7 +35,7 @@ from .errors import (
 )
 from .polys import rational_reconstruct
 from .primes import is_probable_prime, random_prime_avoiding, random_prime_in_range
-from .rings import QQ, PrimeField, ResidueRing
+from .rings import QQ, ResidueRing
 from .slp import AffineChange, compose_affine
 from .solver import (
     SolveState,
@@ -123,8 +123,7 @@ def hensel_lift_rep(rep, slp, target_bits):
         raise ValueError("target_bits must be positive")
     uni = to_univariate(rep)
     target = _budget_exponent(uni.ring.p, target_bits)
-    foot = replace(uni, ring=ResidueRing(uni.ring.p, 1))
-    for _, current in rungs(foot, slp, last=target):
+    for _, current in rungs(uni, slp, last=target):
         pass
     check_fiber(slp, current)
     if rep.form == "kronecker":
@@ -162,8 +161,7 @@ def _lift_and_reconstruct(uni_p, slp, first, last, gate):
     """
     history = []
     previous = None
-    foot = replace(uni_p, ring=ResidueRing(uni_p.ring.p, 1))
-    for exponent, current in rungs(foot, slp, last=last):
+    for exponent, current in rungs(uni_p, slp, last=last):
         if exponent < first:
             continue
         try:
@@ -251,7 +249,7 @@ def _draw_attempt(slp, config, bounds, rng):
     return SolveState(
         slp=compose_affine(slp, change),
         change=change,
-        field=PrimeField(prime, check=False),
+        field=ResidueRing(prime, 1),
         point=point,
         rng=rng,
     )

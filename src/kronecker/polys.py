@@ -39,10 +39,6 @@ def degree(f):
     return len(f) - 1
 
 
-def leading(f):
-    return f[-1]
-
-
 def is_monic(f, R):
     return bool(f) and f[-1] == R.one
 

@@ -4,10 +4,13 @@ Each context exposes the same small protocol: ``zero``, ``one``, ``add``,
 ``sub``, ``mul``, ``neg``, ``from_int``, ``is_zero`` and ``inv``.
 Elements are ordinary Python values:
 
-* ``PrimeField`` / ``ResidueRing`` -- ints reduced into [0, modulus);
-* ``ExtField`` / ``SeriesRing``    -- tuples of ints (ascending powers);
-* ``Rationals``                    -- ``fractions.Fraction``;
-* ``PolyRing`` / ``PolyQuotient``  -- coefficient tuples over the base ring.
+* ``ResidueRing``                 -- Z/p^k, ints reduced into [0, p^k); at
+  k = 1 the prime field F_p, which ``PrimeField(p)`` builds after checking p;
+* ``SeriesRing``                  -- F_p[t]/(t^k), tuples of ints (ascending
+  powers);
+* ``Rationals``                   -- ``fractions.Fraction``;
+* ``PolyRing`` / ``PolyQuotient`` -- coefficient tuples over the base ring;
+  ``ExtField`` is the ``PolyQuotient`` that is a field.
 
 Everything is immutable and hashable, so contexts and elements can be shared
 freely across threads.
@@ -33,64 +36,24 @@ def ceil_log2(n):
     return (n - 1).bit_length()
 
 
-class PrimeField:
-    """F_p for an odd (probable) prime p."""
-
-    is_field = True
-
-    def __init__(self, p, check=True):
-        if check and (p <= 2 or not is_probable_prime(p)):
-            raise ValueError(f"{p} is not an odd prime")
-        self.p = p
-        self.char = p
-        self.int_modulus = p
-        self.zero = 0
-        self.one = 1 % p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
-    def from_int(self, n):
-        return n % self.p
-
-    def is_zero(self, a):
-        return a == 0
-
-    def inv(self, a):
-        try:
-            return pow(a, -1, self.p)
-        except ValueError:
-            raise NotInvertibleError(f"{a} has no inverse mod {self.p}") from None
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
-
-    def __repr__(self):
-        return f"PrimeField({self.p})"
+def PrimeField(p):
+    """F_p for an odd (probable) prime p: ``ResidueRing(p, 1)``, once p is
+    checked."""
+    if p <= 2 or not is_probable_prime(p):
+        raise ValueError(f"{p} is not an odd prime")
+    return ResidueRing(p, 1)
 
 
 class ResidueRing:
-    """Z / p**k, the target of one p-adic doubling ladder."""
-
-    is_field = False
+    """Z / p**k, one rung of the p-adic doubling ladder; its foot, k = 1, is
+    the prime field F_p that the modular solve works over."""
 
     def __init__(self, p, k):
         if k < 1:
             raise ValueError("exponent must be >= 1")
         self.p = p
         self.k = k
+        self.is_field = k == 1
         self.modulus = p**k
         self.int_modulus = p**k
         self.char = self.modulus
@@ -121,10 +84,10 @@ class ResidueRing:
         try:
             return pow(a, -1, self.modulus)
         except ValueError:
-            raise NotInvertibleError(f"{a} has no inverse mod p**{self.k}") from None
+            raise NotInvertibleError(f"{a} has no inverse in {self!r}") from None
 
     def residue_field(self):
-        return PrimeField(self.p, check=False)
+        return ResidueRing(self.p, 1)
 
     def residue(self, a):
         return a % self.p
@@ -148,6 +111,13 @@ class ResidueRing:
     def shift_up(self, coeffs, j):
         step = self.p**j
         return self.truncate([c * step for c in coeffs])
+
+    def __eq__(self, other):
+        same = isinstance(other, ResidueRing)
+        return same and (self.p, self.k) == (other.p, other.k)
+
+    def __hash__(self):
+        return hash(("ResidueRing", self.p, self.k))
 
     def __repr__(self):
         return f"ResidueRing({self.p}, {self.k})"
@@ -235,53 +205,6 @@ class Integers:
 
 
 ZZ = Integers()
-
-
-class ExtField:
-    """F_p[x]/(q) for q irreducible; elements are coefficient tuples over F_p."""
-
-    is_field = True
-
-    def __init__(self, base, modulus):
-        self.base = base
-        self.modulus = polys.normalize(modulus, base)
-        if polys.degree(self.modulus) < 1 or not polys.is_monic(self.modulus, base):
-            raise ValueError("modulus must be monic of positive degree")
-        self.deg = polys.degree(self.modulus)
-        self.p = base.p
-        self.char = base.p
-        self.size = base.p**self.deg
-        self.zero = ()
-        self.one = (1,)
-        self.gen = polys.rem_monic((0, 1), self.modulus, base)
-
-    def add(self, a, b):
-        return polys.poly_add(a, b, self.base)
-
-    def sub(self, a, b):
-        return polys.poly_sub(a, b, self.base)
-
-    def mul(self, a, b):
-        return polys.rem_monic(polys.poly_mul(a, b, self.base), self.modulus, self.base)
-
-    def neg(self, a):
-        return polys.poly_neg(a, self.base)
-
-    def from_int(self, n):
-        return polys.constant(n % self.p, self.base)
-
-    def embed(self, a):
-        """Embed a base-field element."""
-        return polys.constant(a, self.base)
-
-    def is_zero(self, a):
-        return len(a) == 0
-
-    def inv(self, a):
-        return polys.poly_inverse_mod(a, self.modulus, self.base)
-
-    def __repr__(self):
-        return f"ExtField(p={self.p}, deg={self.deg})"
 
 
 class SeriesRing:
@@ -518,7 +441,21 @@ class PolyQuotient:
         return self.base.shift_up(a, k)
 
     def __repr__(self):
-        return f"PolyQuotient({self.base!r}, deg={self.deg})"
+        return f"{type(self).__name__}({self.base!r}, deg={self.deg})"
+
+
+class ExtField(PolyQuotient):
+    """F_p[x]/(q) for q irreducible of positive degree over a prime field:
+    the quotient that is a field, so a quotient over it inverts by Euclid."""
+
+    is_field = True
+
+    def __init__(self, base, modulus):
+        super().__init__(base, modulus)
+        if self.deg < 1:
+            raise ValueError("modulus must be monic of positive degree")
+        self.p = base.p
+        self.size = base.p**self.deg
 
 
 def coerce(R, x):

@@ -61,7 +61,6 @@ class FiberRepresentation:
     params: dict
     form: str
     ring: object
-    change: object = None
 
     @property
     def fiber_degree(self):
@@ -85,7 +84,6 @@ class CurveRepresentation:
     min_poly: tuple
     params: dict
     field: object
-    change: object = None
     iterations: int = 0
     precision: int = 0
 
@@ -168,7 +166,6 @@ def first_stage(state):
         params={},
         form="kronecker",
         ring=F,
-        change=state.change,
     )
 
 
@@ -410,8 +407,7 @@ def lift_curve(fiber, slp, kappa=None):
     Kronecker curve is exact; passing ``kappa`` truncates at t^kappa
     instead.
     """
-    if fiber.form != "univariate":
-        fiber = to_univariate(fiber)
+    fiber = to_univariate(fiber)
     F = fiber.ring
     s = fiber.stage
     prim = fiber.prim_var
@@ -436,10 +432,7 @@ def lift_curve(fiber, slp, kappa=None):
     for iters, (_, rep) in enumerate(rungs(start, slp, last=target)):
         pass
     check_fiber(slp, rep)
-    S = rep.ring
-    A = PolyQuotient(S, rep.min_poly)
-    qp = poly_deriv(rep.min_poly, S)
-    wparams = {j: A.mul(qp, v) for j, v in rep.params.items()}
+    kron = to_kronecker(rep)
 
     def finalize(poly_ts, limit):
         out = []
@@ -452,8 +445,8 @@ def lift_curve(fiber, slp, kappa=None):
         return tuple(out)
 
     limit = delta if guard else target - 1
-    min_poly = finalize(rep.min_poly, limit)
-    params = {j: finalize(w, limit) for j, w in wparams.items()}
+    min_poly = finalize(kron.min_poly, limit)
+    params = {j: finalize(w, limit) for j, w in kron.params.items()}
     return CurveRepresentation(
         stage=s,
         prim_var=prim,
@@ -463,7 +456,6 @@ def lift_curve(fiber, slp, kappa=None):
         min_poly=min_poly,
         params=params,
         field=F,
-        change=fiber.change,
         iterations=iters,
         precision=target,
     )
@@ -497,7 +489,6 @@ def specialize_curve(curve, a, into=None):
         params={j: eval_ts(w) for j, w in curve.params.items()},
         form="kronecker",
         ring=K,
-        change=curve.change,
     )
 
 
@@ -653,7 +644,6 @@ def intersect_parametrization(curve, new_min_poly, samples):
         params=params,
         form="kronecker",
         ring=F,
-        change=curve.change,
     )
 
 
@@ -675,11 +665,7 @@ def solve_mod_p(state):
     state.stage_degrees = [fiber.fiber_degree]
     verify.gate_stage(fiber, slp, budgets[0])
     for s in range(1, state.r):
-        try:
-            uni = to_univariate(fiber)
-        except NotInvertibleError:
-            raise UnluckyError(s, "fiber minimal polynomial not squarefree") from None
-        curve = lift_curve(uni, slp)
+        curve = lift_curve(fiber, slp)
         q_next, samples = intersect_minimal_poly(
             curve, slp, s, slp.degrees[s], state.rng
         )

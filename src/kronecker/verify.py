@@ -32,7 +32,7 @@ from .polys import (
     poly_mul,
 )
 from .primes import random_prime_in_range
-from .rings import QQ, ZZ, PolyQuotient, PolyRing, PrimeField, Rationals, ResidueRing
+from .rings import QQ, ZZ, PolyQuotient, PolyRing, Rationals, ResidueRing
 from .slp import evaluate, evaluate_jacobian
 from .solver import (
     det_division_free,
@@ -240,7 +240,7 @@ def _is_squarefree_over_q(q):
     squarefree.  Otherwise, or when Q mod P has a square factor, the exact
     gcd over Q decides.
     """
-    F = PrimeField(SQUAREFREE_PRIME, check=False)
+    F = ResidueRing(SQUAREFREE_PRIME, 1)
     try:
         qbar = normalize(_reduce_coefficients(q, F), F)
     except ValueError:
@@ -269,13 +269,13 @@ def check_representation(rep, slp, *, exact=False, fresh_primes=1, rng=None):
             clauses.append(
                 (f"degree W_{j}", False, "parametrization degree >= deg Q")
             )
-    if isinstance(R, ResidueRing):
+    if isinstance(R, Rationals):
+        sqf = ("squarefree", _is_squarefree_over_q(rep.min_poly))
+    elif R.is_field:
+        sqf = ("squarefree", is_squarefree(rep.min_poly, R))
+    else:
         qbar = tuple(R.residue(c) for c in rep.min_poly)
         sqf = ("squarefree mod p", is_squarefree(qbar, R.residue_field()))
-    elif isinstance(R, Rationals):
-        sqf = ("squarefree", _is_squarefree_over_q(rep.min_poly))
-    else:
-        sqf = ("squarefree", is_squarefree(rep.min_poly, R))
     clauses.append((*sqf, "gcd(Q, Q') = 1"))
     if isinstance(R, Rationals):
         checks = fresh_prime_checks(rep, slp, fresh_primes, rng or random.Random(0))
@@ -391,7 +391,7 @@ def _reduce_with_fresh_prime(rep, slp, rng, tries=16):
         if det % p == 0:
             continue
         try:
-            return p, reduce_rational_rep(rep, PrimeField(p, check=False))
+            return p, reduce_rational_rep(rep, ResidueRing(p, 1))
         except ValueError:
             continue
     raise NoPrimeFoundError(

@@ -295,7 +295,7 @@ def _solve_small_prime(slp, prime, rng, tries=12):
         state = SolveState(
             slp=compose_affine(slp, change),
             change=change,
-            field=PrimeField(prime, check=False),
+            field=PrimeField(prime),
             point=point,
             rng=rng,
         )

@@ -123,6 +123,16 @@ def test_modular_json_roundtrips_and_verifies(tmp_path):
     assert check_representation(rep, composed).passed
 
 
+def test_modular_document_with_a_composite_modulus_is_refused(tmp_path):
+    src = _write(tmp_path, TWO_QUADRICS)
+    out = str(tmp_path / "rep.json")
+    assert run([src, "--mod-p-only", "--seed", "6", "--out", out]) == 0
+    doc = json.loads(open(out).read())
+    doc["modulus"] = "15"
+    with pytest.raises(ValueError, match="15 is not an odd prime"):
+        load_representation(doc)
+
+
 # sha256 of the output document for TWO_QUADRICS at seed 42.  Two runs of
 # the same code agreeing cannot show drift in the representation, the
 # certificate or the JSON layout between versions; these pinned digests can.

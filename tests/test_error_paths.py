@@ -34,7 +34,7 @@ def _state(source, n, prime, point, seed=0):
     return SolveState(
         slp=slp,
         change=AffineChange.identity(n),
-        field=PrimeField(prime, check=False),
+        field=PrimeField(prime),
         point=point,
         rng=random.Random(seed),
     )
@@ -72,7 +72,6 @@ def test_hensel_rejects_singular_jacobian():
         params={},
         form="univariate",
         ring=F,
-        change=AffineChange.identity(1),
     )
     with pytest.raises(JacobianNotInvertibleError):
         hensel_lift_rep(rep, slp, target_bits=30)

@@ -67,7 +67,6 @@ def _reference_parametrization(curve, q_new, slp, out_index):
             params={j: crt_polys(res, F) for j, res in collected.items()},
             form="univariate",
             ring=F,
-            change=curve.change,
         )
     )
 

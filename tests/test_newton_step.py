@@ -156,6 +156,17 @@ def test_rungs_cap_at_last_and_stop():
     ]
 
 
+def test_a_modular_fiber_is_the_foot_of_its_p_adic_ladder():
+    slp = parse_system("vars x, y; y^2 - x;")
+    fiber = _parabola_fiber(PrimeField(P))
+    ladder = rungs(fiber, slp)
+    k, foot = next(ladder)
+    assert k == 1 and foot is fiber
+    k, second = next(ladder)
+    assert k == 2 and second.ring == ResidueRing(P, 2)
+    assert second.min_poly == (P**2 - 1, 0, 1)
+
+
 def _raw_coefficient(kind):
     """One coefficient over the local ring at any precision: an integer for
     Z/7^k, a coefficient tuple for F_7[t]/(t^k)."""

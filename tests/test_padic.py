@@ -39,7 +39,6 @@ def _root_rep(min_poly, F=F7, params=None, n=1):
         params=params or {},
         form="univariate",
         ring=F,
-        change=None,
     )
 
 
@@ -59,6 +58,17 @@ def test_hensel_target_below_prime_returns_input():
     assert lifted.ring.k == 1
     assert lifted.min_poly == (4, 1)  # T - 3 unchanged
     assert lifted.ring.modulus == 7
+
+
+def test_squarefree_clause_is_named_for_the_ring():
+    slp = compose_affine(parse_system("vars x; x^2 - 2;"), IDENT)
+    rep = _root_rep([-3, 1])
+    lifted = hensel_lift_rep(rep, slp, target_bits=3)
+    assert lifted.ring == ResidueRing(7, 2)
+    over_p = [name for name, _, _ in check_representation(rep, slp).clauses]
+    over_p2 = [name for name, _, _ in check_representation(lifted, slp).clauses]
+    assert "squarefree" in over_p and "squarefree mod p" not in over_p
+    assert "squarefree mod p" in over_p2 and "squarefree" not in over_p2
 
 
 def test_hensel_linear_is_exact_at_every_precision():
@@ -104,7 +114,6 @@ def test_reconstruct_small_integers_identity():
         params={},
         form="univariate",
         ring=R,
-        change=None,
     )
     got = reconstruct_rep(rep)
     assert got.min_poly == (Fraction(-7), Fraction(1))
@@ -121,7 +130,6 @@ def test_reconstruct_recovers_one_third():
         params={},
         form="univariate",
         ring=R,
-        change=None,
     )
     got = reconstruct_rep(rep)
     assert got.min_poly == (Fraction(1, 3), Fraction(1))
@@ -137,7 +145,6 @@ def test_reconstruct_failure_without_enough_precision():
         params={},
         form="univariate",
         ring=R,
-        change=None,
     )
     with pytest.raises(NoReconstructionError):
         reconstruct_rep(rep)

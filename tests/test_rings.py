@@ -22,6 +22,18 @@ def test_prime_field_rejects_composite():
         PrimeField(2)
 
 
+def test_prime_field_is_the_residue_ring_of_exponent_one():
+    assert PrimeField(7) == ResidueRing(7, 1)
+    assert hash(PrimeField(7)) == hash(ResidueRing(7, 1))
+    assert PrimeField(7) != ResidueRing(7, 2)
+    assert PrimeField(7) != PrimeField(11)
+    assert ResidueRing(7, 3).residue_field() == F7
+
+
+def test_only_exponent_one_is_a_field():
+    assert [ResidueRing(7, k).is_field for k in (1, 2, 3)] == [True, False, False]
+
+
 def test_residue_ring_inverse_and_reduction():
     R = ResidueRing(7, 3)
     a = 12
@@ -37,6 +49,32 @@ def test_ext_field_arithmetic():
     assert L.mul(L.gen, L.gen) == (6,)
     a = (3, 2)
     assert L.mul(a, L.inv(a)) == L.one
+
+
+def test_ext_field_is_a_quotient_and_a_field():
+    L = ExtField(F7, from_int_coeffs([1, 0, 1], F7))
+    assert isinstance(L, PolyQuotient)
+    assert L.is_field
+    assert (L.p, L.size) == (7, 49)
+    with pytest.raises(ValueError):
+        ExtField(F7, (1,))
+
+
+def test_quotient_inverse_over_ext_field():
+    # F_49[T]/(T^3 + x T + 1), x^2 = -1, inverts by Euclid over F_49.
+    L = ExtField(F7, from_int_coeffs([1, 0, 1], F7))
+    A = PolyQuotient(L, (L.one, L.gen, L.zero, L.one))
+    rng = random.Random(2)
+    inverted = 0
+    for _ in range(10):
+        u = A.reduce([L.reduce((rng.randrange(7), rng.randrange(7))) for _ in range(3)])
+        try:
+            v = A.inv(u)
+        except NotInvertibleError:
+            continue
+        assert A.mul(u, v) == A.one
+        inverted += 1
+    assert inverted
 
 
 def test_series_inverse():

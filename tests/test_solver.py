@@ -35,7 +35,7 @@ def composed(source, n):
 
 def make_state(source, n, prime=10007, point=None, seed=0):
     slp = composed(source, n)
-    F = PrimeField(prime, check=False)
+    F = PrimeField(prime)
     if point is None:
         point = tuple(range(1, n))
     return SolveState(
@@ -83,7 +83,6 @@ def _fiber(min_poly, params, form, F=FBIG, stage=2, prim=0, point=()):
         params={j: from_int_coeffs(w, F) for j, w in params.items()},
         form=form,
         ring=F,
-        change=None,
     )
 
 
@@ -135,7 +134,6 @@ def test_conversion_roundtrip_random():
                     },
                     form="univariate",
                     ring=FBIG,
-                    change=None,
                 )
                 back = to_univariate(to_kronecker(rep))
                 break

@@ -142,7 +142,7 @@ def test_rational_check_reduces_mod_many_primes():
             continue
         if any(d % p == 0 for d in denominators):
             continue
-        reduced = reduce_rational_rep(rep, PrimeField(p, check=False))
+        reduced = reduce_rational_rep(rep, PrimeField(p))
         assert check_representation(reduced, composed).passed
         checked += 1
 
@@ -183,7 +183,6 @@ def test_reduce_rational_rep_rejects_bad_prime():
         params={},
         form="univariate",
         ring=QQ,
-        change=None,
     )
     with pytest.raises(ValueError):
         reduce_rational_rep(rep, PrimeField(3))
@@ -232,7 +231,6 @@ def test_no_verify_prime_raises_no_prime_found(monkeypatch):
         params={1: (Fraction(1),)},
         form="kronecker",
         ring=QQ,
-        change=change,
     )
     with pytest.raises(NoPrimeFoundError):
         verify.fresh_prime_checks(rep, composed, 1, random.Random(0))
