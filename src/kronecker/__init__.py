@@ -11,12 +11,11 @@ from .errors import KroneckerError
 from .padic import (
     Certificate,
     SolveConfiguration,
-    hensel_lift_rep,
     reconstruct_rep,
     solve_over_rationals,
 )
 from .primes import is_probable_prime, random_prime_avoiding
-from .rings import QQ, ExtField, PolyQuotient, PolyRing, PrimeField, ResidueRing, SeriesRing
+from .rings import QQ, PolyQuotient, PolyRing, PrimeField, ResidueRing, SeriesRing
 from .slp import (
     AffineChange,
     StraightLineProgram,
@@ -45,7 +44,6 @@ __all__ = [
     "BoundSet",
     "Certificate",
     "CurveRepresentation",
-    "ExtField",
     "FiberRepresentation",
     "KroneckerError",
     "PolyQuotient",
@@ -65,7 +63,6 @@ __all__ = [
     "evaluate_jacobian",
     "first_stage",
     "height_budget",
-    "hensel_lift_rep",
     "intersect_minimal_poly",
     "intersect_parametrization",
     "is_probable_prime",

@@ -109,28 +109,6 @@ def _budget_exponent(p, target_bits):
     return exponent
 
 
-def hensel_lift_rep(rep, slp, target_bits):
-    """Climb the ladder of a modular fiber to the first rung Z/p^(2^k) with
-    2^k * log2(p) >= target_bits; returns the fiber over that ring.
-
-    The Jacobian of the system on the fiber must be invertible mod (p, Q).
-    The lift runs on the univariate form and comes back in the input's form
-    (the Kronecker form is the one with small, height-bounded coefficients).
-    Raises ResidualNonzeroError when a rung, the last one included, has a
-    nonzero residual.
-    """
-    if target_bits < 1:
-        raise ValueError("target_bits must be positive")
-    uni = to_univariate(rep)
-    target = _budget_exponent(uni.ring.p, target_bits)
-    for _, current in rungs(uni, slp, last=target):
-        pass
-    check_fiber(slp, current)
-    if rep.form == "kronecker":
-        return to_kronecker(current)
-    return current
-
-
 def reconstruct_rep(rep):
     """Rational reconstruction of every coefficient of a fiber over Z/p^k;
     raises NoReconstructionError when the precision is insufficient."""

@@ -9,8 +9,7 @@ Elements are ordinary Python values:
 * ``SeriesRing``                  -- F_p[t]/(t^k), tuples of ints (ascending
   powers);
 * ``Rationals``                   -- ``fractions.Fraction``;
-* ``PolyRing`` / ``PolyQuotient`` -- coefficient tuples over the base ring;
-  ``ExtField`` is the ``PolyQuotient`` that is a field.
+* ``PolyRing`` / ``PolyQuotient`` -- coefficient tuples over the base ring.
 
 Everything is immutable and hashable, so contexts and elements can be shared
 freely across threads.
@@ -442,20 +441,6 @@ class PolyQuotient:
 
     def __repr__(self):
         return f"{type(self).__name__}({self.base!r}, deg={self.deg})"
-
-
-class ExtField(PolyQuotient):
-    """F_p[x]/(q) for q irreducible of positive degree over a prime field:
-    the quotient that is a field, so a quotient over it inverts by Euclid."""
-
-    is_field = True
-
-    def __init__(self, base, modulus):
-        super().__init__(base, modulus)
-        if self.deg < 1:
-            raise ValueError("modulus must be monic of positive degree")
-        self.p = base.p
-        self.size = base.p**self.deg
 
 
 def coerce(R, x):

@@ -390,8 +390,15 @@ def _dense_expand(node, n_vars):
         return {k: -v for k, v in _dense_expand(node[1], n_vars).items()}
     if op == "pow":
         base = _dense_expand(node[1], n_vars)
+        e = node[2]
+        if len(base) <= 1:
+            # (c*x^a)^e = c^e*x^(e*a) in closed form, 0^0 = 1: a monomial
+            # needs no e multiplications, whatever the size of e.
+            if e == 0:
+                return {(0,) * n_vars: 1}
+            return {tuple(e * a for a in k): c**e for k, c in base.items()}
         out = {(0,) * n_vars: 1}
-        for _ in range(node[2]):
+        for _ in range(e):
             out = _dense_mul(out, base)
         return out
     a = _dense_expand(node[1], n_vars)

@@ -85,7 +85,6 @@ class CurveRepresentation:
     params: dict
     field: object
     iterations: int = 0
-    precision: int = 0
 
     @property
     def fiber_degree(self):
@@ -457,7 +456,6 @@ def lift_curve(fiber, slp, kappa=None):
         params=params,
         field=F,
         iterations=iters,
-        precision=target,
     )
 
 

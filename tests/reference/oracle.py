@@ -1,6 +1,8 @@
-"""Brute-force references used by the test suite.
+"""Brute-force references the tests check the solver against.
 
-Size guards keep these out of production paths: fiber enumeration refuses
+Exhaustive fiber enumeration over F_p and over an extension field, the
+characteristic polynomial of a multiplication matrix, and the Sylvester
+determinant.  Size guards keep every call small: fiber enumeration refuses
 search spaces beyond 10^8 points and the multiplication-matrix construction
 refuses moduli of degree above 8.  Enumeration is vectorized with numpy in
 chunks; coefficients stay far below 2^63 because the guards cap p at 101.
@@ -8,11 +10,13 @@ chunks; coefficients stay far below 2^63 because the guards cap p at 101.
 
 import numpy as np
 
-from .errors import SizeGuardError
-from .polys import degree, monic, normalize, poly_mul, rem_monic
-from .rings import ExtField, PolyRing
-from .slp import AffineChange
-from .solver import det_division_free
+from kronecker.errors import SizeGuardError
+from kronecker.polys import degree, monic, normalize, poly_mul, rem_monic
+from kronecker.rings import PolyRing
+from kronecker.slp import AffineChange
+from kronecker.solver import det_division_free
+
+from .rings import ExtField
 
 _MAX_POINTS = 10**8
 _CHUNK = 1 << 18

@@ -1,0 +1,100 @@
+"""Polynomial helpers over a prime field that only the tests use:
+coefficient lists from ints, squarefree parts, irreducibility and Chinese
+remaindering."""
+
+from kronecker.errors import CharacteristicTooSmallError, ModuliNotCoprimeError
+from kronecker.polys import (
+    ZERO,
+    _x_poly,
+    degree,
+    monic,
+    normalize,
+    poly_add,
+    poly_deriv,
+    poly_divmod,
+    poly_gcd,
+    poly_mul,
+    poly_pow_mod,
+    poly_rem,
+    poly_sub,
+    poly_xgcd,
+)
+
+
+def from_int_coeffs(coeffs, R):
+    return normalize([R.from_int(c) for c in coeffs], R)
+
+
+def squarefree_part(f, F):
+    """f / gcd(f, f'), monic; requires characteristic 0 or > deg f."""
+    f = normalize(f, F)
+    if degree(f) <= 0:
+        return (F.one,) if f else ZERO
+    char = getattr(F, "char", 0)
+    if char and char <= degree(f):
+        raise CharacteristicTooSmallError(
+            f"characteristic {char} <= degree {degree(f)}"
+        )
+    g = poly_gcd(f, poly_deriv(f, F), F)
+    if degree(g) == 0:
+        return monic(f, F)
+    q, r = poly_divmod(f, g, F)
+    assert not r
+    return monic(q, F)
+
+
+def is_irreducible(f, F):
+    """Irreducibility over a prime field via x**(p**d) == x plus proper-divisor gcds."""
+    f = monic(f, F)
+    d = degree(f)
+    if d <= 0:
+        return False
+    if d == 1:
+        return True
+    p = F.p
+    x = _x_poly(F)
+    h = x
+    for _ in range(d):
+        h = poly_pow_mod(h, p, f, F)
+    if poly_sub(h, x, F):
+        return False
+    for ell in _prime_divisors(d):
+        h = x
+        for _ in range(d // ell):
+            h = poly_pow_mod(h, p, f, F)
+        if degree(poly_gcd(poly_sub(h, x, F), f, F)) != 0:
+            return False
+    return True
+
+
+def _prime_divisors(n):
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def crt_polys(residues, F):
+    """Chinese remaindering of (value, modulus) pairs with coprime moduli."""
+    if not residues:
+        raise ValueError("at least one residue required")
+    v, q = residues[0]
+    v = poly_rem(v, q, F)
+    for v2, q2 in residues[1:]:
+        d, u, _ = poly_xgcd(q, q2, F)
+        if degree(d) != 0:
+            raise ModuliNotCoprimeError(
+                f"moduli share a factor of degree {degree(d)}"
+            )
+        diff = poly_sub(poly_rem(v2, q2, F), v, F)
+        t = poly_rem(poly_mul(diff, u, F), q2, F)
+        v = poly_add(v, poly_mul(q, t, F), F)
+        q = poly_mul(q, q2, F)
+    return poly_rem(v, q, F)

@@ -16,16 +16,10 @@ import pytest
 from kronecker.bounds import degree_budget, sample_bounds
 from kronecker.cli import run as cli_run
 from kronecker.errors import KroneckerError, NoReconstructionError
-from kronecker.oracle import (
-    brute_force_fiber,
-    brute_force_fiber_ext,
-    mulmat_charpoly,
-)
 from kronecker.padic import SolveConfiguration, solve_over_rationals
 from kronecker.polys import (
     degree,
     factor_squarefree,
-    from_int_coeffs,
     interpolate,
     monic,
     poly_eval,
@@ -33,7 +27,7 @@ from kronecker.polys import (
     resultant,
 )
 from kronecker.primes import is_probable_prime, random_prime_avoiding
-from kronecker.rings import ExtField, PrimeField, coerce
+from kronecker.rings import PrimeField, coerce
 from kronecker.slp import (
     AffineChange,
     compose_affine,
@@ -48,6 +42,14 @@ from kronecker.solver import (
     to_univariate,
 )
 from kronecker.verify import check_representation
+
+from reference.oracle import (
+    brute_force_fiber,
+    brute_force_fiber_ext,
+    mulmat_charpoly,
+)
+from reference.polys import from_int_coeffs
+from reference.rings import ExtField
 
 _MAX_EXT_SCAN = 10**7
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -53,6 +54,15 @@ def test_missing_file_exits_3(tmp_path):
 def test_unsolvable_input_exits_2(tmp_path):
     src = _write(tmp_path, "vars x, y;\nx^2;\nx;\n")
     assert run([src, "--retries", "2", "--seed", "0"]) == 2
+
+
+def test_huge_power_of_a_constant_is_parsed_at_once(tmp_path):
+    # The equation is linear; its 1^100000000 is expanded in closed form,
+    # not by 10^8 multiplications.
+    src = _write(tmp_path, "vars x; 1^100000000*x - 2;")
+    start = time.perf_counter()
+    assert run([src, "--seed", "0"]) == 0
+    assert time.perf_counter() - start < 5
 
 
 @pytest.mark.parametrize(

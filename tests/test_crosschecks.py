@@ -10,7 +10,6 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from kronecker.errors import RetryExhaustedError, SingularMatrixError
-from kronecker.oracle import mulmat_charpoly
 from kronecker.padic import SolveConfiguration, solve_over_rationals
 from kronecker.polys import interpolate, monic, resultant
 from kronecker.rings import PrimeField
@@ -23,6 +22,8 @@ from kronecker.solver import (
     lift_curve,
     to_univariate,
 )
+
+from reference.oracle import mulmat_charpoly
 
 FBIG = PrimeField(10007)
 

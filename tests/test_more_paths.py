@@ -12,16 +12,19 @@ import pytest
 
 from kronecker.cli import run as cli_run
 from kronecker.errors import NotInvertibleError
-from kronecker.padic import SolveConfiguration, hensel_lift_rep, solve_over_rationals
+from kronecker.padic import SolveConfiguration, solve_over_rationals
 from kronecker.rings import ZZ, PrimeField
 from kronecker.slp import AffineChange, compose_affine, evaluate, parse_system
 from kronecker.solver import (
     SolveState,
+    check_fiber,
     first_stage,
     lift_curve,
     residuals,
+    rungs,
     solve_mod_p,
     specialize_curve,
+    to_kronecker,
     to_univariate,
 )
 from kronecker.verify import check_representation
@@ -61,7 +64,9 @@ def test_check_representation_over_residue_ring():
         rng=random.Random(0),
     )
     fiber = solve_mod_p(state)
-    lifted = hensel_lift_rep(fiber, slp, target_bits=60)
+    *_, (_, lifted) = rungs(to_univariate(fiber), slp, last=8)
+    check_fiber(slp, lifted)
+    lifted = to_kronecker(lifted)
     report = check_representation(lifted, slp)
     assert report.passed
     # perturbing one lifted coefficient must break the residual

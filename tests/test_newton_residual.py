@@ -16,10 +16,18 @@ import pytest
 
 from kronecker import solver
 from kronecker.errors import ResidualNonzeroError, RetryExhaustedError
-from kronecker.padic import SolveConfiguration, hensel_lift_rep, solve_over_rationals
+from kronecker.padic import SolveConfiguration, solve_over_rationals
 from kronecker.rings import PrimeField, ResidueRing, SeriesRing
 from kronecker.slp import AffineChange, compose_affine, parse_system
-from kronecker.solver import SolveState, first_stage, lift_curve, solve_mod_p, to_univariate
+from kronecker.solver import (
+    SolveState,
+    check_fiber,
+    first_stage,
+    lift_curve,
+    rungs,
+    solve_mod_p,
+    to_univariate,
+)
 
 TWO_QUADRICS = "vars x,y; x^2 + y^2 - 5; x*y - 2;"
 P = 10007  # 13 bits per p-adic digit
@@ -68,7 +76,9 @@ def test_value_pass_catches_a_wrong_rung_mid_ladder(monkeypatch):
     fiber = solve_mod_p(state)
     seen = _perturb(monkeypatch, 2, ResidueRing)  # the step to p^4
     with pytest.raises(ResidualNonzeroError, match=rf"ResidueRing\({P}, 4\)"):
-        hensel_lift_rep(fiber, slp, target_bits=100)  # ladder heads to p^8
+        # The ladder heads to p^8; the step p^4 -> p^8 checks p^4.
+        *_, (_, lifted) = rungs(to_univariate(fiber), slp, last=8)
+        check_fiber(slp, lifted)
     assert [R.k for R in seen] == [1, 2]  # p^2 -> p^4 corrects mod p^2
 
 
@@ -77,7 +87,9 @@ def test_last_rung_of_hensel_lift_is_checked(monkeypatch):
     fiber = solve_mod_p(state)
     seen = _perturb(monkeypatch, 2, ResidueRing)
     with pytest.raises(ResidualNonzeroError, match=rf"ResidueRing\({P}, 4\)"):
-        hensel_lift_rep(fiber, slp, target_bits=40)  # stops at p^4
+        # The ladder stops at p^4, so only check_fiber sees that rung.
+        *_, (_, lifted) = rungs(to_univariate(fiber), slp, last=4)
+        check_fiber(slp, lifted)
     assert [R.k for R in seen] == [1, 2]  # p^2 -> p^4 corrects mod p^2
 
 

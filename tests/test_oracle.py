@@ -3,21 +3,23 @@ import random
 import pytest
 
 from kronecker.errors import SizeGuardError
-from kronecker.oracle import (
+from kronecker.polys import (
+    degree,
+    monic,
+    poly_mul,
+    resultant,
+)
+from kronecker.rings import PrimeField
+from kronecker.slp import AffineChange, parse_system
+
+from reference.oracle import (
     brute_force_fiber,
     brute_force_fiber_ext,
     mulmat_charpoly,
     sylvester_det,
 )
-from kronecker.polys import (
-    degree,
-    from_int_coeffs,
-    monic,
-    poly_mul,
-    resultant,
-)
-from kronecker.rings import ExtField, PrimeField
-from kronecker.slp import AffineChange, parse_system
+from reference.polys import from_int_coeffs
+from reference.rings import ExtField
 
 F11 = PrimeField(11)
 F101 = PrimeField(101)

@@ -16,15 +16,21 @@ from kronecker.errors import (
 from kronecker.padic import (
     SolveConfiguration,
     check_configuration,
-    hensel_lift_rep,
     reconstruct_rep,
     solve_over_rationals,
 )
-from kronecker.polys import from_int_coeffs
 from kronecker.rings import PrimeField, ResidueRing
 from kronecker.slp import AffineChange, compose_affine, parse_system
-from kronecker.solver import FiberRepresentation, to_univariate
+from kronecker.solver import (
+    FiberRepresentation,
+    check_fiber,
+    rungs,
+    to_kronecker,
+    to_univariate,
+)
 from kronecker.verify import check_representation
+
+from reference.polys import from_int_coeffs
 
 F7 = PrimeField(7)
 IDENT = AffineChange.identity(1)
@@ -45,25 +51,18 @@ def _root_rep(min_poly, F=F7, params=None, n=1):
 def test_hensel_square_root_of_two():
     slp = compose_affine(parse_system("vars x; x^2 - 2;"), IDENT)
     rep = _root_rep([-3, 1])  # T - 3: 3^2 = 2 mod 7
-    lifted = hensel_lift_rep(rep, slp, target_bits=3)
-    assert lifted.ring.k == 2
+    *_, (k, lifted) = rungs(rep, slp, last=2)
+    check_fiber(slp, lifted)
+    assert k == lifted.ring.k == 2
     assert lifted.min_poly == (39, 1)  # T - 10 mod 49; 10^2 = 2 mod 49
     assert pow(10, 2, 49) == 2
-
-
-def test_hensel_target_below_prime_returns_input():
-    slp = compose_affine(parse_system("vars x; x^2 - 2;"), IDENT)
-    rep = _root_rep([-3, 1])
-    lifted = hensel_lift_rep(rep, slp, target_bits=1)
-    assert lifted.ring.k == 1
-    assert lifted.min_poly == (4, 1)  # T - 3 unchanged
-    assert lifted.ring.modulus == 7
 
 
 def test_squarefree_clause_is_named_for_the_ring():
     slp = compose_affine(parse_system("vars x; x^2 - 2;"), IDENT)
     rep = _root_rep([-3, 1])
-    lifted = hensel_lift_rep(rep, slp, target_bits=3)
+    *_, (_, lifted) = rungs(rep, slp, last=2)
+    check_fiber(slp, lifted)
     assert lifted.ring == ResidueRing(7, 2)
     over_p = [name for name, _, _ in check_representation(rep, slp).clauses]
     over_p2 = [name for name, _, _ in check_representation(lifted, slp).clauses]
@@ -74,8 +73,9 @@ def test_squarefree_clause_is_named_for_the_ring():
 def test_hensel_linear_is_exact_at_every_precision():
     slp = compose_affine(parse_system("vars x; x - 5;"), IDENT)
     rep = _root_rep([-5, 1])
-    for bits in (1, 10, 40):
-        lifted = hensel_lift_rep(rep, slp, target_bits=bits)
+    for k in (1, 8, 32):
+        *_, (_, lifted) = rungs(rep, slp, last=k)
+        check_fiber(slp, lifted)
         assert lifted.min_poly == (lifted.ring.modulus - 5, 1)
 
 
@@ -95,7 +95,9 @@ def test_hensel_reduction_mod_p_matches_input():
         rng=random.Random(0),
     )
     fiber = solve_mod_p(state)
-    lifted = hensel_lift_rep(fiber, slp, target_bits=100)
+    *_, (_, lifted) = rungs(to_univariate(fiber), slp, last=8)
+    check_fiber(slp, lifted)
+    lifted = to_kronecker(lifted)
     assert lifted.form == "kronecker"
     m = lifted.ring.modulus
     reduced_q = tuple(c % 10007 for c in lifted.min_poly)

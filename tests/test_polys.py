@@ -13,14 +13,10 @@ from kronecker.errors import (
     NoReconstructionError,
     NotInvertibleError,
 )
-from kronecker.oracle import sylvester_det
 from kronecker.polys import (
-    crt_polys,
     degree,
     factor_squarefree,
-    from_int_coeffs,
     interpolate,
-    is_irreducible,
     monic,
     poly_eval,
     poly_gcd,
@@ -29,9 +25,16 @@ from kronecker.polys import (
     poly_rem,
     rational_reconstruct,
     resultant,
-    squarefree_part,
 )
 from kronecker.rings import QQ, PrimeField
+
+from reference.oracle import sylvester_det
+from reference.polys import (
+    crt_polys,
+    from_int_coeffs,
+    is_irreducible,
+    squarefree_part,
+)
 
 F7 = PrimeField(7)
 F101 = PrimeField(101)

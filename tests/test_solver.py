@@ -8,8 +8,7 @@ from kronecker.errors import (
     NotInvertibleError,
     UnluckyError,
 )
-from kronecker.polys import from_int_coeffs
-from kronecker.rings import ExtField, PrimeField
+from kronecker.rings import PrimeField
 from kronecker.slp import AffineChange, compose_affine, parse_system
 from kronecker.solver import (
     FiberRepresentation,
@@ -24,6 +23,9 @@ from kronecker.solver import (
     to_kronecker,
     to_univariate,
 )
+
+from reference.polys import from_int_coeffs
+from reference.rings import ExtField
 
 FBIG = PrimeField(10007)
 IDENT2 = AffineChange.identity(2)

@@ -12,7 +12,7 @@ from kronecker.errors import (
     UnluckyError,
 )
 from kronecker.padic import SolveConfiguration, solve_over_rationals
-from kronecker.polys import from_int_coeffs, poly_mul
+from kronecker.polys import poly_mul
 from kronecker.primes import is_probable_prime
 from kronecker.rings import PrimeField, QQ
 from kronecker.slp import AffineChange, compose_affine, parse_system
@@ -23,6 +23,8 @@ from kronecker.verify import (
     gate_stage,
     reduce_rational_rep,
 )
+
+from reference.polys import from_int_coeffs
 
 FBIG = PrimeField(10007)
 
