@@ -8,6 +8,7 @@ size.
 """
 
 from dataclasses import dataclass
+from math import prod
 
 from .rings import ceil_log2
 
@@ -65,7 +66,6 @@ class BoundSet:
     r: int
     d: int
     h: int
-    bezout_stages: tuple  # prod(d_1..d_s) for s = 1..r
     D: int
     a: int
     b: int
@@ -81,12 +81,7 @@ class BoundSet:
         degrees = tuple(max(int(d), 1) for d in degrees)
         d = max(degrees)
         h = max(int(h), 1)
-        bez = []
-        acc = 1
-        for dj in degrees:
-            acc *= dj
-            bez.append(acc)
-        D = degree_budget(n, r, acc)
+        D = degree_budget(n, r, prod(degrees))
         a, b = sample_bounds(D)
         heights = tuple(height_budget(n, d, h, r, s) for s in range(1, r + 1))
         H, B = prime_budget(n, d, h, r)
@@ -95,7 +90,6 @@ class BoundSet:
             r=r,
             d=d,
             h=h,
-            bezout_stages=tuple(bez),
             D=D,
             a=a,
             b=b,

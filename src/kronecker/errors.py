@@ -29,15 +29,7 @@ class NotInvertibleError(KroneckerError):
     pass
 
 
-class CharacteristicTooSmallError(KroneckerError):
-    pass
-
-
 class DuplicateNodeError(KroneckerError):
-    pass
-
-
-class ModuliNotCoprimeError(KroneckerError):
     pass
 
 
@@ -46,10 +38,6 @@ class NoReconstructionError(KroneckerError):
 
 
 class NoPrimeFoundError(KroneckerError):
-    pass
-
-
-class SizeGuardError(KroneckerError):
     pass
 
 
@@ -68,8 +56,8 @@ class DegreeDropError(UnluckyError):
 
 
 class JacobianNotInvertibleError(UnluckyError):
-    def __init__(self, stage, cause="jacobian not invertible"):
-        super().__init__(stage, cause)
+    def __init__(self, stage):
+        super().__init__(stage, "jacobian not invertible")
 
 
 class NodeExhaustionError(UnluckyError):
@@ -78,8 +66,8 @@ class NodeExhaustionError(UnluckyError):
 
 
 class ZeroResultantError(UnluckyError):
-    def __init__(self, stage, cause="resultant vanished at every node"):
-        super().__init__(stage, cause)
+    def __init__(self, stage):
+        super().__init__(stage, "resultant vanished at every node")
 
 
 class ResidualNonzeroError(KroneckerError):

@@ -11,7 +11,9 @@ the range of rungs: heuristic mode climbs from Z/p to p^(2^16) at the
 latest; provable mode from the rung the height budget asks for to 2^7
 times that exponent.  A candidate that fails the check and equals the
 previous rung's candidate is a fixed point of the lift that does not
-verify, so the attempt is restarted instead of climbing to the cap.
+verify, so the attempt is restarted instead of climbing to the cap.  The
+step out of Z/p is the one check of the fiber's residual and Jacobian mod
+(p, Q), which the stage gate leaves to it.
 
 The attempt driver behind ``solve_over_rationals`` and ``solve_modular``
 draws λ, the lifting point and the prime of each attempt, restarts unlucky
@@ -40,6 +42,7 @@ from .slp import AffineChange, compose_affine
 from .solver import (
     SolveState,
     check_fiber,
+    newton_step,
     rungs,
     solve_mod_p,
     to_kronecker,
@@ -267,10 +270,13 @@ def _run_attempts(slp, config, finish):
 def solve_modular(slp, config=None):
     """The modular solve alone, with the attempt driver of
     ``solve_over_rationals``.  Returns (fiber over F_p, solve state, check
-    report, attempt number) of the first attempt that gets through
-    ``solve_mod_p``."""
+    report, attempt number) of the first attempt whose fiber gets through
+    ``solve_mod_p`` and the Newton step to Z/p^2.  Nothing lifts this fiber,
+    so that one step is taken for its checks alone, the residual and the
+    Jacobian mod (p, Q), and its result is dropped."""
 
     def check(state, fiber, bounds, attempt):
+        newton_step(state.slp, to_univariate(fiber), fiber.ring.at_precision(2))
         return fiber, state, verify.check_representation(fiber, state.slp), attempt
 
     return _run_attempts(slp, config or SolveConfiguration(), check)

@@ -341,24 +341,21 @@ def interpolate(points, F):
     return poly
 
 
-def rational_reconstruct(a, m, bound=None):
-    """Recover num/den from a mod m with |num| <= B, 0 < den <= B, 2B**2 < m.
+def rational_reconstruct(a, m):
+    """Recover num/den from a mod m with |num| <= B, 0 < den <= B, for B the
+    largest bound with 2B**2 < m.
 
-    The default bound is B = floor(sqrt(m/2)) (shrunk to keep 2B**2 < m
-    strict).  Returns the reduced pair (num, den); raises
-    NoReconstructionError when no fraction within the bound matches, which
-    callers treat as "lift further".
+    Returns the reduced pair (num, den); raises NoReconstructionError when
+    no fraction within the bound matches, which callers treat as "lift
+    further".
     """
     if m <= 2:
         raise ValueError("modulus too small")
     if not 0 <= a < m:
         raise ValueError("residue out of range")
-    if bound is None:
-        bound = isqrt(m // 2)
-        while bound > 1 and 2 * bound * bound >= m:
-            bound -= 1
-    if bound < 1 or 2 * bound * bound >= m:
-        raise ValueError("bound must satisfy 2*B**2 < m")
+    bound = isqrt(m // 2)
+    while bound > 1 and 2 * bound * bound >= m:
+        bound -= 1
     r0, r1 = m, a
     t0, t1 = 0, 1
     while r1 > bound:

@@ -17,6 +17,8 @@ _SMALL_PRIMES = (
 # Deterministic Miller-Rabin witness set for n < 3.3 * 10**24 (covers 2**64).
 _DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+MILLER_RABIN_ROUNDS = 40
+
 
 def _miller_rabin_round(n, a):
     d = n - 1
@@ -34,8 +36,9 @@ def _miller_rabin_round(n, a):
     return False
 
 
-def is_probable_prime(n, rng=None, rounds=40):
-    """Primality test: deterministic below 2**64, Miller-Rabin above."""
+def is_probable_prime(n, rng=None):
+    """Primality test: deterministic below 2**64, Miller-Rabin with
+    ``MILLER_RABIN_ROUNDS`` random bases above."""
     if n < 2:
         return False
     for q in _SMALL_PRIMES:
@@ -47,7 +50,7 @@ def is_probable_prime(n, rng=None, rounds=40):
         bases = _DETERMINISTIC_BASES
     else:
         rng = rng or random.Random()
-        bases = [rng.randrange(2, n - 1) for _ in range(rounds)]
+        bases = [rng.randrange(2, n - 1) for _ in range(MILLER_RABIN_ROUNDS)]
     return all(_miller_rabin_round(n, a) for a in bases)
 
 

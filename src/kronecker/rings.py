@@ -55,7 +55,6 @@ class ResidueRing:
         self.is_field = k == 1
         self.modulus = p**k
         self.int_modulus = p**k
-        self.char = self.modulus
         self.zero = 0
         self.one = 1 % self.modulus
         # Nilpotency index of the maximal ideal; drives inverse-lifting depth.
@@ -126,7 +125,6 @@ class Rationals:
     """The field Q with Fraction elements."""
 
     is_field = True
-    char = 0
 
     def __init__(self):
         self.zero = Fraction(0)
@@ -172,7 +170,6 @@ class Integers:
     """The ring Z; division only for units (+-1)."""
 
     is_field = False
-    char = 0
     zero = 0
     one = 1
 
@@ -216,7 +213,6 @@ class SeriesRing:
             raise ValueError("precision must be >= 1")
         self.field = field
         self.prec = prec
-        self.char = field.char
         self.zero = ()
         self.one = (field.one,)
         self.nilpotency = prec
@@ -303,7 +299,6 @@ class PolyRing:
 
     def __init__(self, base):
         self.base = base
-        self.char = base.char
         self.zero = ()
         self.one = (base.one,)
         self.gen = (base.zero, base.one)
@@ -356,7 +351,6 @@ class PolyQuotient:
         if not polys.is_monic(self.modulus, base):
             raise ValueError("modulus must be monic")
         self.deg = polys.degree(self.modulus)
-        self.char = base.char
         self.zero = ()
         self.one = (base.one,) if self.deg > 0 else ()
         self.gen = polys.rem_monic((base.zero, base.one), self.modulus, base)

@@ -128,14 +128,14 @@ def fiber_coordinates(n, prim_var, point, params, A):
     return coords
 
 
-def residuals(slp, rep, count=None):
-    """Values of the first ``count`` outputs (default: the stage) on the
-    fiber of ``rep``, in either form, over R[T]/(Q) for a field or a local
-    ring R.  Raises NotInvertibleError when Q is not squarefree."""
+def residuals(slp, rep):
+    """Values of the first ``rep.stage`` outputs on the fiber of ``rep``, in
+    either form, over R[T]/(Q) for a field or a local ring R.  Raises
+    NotInvertibleError when Q is not squarefree."""
     uni = to_univariate(rep)
     A = PolyQuotient(uni.ring, uni.min_poly)
     coords = fiber_coordinates(slp.n_vars, uni.prim_var, uni.point, uni.params, A)
-    return evaluate(slp, coords, A, n_out=uni.stage if count is None else count)
+    return evaluate(slp, coords, A, n_out=uni.stage)
 
 
 def first_stage(state):
@@ -223,12 +223,6 @@ def charpoly_division_free(mat, A):
             new.append(acc)
         coeffs = new
     return coeffs
-
-
-def det_division_free(mat, A):
-    """Determinant as (-1)^s c_s of ``charpoly_division_free``."""
-    c_s = charpoly_division_free(mat, A)[-1]
-    return c_s if len(mat) % 2 == 0 else A.neg(c_s)
 
 
 def _dot(u, v, A):
@@ -395,16 +389,16 @@ def _series_poly(coeffs, F):
     return tuple(() if F.is_zero(c) else (c,) for c in coeffs)
 
 
-def lift_curve(fiber, slp, kappa=None):
+def lift_curve(fiber, slp):
     """Newton-lift a univariate fiber along its freed coordinate.
 
-    Climbs ``rungs`` over F[t]/(t^k) from k = 1 to the target precision:
-    each step doubles k, re-normalizing the minimal polynomial and the
-    parametrizations through the first-order primitive element correction;
-    ``iterations`` counts the steps.  With the default precision (fiber
-    degree + 1, plus one internally checked guard coefficient) the returned
-    Kronecker curve is exact; passing ``kappa`` truncates at t^kappa
-    instead.
+    Climbs ``rungs`` over F[t]/(t^k) from k = 1 to the target precision
+    δ + 2 (fiber degree δ): each step doubles k, re-normalizing the minimal
+    polynomial and the parametrizations through the first-order primitive
+    element correction; ``iterations`` counts the steps.  The returned
+    Kronecker curve is exact: its coefficients have t-degree at most δ,
+    which the guard coefficient t^(δ+1) checks.  The first step checks the
+    fiber itself, its residual and its Jacobian mod (p, Q).
     """
     fiber = to_univariate(fiber)
     F = fiber.ring
@@ -414,8 +408,7 @@ def lift_curve(fiber, slp, kappa=None):
     if free < 0:
         raise ValueError("stage leaves no coordinate to free")
     delta = fiber.fiber_degree
-    guard = kappa is None
-    target = delta + 2 if guard else kappa
+    target = delta + 2
     base = fiber.point[:free]
     base_value = fiber.point[free]
 
@@ -432,28 +425,17 @@ def lift_curve(fiber, slp, kappa=None):
         pass
     check_fiber(slp, rep)
     kron = to_kronecker(rep)
-
-    def finalize(poly_ts, limit):
-        out = []
-        for c in poly_ts:
-            if guard and degree(c) > limit:
-                raise UnluckyError(
-                    s, "curve coefficients exceed the degree guard"
-                )
-            out.append(tuple(c[: limit + 1]))
-        return tuple(out)
-
-    limit = delta if guard else target - 1
-    min_poly = finalize(kron.min_poly, limit)
-    params = {j: finalize(w, limit) for j, w in kron.params.items()}
+    for poly_ts in (kron.min_poly, *kron.params.values()):
+        if any(degree(c) > delta for c in poly_ts):
+            raise UnluckyError(s, "curve coefficients exceed the degree guard")
     return CurveRepresentation(
         stage=s,
         prim_var=prim,
         free_var=free,
         base=base,
         base_value=base_value,
-        min_poly=min_poly,
-        params=params,
+        min_poly=kron.min_poly,
+        params=kron.params,
         field=F,
         iterations=iters,
     )
@@ -651,9 +633,12 @@ def intersect_parametrization(curve, new_min_poly, samples):
 def solve_mod_p(state):
     """Run all stages over F_p and return the final Kronecker fiber.
 
-    Every stage is gated by the verification module; any failed clause maps
-    to a restartable UnluckyError (or BudgetExceededError for a Bezout
-    violation, which restarts cannot fix).
+    Every stage is gated by ``verify.gate_stage`` on its degree, monicity
+    and squarefreeness; a failed clause maps to a restartable UnluckyError
+    (or BudgetExceededError for a Bezout violation, which restarts cannot
+    fix).  The residual and Jacobian of a stage below the last are checked
+    by the first step of its ``lift_curve``; those of the returned fiber are
+    left to the step its caller takes on it.
     """
     from . import verify
 
@@ -661,7 +646,7 @@ def solve_mod_p(state):
     budgets = list(_running_products(slp.degrees))
     fiber = first_stage(state)
     state.stage_degrees = [fiber.fiber_degree]
-    verify.gate_stage(fiber, slp, budgets[0])
+    verify.gate_stage(fiber, budgets[0])
     for s in range(1, state.r):
         curve = lift_curve(fiber, slp)
         q_next, samples = intersect_minimal_poly(
@@ -669,7 +654,7 @@ def solve_mod_p(state):
         )
         fiber = intersect_parametrization(curve, q_next, samples)
         state.stage_degrees.append(fiber.fiber_degree)
-        verify.gate_stage(fiber, slp, budgets[s])
+        verify.gate_stage(fiber, budgets[s])
     return fiber
 
 

@@ -1,13 +1,21 @@
 """Runtime certification of fiber representations.
 
 Every "lucky prime" condition the solver relies on is checked directly on
-the computed objects: monicity, squarefreeness, Bezout degree budgets,
-Jacobian invertibility on the fiber, and the residual membership identity
-F_i(point, T, V(T)) = 0 mod Q(T).  Over a field or a local ring the residual
-is ``solver.residuals`` of the fiber's univariate form.  A rational
-representation is checked modulo fresh primes (Monte Carlo), where it is a
-fiber over a field, and, on request, exactly over Q by a fraction-free
-U-expansion, since inverting Q' over Q blows up the coefficients.
+the computed objects.  The stage gate checks the structural ones on each
+fiber over F_p: its degree within the Bezout budget, Q monic and
+squarefree.  The Newton step that takes the fiber checks the others, the
+residual identity F_i(point, T, V(T)) = 0 mod (p, Q(T)) and the Jacobian's
+invertibility mod (p, Q): the first step of the curve lift below the last
+stage, the first rung of the p-adic ladder at the last, and, for the fiber
+``solve_modular`` returns, one step taken for the check alone.  (A rational
+solve whose ladder stops at p^1 takes no step: ``check_fiber`` checks its
+residual, and its output is verified over Q.)
+
+Over a field or a local ring the residual of a representation is
+``solver.residuals`` of its univariate form.  A rational representation is
+checked modulo fresh primes (Monte Carlo), where it is a fiber over a field,
+and, on request, exactly over Q by a fraction-free U-expansion, since
+inverting Q' over Q blows up the coefficients.
 """
 
 import random
@@ -32,18 +40,15 @@ from .polys import (
     poly_mul,
 )
 from .primes import random_prime_in_range
-from .rings import QQ, ZZ, PolyQuotient, PolyRing, Rationals, ResidueRing
-from .slp import evaluate, evaluate_jacobian
-from .solver import (
-    det_division_free,
-    embed_scalar,
-    fiber_coordinates,
-    residuals,
-    to_univariate,
-)
+from .rings import QQ, ZZ, PolyRing, Rationals, ResidueRing
+from .slp import evaluate
+from .solver import embed_scalar, residuals
 
 VERIFY_PRIME_LOW = 2**59
 VERIFY_PRIME_HIGH = 2**62 - 1
+# Verify primes drawn for one reduction before giving up on a prime that
+# divides neither a denominator of the fiber nor det λ.
+FRESH_PRIME_DRAWS = 16
 
 # The Mersenne prime 2^61 - 1: the fixed modulus of the squarefree shortcut.
 SQUAREFREE_PRIME = 2**61 - 1
@@ -79,7 +84,6 @@ class _ScaledQuotient:
     """
 
     is_field = False
-    char = 0
 
     def __init__(self, modulus):
         self.modulus = modulus
@@ -292,8 +296,10 @@ def check_representation(rep, slp, *, exact=False, fresh_primes=1, rng=None):
     return CheckReport(clauses)
 
 
-def check_stage(rep, slp, budget):
-    """Lucky-prime surrogate checks for one modular stage."""
+def check_stage(rep, budget):
+    """Lucky-prime surrogate checks for one modular stage: its degree within
+    the Bezout budget, Q monic and squarefree.  The residual and Jacobian of
+    the fiber are checked by the Newton step that takes it."""
     F = rep.ring
     clauses = []
     deg = rep.fiber_degree
@@ -305,32 +311,15 @@ def check_stage(rep, slp, budget):
         )
     )
     clauses.append(("monic", is_monic(rep.min_poly, F), ""))
-    sqf = is_squarefree(rep.min_poly, F)
-    clauses.append(("squarefree", sqf, "gcd(Q, Q') = 1"))
-    if sqf:
-        uni = to_univariate(rep)
-        A = PolyQuotient(F, uni.min_poly)
-        coords = fiber_coordinates(
-            slp.n_vars, uni.prim_var, uni.point, uni.params, A
-        )
-        wrt = list(range(uni.prim_var, slp.n_vars))
-        vals, jac = evaluate_jacobian(slp, coords, A, wrt, n_out=rep.stage)
-        for i, v in enumerate(vals):
-            clauses.append(
-                (f"residual F_{i + 1}", len(v) == 0, "mod (p, Q)")
-            )
-        det = det_division_free(jac, A)
-        try:
-            A.inv(det)
-            clauses.append(("jacobian", True, "det invertible mod (p, Q)"))
-        except NotInvertibleError:
-            clauses.append(("jacobian", False, "det not invertible"))
+    clauses.append(
+        ("squarefree", is_squarefree(rep.min_poly, F), "gcd(Q, Q') = 1")
+    )
     return CheckReport(clauses)
 
 
-def gate_stage(rep, slp, budget):
+def gate_stage(rep, budget):
     """Raise the appropriate restart/abort error for a failed stage check."""
-    report = check_stage(rep, slp, budget)
+    report = check_stage(rep, budget)
     if report.passed:
         return report
     for name, ok, _ in report.clauses:
@@ -381,12 +370,12 @@ def fresh_prime_checks(rep, slp, count, rng):
     return checks
 
 
-def _reduce_with_fresh_prime(rep, slp, rng, tries=16):
+def _reduce_with_fresh_prime(rep, slp, rng):
     """A verify prime and ``rep`` reduced modulo it.  Primes that divide a
     denominator of ``rep`` or the determinant of ``slp``'s change of
     variables are skipped."""
     det = slp.transform.det if slp.transform is not None else 1
-    for _ in range(tries):
+    for _ in range(FRESH_PRIME_DRAWS):
         p = random_prime_in_range(VERIFY_PRIME_LOW, VERIFY_PRIME_HIGH, rng)
         if det % p == 0:
             continue
@@ -395,5 +384,6 @@ def _reduce_with_fresh_prime(rep, slp, rng, tries=16):
         except ValueError:
             continue
     raise NoPrimeFoundError(
-        f"no reduction prime in {tries} draws avoids the denominators and det"
+        f"no reduction prime in {FRESH_PRIME_DRAWS} draws avoids the "
+        "denominators and det"
     )

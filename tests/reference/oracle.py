@@ -2,21 +2,26 @@
 
 Exhaustive fiber enumeration over F_p and over an extension field, the
 characteristic polynomial of a multiplication matrix, and the Sylvester
-determinant.  Size guards keep every call small: fiber enumeration refuses
-search spaces beyond 10^8 points and the multiplication-matrix construction
-refuses moduli of degree above 8.  Enumeration is vectorized with numpy in
-chunks; coefficients stay far below 2^63 because the guards cap p at 101.
+and division-free determinants.  Size guards keep every call small: fiber
+enumeration refuses search spaces beyond 10^8 points and the
+multiplication-matrix construction refuses moduli of degree above 8.
+Enumeration is vectorized with numpy in chunks; coefficients stay far below
+2^63 because the guards cap p at 101.
 """
 
 import numpy as np
 
-from kronecker.errors import SizeGuardError
+from kronecker.errors import KroneckerError
 from kronecker.polys import degree, monic, normalize, poly_mul, rem_monic
 from kronecker.rings import PolyRing
 from kronecker.slp import AffineChange
-from kronecker.solver import det_division_free
+from kronecker.solver import charpoly_division_free
 
 from .rings import ExtField
+
+
+class SizeGuardError(KroneckerError):
+    """A reference computation refused an input beyond its size guard."""
 
 _MAX_POINTS = 10**8
 _CHUNK = 1 << 18
@@ -204,6 +209,13 @@ def mulmat_charpoly(h, q, F):
 
     mat = [[entry(i, j) for j in range(d)] for i in range(d)]
     return det_division_free(mat, PR)
+
+
+def det_division_free(mat, A):
+    """Determinant over any commutative ring ``A``, as (-1)^s c_s of
+    ``charpoly_division_free``."""
+    c_s = charpoly_division_free(mat, A)[-1]
+    return c_s if len(mat) % 2 == 0 else A.neg(c_s)
 
 
 def sylvester_det(f, g, F):

@@ -2,7 +2,7 @@
 coefficient lists from ints, squarefree parts, irreducibility and Chinese
 remaindering."""
 
-from kronecker.errors import CharacteristicTooSmallError, ModuliNotCoprimeError
+from kronecker.errors import KroneckerError
 from kronecker.polys import (
     ZERO,
     _x_poly,
@@ -21,6 +21,14 @@ from kronecker.polys import (
 )
 
 
+class CharacteristicTooSmallError(KroneckerError):
+    pass
+
+
+class ModuliNotCoprimeError(KroneckerError):
+    pass
+
+
 def from_int_coeffs(coeffs, R):
     return normalize([R.from_int(c) for c in coeffs], R)
 
@@ -30,7 +38,7 @@ def squarefree_part(f, F):
     f = normalize(f, F)
     if degree(f) <= 0:
         return (F.one,) if f else ZERO
-    char = getattr(F, "char", 0)
+    char = getattr(F, "p", 0)
     if char and char <= degree(f):
         raise CharacteristicTooSmallError(
             f"characteristic {char} <= degree {degree(f)}"

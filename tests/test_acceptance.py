@@ -36,8 +36,10 @@ from kronecker.slp import (
 )
 from kronecker.solver import (
     SolveState,
+    check_fiber,
     first_stage,
     lift_curve,
+    rungs,
     solve_mod_p,
     to_univariate,
 )
@@ -50,6 +52,7 @@ from reference.oracle import (
 )
 from reference.polys import from_int_coeffs
 from reference.rings import ExtField
+from test_solver import curve_ladder_foot
 
 _MAX_EXT_SCAN = 10**7
 
@@ -225,12 +228,14 @@ def test_criterion_4_newton_doubling():
         rng=random.Random(0),
     )
     fiber = to_univariate(first_stage(state))
-    for k in (1, 2, 3, 4):
-        curve = lift_curve(fiber, slp, kappa=2**k)
-        assert curve.iterations == k
-    curve = lift_curve(fiber, slp, kappa=2)
+    ladder = rungs(curve_ladder_foot(fiber), slp)
+    for k, (precision, rep) in enumerate(itertools.islice(ladder, 5)):
+        assert precision == 2**k
+        check_fiber(slp, rep)  # the residual vanishes mod t^(2^k)
+    curve = lift_curve(fiber, slp)
     assert curve.min_poly == ((10006, 10006), (), (1,))  # T^2 - (1 + t)
-    _report(4, "k iterations reach t^(2^k); curve equals T^2-(1+t) at kappa=2")
+    assert curve.iterations == 2  # t^(δ+2) = t^4
+    _report(4, "k iterations reach t^(2^k); the curve T^2-(1+t) in 2 of them")
 
 
 # -- criterion 5 ----------------------------------------------------------------

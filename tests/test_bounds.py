@@ -9,6 +9,7 @@ from kronecker.bounds import (
     prime_budget,
     sample_bounds,
 )
+from kronecker.solver import _running_products
 
 
 def test_degree_budget_exact():
@@ -89,7 +90,7 @@ def test_budgets_monotone_property():
 
 def test_boundset_for_system():
     bs = BoundSet.for_system(3, (2, 2, 3), 5)
-    assert bs.bezout_stages == (2, 4, 12)
+    assert tuple(_running_products((2, 2, 3))) == (2, 4, 12)
     assert bs.D == degree_budget(3, 3, 12)
     assert (bs.a, bs.b) == sample_bounds(bs.D)
     assert bs.heights == tuple(

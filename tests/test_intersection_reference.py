@@ -28,10 +28,11 @@ from kronecker.polys import (
     poly_eval,
     poly_gcd,
 )
-from kronecker.slp import parse_system
+from kronecker.rings import PolyQuotient
+from kronecker.slp import evaluate, parse_system
 from kronecker.solver import (
     FiberRepresentation,
-    residuals,
+    fiber_coordinates,
     specialize_curve,
     to_kronecker,
     to_univariate,
@@ -49,7 +50,11 @@ def _reference_parametrization(curve, q_new, slp, out_index):
     for qk in factor_squarefree(q_new, F, random.Random(0)):
         K = ExtField(F, qk)
         uni = to_univariate(specialize_curve(curve, K.gen, into=K))
-        g = residuals(slp, uni, out_index + 1)[out_index]
+        A = PolyQuotient(K, uni.min_poly)
+        coords = fiber_coordinates(
+            slp.n_vars, uni.prim_var, uni.point, uni.params, A
+        )
+        g = evaluate(slp, coords, A, n_out=out_index + 1)[out_index]
         linear = poly_gcd(g, uni.min_poly, K)
         assert degree(linear) == 1, "primitive element failed to separate"
         b = K.neg(linear[0])

@@ -10,8 +10,9 @@ from kronecker.padic import SolveConfiguration, solve_over_rationals
 from kronecker.polys import poly_eval
 from kronecker.rings import QQ, PolyQuotient, PrimeField
 from kronecker.slp import parse_system
-from kronecker.solver import det_division_free, solve_linear
+from kronecker.solver import solve_linear
 
+from reference.oracle import det_division_free
 from reference.polys import from_int_coeffs
 
 F = PrimeField(10007)

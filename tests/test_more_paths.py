@@ -106,8 +106,9 @@ def test_stage_two_curve_specializes_consistently():
     assert curve2.params  # stage-2 curve has a parametrized coordinate
     for a in (0, 5, 1234):
         fib = specialize_curve(curve2, a)
+        assert fib.stage == 2
         try:
-            vals = residuals(composed, fib, count=2)
+            vals = residuals(composed, fib)
         except NotInvertibleError:
             continue  # ramified specialization: not a valid fiber
         assert all(v == () for v in vals)

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from kronecker.errors import SizeGuardError
 from kronecker.polys import (
     degree,
     monic,
@@ -13,6 +12,7 @@ from kronecker.rings import PrimeField
 from kronecker.slp import AffineChange, parse_system
 
 from reference.oracle import (
+    SizeGuardError,
     brute_force_fiber,
     brute_force_fiber_ext,
     mulmat_charpoly,

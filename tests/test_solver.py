@@ -1,4 +1,6 @@
 import random
+from dataclasses import replace
+from itertools import islice
 
 import pytest
 
@@ -8,16 +10,19 @@ from kronecker.errors import (
     NotInvertibleError,
     UnluckyError,
 )
-from kronecker.rings import PrimeField
+from kronecker.rings import PrimeField, SeriesRing
 from kronecker.slp import AffineChange, compose_affine, parse_system
 from kronecker.solver import (
     FiberRepresentation,
     SolveState,
+    _series_poly,
+    check_fiber,
     first_stage,
     intersect_minimal_poly,
     intersect_parametrization,
     lift_curve,
     residuals,
+    rungs,
     solve_mod_p,
     specialize_curve,
     to_kronecker,
@@ -157,12 +162,28 @@ def test_lift_curve_parabola_is_exact():
     assert curve.params == {}
 
 
+def curve_ladder_foot(fiber):
+    """A univariate fiber over F[t]/(t), its freed coordinate the series
+    base_value + t: the foot of the ladder ``lift_curve`` climbs."""
+    F = fiber.ring
+    free = fiber.prim_var - 1
+    moving = SeriesRing(F, 2).shifted_variable(fiber.point[free])
+    return replace(
+        fiber,
+        point=fiber.point[:free] + (moving,),
+        min_poly=_series_poly(fiber.min_poly, F),
+        params={j: _series_poly(v, F) for j, v in fiber.params.items()},
+        ring=SeriesRing(F, 1),
+    )
+
+
 def test_lift_curve_kappa_one_returns_fiber():
+    # Mod t^1 the lifting curve is the fiber it was lifted from.
     state = make_state("vars x,y; y^2 - x;", 2, point=(1,))
     fiber = to_univariate(first_stage(state))
-    curve = lift_curve(fiber, state.slp, kappa=1)
-    assert curve.min_poly == ((10006,), (), (1,))
-    assert curve.iterations == 0
+    curve = lift_curve(fiber, state.slp)
+    assert tuple(c[:1] for c in curve.min_poly) == ((10006,), (), (1,))
+    assert specialize_curve(curve, 1).min_poly == fiber.min_poly
 
 
 def test_lift_curve_linear_system():
@@ -177,9 +198,12 @@ def test_lift_curve_newton_doubles_precision():
     # Residual vanishes mod t^(2^k) after exactly k iterations.
     state = make_state("vars x,y; y^2 - x;", 2, point=(1,))
     fiber = to_univariate(first_stage(state))
-    for k in (1, 2, 3):
-        curve = lift_curve(fiber, state.slp, kappa=2**k)
-        assert curve.iterations == k
+    ladder = rungs(curve_ladder_foot(fiber), state.slp)
+    for k, (precision, rep) in enumerate(islice(ladder, 4)):
+        assert precision == 2**k
+        check_fiber(state.slp, rep)
+    # δ = 2: the exact curve is reached at t^(δ+2) = t^4, in 2 iterations.
+    assert lift_curve(fiber, state.slp).iterations == 2
 
 
 # -- specialization ----------------------------------------------------------

@@ -1,22 +1,30 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
-from kronecker import verify
+from kronecker import padic, verify
 from kronecker.errors import (
     BudgetExceededError,
     NoPrimeFoundError,
+    ResidualNonzeroError,
     RetryExhaustedError,
-    UnluckyError,
 )
-from kronecker.padic import SolveConfiguration, solve_over_rationals
+from kronecker.padic import SolveConfiguration, solve_modular, solve_over_rationals
 from kronecker.polys import poly_mul
 from kronecker.primes import is_probable_prime
 from kronecker.rings import PrimeField, QQ
 from kronecker.slp import AffineChange, compose_affine, parse_system
-from kronecker.solver import FiberRepresentation, SolveState, first_stage, solve_mod_p
+from kronecker.solver import (
+    FiberRepresentation,
+    SolveState,
+    first_stage,
+    rungs,
+    solve_mod_p,
+    to_univariate,
+)
 from kronecker.verify import (
     check_representation,
     check_stage,
@@ -57,7 +65,7 @@ def test_first_stage_output_passes():
     )
     rep = first_stage(state)
     assert check_representation(rep, slp).passed
-    assert check_stage(rep, slp, budget=2).passed
+    assert check_stage(rep, budget=2).passed
 
 
 def test_perturbed_parametrization_fails_residual():
@@ -153,27 +161,63 @@ def test_check_stage_flags_square_factor():
     fiber, slp = _two_quadrics_fiber()
     bad_q = from_int_coeffs([1, 2, 1], FBIG)  # (T+1)^2
     bad = replace(fiber, min_poly=bad_q, params={1: (1,)})
-    report = check_stage(bad, slp, budget=4)
+    report = check_stage(bad, budget=4)
     failed = dict(report.failed_clauses())
     assert "squarefree" in failed
 
 
 def test_check_stage_flags_budget_violation():
     fiber, slp = _two_quadrics_fiber()
-    report = check_stage(fiber, slp, budget=3)
+    report = check_stage(fiber, budget=3)
     failed = dict(report.failed_clauses())
     assert "degree" in failed
     with pytest.raises(BudgetExceededError):
-        gate_stage(fiber, slp, budget=3)
+        gate_stage(fiber, budget=3)
 
 
-def test_gate_stage_raises_unlucky_for_residual():
+def _modular_solve_returning(monkeypatch, text, fiber_of):
+    """``solve_modular`` of ``text`` with λ the identity, its modular solve
+    replaced by ``fiber_of(state)``."""
+    monkeypatch.setattr(padic, "solve_mod_p", fiber_of)
+    cfg = SolveConfiguration(seed=0, retries=2, lambda_matrix=((1, 0), (0, 1)))
+    return solve_modular(parse_system(text), cfg)
+
+
+def test_first_step_rejects_a_final_fiber_with_a_nonzero_residual(monkeypatch):
     fiber, slp = _two_quadrics_fiber()
     w = list(fiber.params[1])
     w[0] = FBIG.add(w[0], 1)
     bad = replace(fiber, params={1: tuple(w)})
-    with pytest.raises(UnluckyError):
-        gate_stage(bad, slp, budget=4)
+    assert gate_stage(bad, budget=4).passed  # the gate checks no residual
+    with pytest.raises(ResidualNonzeroError):
+        next(islice(rungs(to_univariate(bad), slp), 1, None))
+    with pytest.raises(RetryExhaustedError) as info:
+        _modular_solve_returning(
+            monkeypatch, "vars x,y; x^2 + y^2 - 5; x*y - 2;", lambda state: bad
+        )
+    assert all("residual nonzero" in cause for _, _, cause in info.value.causes)
+
+
+def test_modular_solve_rejects_a_final_fiber_with_a_singular_jacobian(
+    monkeypatch,
+):
+    # y^2 = 0, x = 1: Q = T - 1 (T = x) and W_1 = 0 (y = 0) is squarefree and
+    # its residuals vanish, but the Jacobian [[0, 2y], [1, 0]] is singular
+    # at y = 0.
+    def fiber_of(state):
+        return FiberRepresentation(
+            stage=2,
+            prim_var=0,
+            point=(),
+            min_poly=(state.field.neg(1), 1),
+            params={1: ()},
+            form="kronecker",
+            ring=state.field,
+        )
+
+    with pytest.raises(RetryExhaustedError) as info:
+        _modular_solve_returning(monkeypatch, "vars x, y; y^2; x - 1;", fiber_of)
+    assert all("jacobian" in cause for _, _, cause in info.value.causes)
 
 
 def test_reduce_rational_rep_rejects_bad_prime():
