@@ -37,7 +37,7 @@ from .solver import (
     to_kronecker,
     to_univariate,
 )
-from .verify import check_representation, check_stage
+from .verify import check_representation
 
 __all__ = [
     "AffineChange",
@@ -56,7 +56,6 @@ __all__ = [
     "SolveState",
     "StraightLineProgram",
     "check_representation",
-    "check_stage",
     "compose_affine",
     "degree_budget",
     "evaluate",

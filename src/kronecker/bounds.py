@@ -60,17 +60,11 @@ def prime_budget(n, d, h, r):
 
 @dataclass(frozen=True)
 class BoundSet:
-    """All budgets for one input system."""
+    """The budgets an attempt reads for one input system."""
 
-    n: int
-    r: int
-    d: int
-    h: int
-    D: int
     a: int
     b: int
     heights: tuple  # eta_s for s = 1..r
-    prime_bits_budget: int  # H
     prime_lower: int  # B = 12H
 
     @classmethod
@@ -81,19 +75,7 @@ class BoundSet:
         degrees = tuple(max(int(d), 1) for d in degrees)
         d = max(degrees)
         h = max(int(h), 1)
-        D = degree_budget(n, r, prod(degrees))
-        a, b = sample_bounds(D)
+        a, b = sample_bounds(degree_budget(n, r, prod(degrees)))
         heights = tuple(height_budget(n, d, h, r, s) for s in range(1, r + 1))
-        H, B = prime_budget(n, d, h, r)
-        return cls(
-            n=n,
-            r=r,
-            d=d,
-            h=h,
-            D=D,
-            a=a,
-            b=b,
-            heights=heights,
-            prime_bits_budget=H,
-            prime_lower=B,
-        )
+        _, B = prime_budget(n, d, h, r)
+        return cls(a=a, b=b, heights=heights, prime_lower=B)

@@ -1,9 +1,9 @@
 """Exception hierarchy for the solver.
 
-Inside a solve attempt two families matter: structural errors (a Bezout
-budget exceeded, an empty intersection), which no restart can fix, and
-everything else, which the attempt driver (``padic._run_attempts``) treats
-as unlucky data and retries with fresh randomness.
+Inside a solve attempt two families matter: an empty intersection, which
+is structural and no restart can fix, and everything else, which the
+attempt driver (``padic._run_attempts``) treats as unlucky data and retries
+with fresh randomness.
 """
 
 
@@ -71,21 +71,9 @@ class ZeroResultantError(UnluckyError):
 
 
 class ResidualNonzeroError(KroneckerError):
-    """A lifted fiber has a nonzero residual: seen by the value pass of the
-    Newton step that leaves it, or by the check of the last rung."""
-
-
-class BudgetExceededError(KroneckerError):
-    """A stage degree exceeded its Bezout budget; the input cannot be a
-    reduced regular sequence."""
-
-    def __init__(self, stage, degree, budget):
-        self.stage = stage
-        self.degree = degree
-        self.budget = budget
-        super().__init__(
-            f"stage {stage} degree {degree} exceeds Bezout budget {budget}"
-        )
+    """A fiber has a nonzero residual: seen by the value pass of the Newton
+    step that leaves it, or by ``solver.check_fiber`` on the last rung of a
+    curve lift."""
 
 
 class EmptyIntersectionError(KroneckerError):

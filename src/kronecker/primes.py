@@ -19,6 +19,11 @@ _DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 MILLER_RABIN_ROUNDS = 40
 
+# Word-size primes: heuristic solves draw their prime from this range, and
+# every solve its verify primes.
+WORD_PRIME_LOW = 2**59
+WORD_PRIME_HIGH = 2**62 - 1
+
 
 def _miller_rabin_round(n, a):
     d = n - 1

@@ -1,34 +1,31 @@
 """Runtime certification of fiber representations.
 
-Every "lucky prime" condition the solver relies on is checked directly on
-the computed objects.  The stage gate checks the structural ones on each
-fiber over F_p: its degree within the Bezout budget, Q monic and
-squarefree.  The Newton step that takes the fiber checks the others, the
-residual identity F_i(point, T, V(T)) = 0 mod (p, Q(T)) and the Jacobian's
-invertibility mod (p, Q): the first step of the curve lift below the last
-stage, the first rung of the p-adic ladder at the last, and, for the fiber
-``solve_modular`` returns, one step taken for the check alone.  (A rational
-solve whose ladder stops at p^1 takes no step: ``check_fiber`` checks its
-residual, and its output is verified over Q.)
+Every "lucky prime" condition the solver relies on is checked once, on the
+computed objects.  The stage gate checks the one the construction leaves
+open on each fiber over F_p: Q squarefree.  (Q is monic and of degree at
+most the Bezout number by construction: stage 1 keeps the first
+polynomial's degree or raises DegreeDropError, and a later Q is the monic
+interpolant through d·δ + 1 nodes.)  The Newton step that takes the fiber
+checks the others, the residual identity F_i(point, T, V(T)) = 0 mod
+(p, Q(T)) and the Jacobian's invertibility mod (p, Q): the first step of
+the curve lift below the last stage, the first rung of the p-adic ladder at
+the last, and, for the fiber ``solve_modular`` returns, one step taken for
+the check alone.  (A rational solve whose ladder stops at p^1 takes no
+step; its output is verified over Q.)
 
 Over a field or a local ring the residual of a representation is
 ``solver.residuals`` of its univariate form.  A rational representation is
-checked modulo fresh primes (Monte Carlo), where it is a fiber over a field,
-and, on request, exactly over Q by a fraction-free U-expansion, since
-inverting Q' over Q blows up the coefficients.
+checked modulo fresh primes by ``fresh_prime_checks`` (Monte Carlo), where
+it is a fiber over a field, and, on request, exactly over Q by a
+fraction-free U-expansion, since inverting Q' over Q blows up the
+coefficients.
 """
 
-import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import (
-    BudgetExceededError,
-    NoPrimeFoundError,
-    NotInvertibleError,
-    UnluckyError,
-)
+from .errors import NoPrimeFoundError, NotInvertibleError, UnluckyError
 from .polys import (
     degree,
     divmod_monic,
@@ -39,13 +36,11 @@ from .polys import (
     poly_deriv,
     poly_mul,
 )
-from .primes import random_prime_in_range
+from .primes import WORD_PRIME_HIGH, WORD_PRIME_LOW, random_prime_in_range
 from .rings import QQ, ZZ, PolyRing, Rationals, ResidueRing
 from .slp import evaluate
 from .solver import embed_scalar, residuals
 
-VERIFY_PRIME_LOW = 2**59
-VERIFY_PRIME_HIGH = 2**62 - 1
 # Verify primes drawn for one reduction before giving up on a prime that
 # divides neither a denominator of the fiber nor det λ.
 FRESH_PRIME_DRAWS = 16
@@ -254,13 +249,13 @@ def _is_squarefree_over_q(q):
     return is_squarefree(q, QQ)
 
 
-def check_representation(rep, slp, *, exact=False, fresh_primes=1, rng=None):
+def check_representation(rep, slp, *, exact=False):
     """Structural and membership checks for a fiber representation.
 
     Prime-field and residue-ring representations are checked directly.  A
-    rational representation is checked in full modulo ``fresh_primes``
-    independently drawn large primes (``fresh_prime_checks``), and its
-    residual exactly over Q when ``exact``.
+    rational representation gets its structural clauses, and its residual
+    checked exactly over Q when ``exact``; ``fresh_prime_checks`` checks it
+    modulo verify primes.
     """
     R = rep.ring
     clauses = []
@@ -281,52 +276,23 @@ def check_representation(rep, slp, *, exact=False, fresh_primes=1, rng=None):
         qbar = tuple(R.residue(c) for c in rep.min_poly)
         sqf = ("squarefree mod p", is_squarefree(qbar, R.residue_field()))
     clauses.append((*sqf, "gcd(Q, Q') = 1"))
-    if isinstance(R, Rationals):
-        checks = fresh_prime_checks(rep, slp, fresh_primes, rng or random.Random(0))
-        for k, (p, passed) in enumerate(checks, start=1):
-            clauses.append((f"residual mod fresh prime #{k}", passed, f"p = {p}"))
-        if exact:
-            sub = CheckReport([])
-            _residual_clauses(rep, slp, sub.clauses)
-            clauses.append(
-                ("exact residual over Q", sub.passed, "checked exactly")
-            )
-    else:
+    if not isinstance(R, Rationals):
         _residual_clauses(rep, slp, clauses)
+    elif exact:
+        sub = CheckReport([])
+        _residual_clauses(rep, slp, sub.clauses)
+        clauses.append(("exact residual over Q", sub.passed, "checked exactly"))
     return CheckReport(clauses)
 
 
-def check_stage(rep, budget):
-    """Lucky-prime surrogate checks for one modular stage: its degree within
-    the Bezout budget, Q monic and squarefree.  The residual and Jacobian of
-    the fiber are checked by the Newton step that takes it."""
-    F = rep.ring
-    clauses = []
-    deg = rep.fiber_degree
-    clauses.append(
-        (
-            "degree",
-            1 <= deg <= budget,
-            f"deg Q = {deg}, Bezout budget {budget}",
+def gate_stage(rep):
+    """Raise UnluckyError unless the minimal polynomial of a modular stage
+    is squarefree: the one lucky-prime condition of a stage that neither
+    its construction nor the Newton step that takes it checks."""
+    if not is_squarefree(rep.min_poly, rep.ring):
+        raise UnluckyError(
+            rep.stage, "stage check failed: squarefree (gcd(Q, Q') = 1)"
         )
-    )
-    clauses.append(("monic", is_monic(rep.min_poly, F), ""))
-    clauses.append(
-        ("squarefree", is_squarefree(rep.min_poly, F), "gcd(Q, Q') = 1")
-    )
-    return CheckReport(clauses)
-
-
-def gate_stage(rep, budget):
-    """Raise the appropriate restart/abort error for a failed stage check."""
-    report = check_stage(rep, budget)
-    if report.passed:
-        return report
-    for name, ok, _ in report.clauses:
-        if not ok and name == "degree" and rep.fiber_degree > budget:
-            raise BudgetExceededError(rep.stage, rep.fiber_degree, budget)
-    name, detail = report.failed_clauses()[0]
-    raise UnluckyError(rep.stage, f"stage check failed: {name} ({detail})")
 
 
 def _reduce_coefficients(coeffs, field):
@@ -376,7 +342,7 @@ def _reduce_with_fresh_prime(rep, slp, rng):
     variables are skipped."""
     det = slp.transform.det if slp.transform is not None else 1
     for _ in range(FRESH_PRIME_DRAWS):
-        p = random_prime_in_range(VERIFY_PRIME_LOW, VERIFY_PRIME_HIGH, rng)
+        p = random_prime_in_range(WORD_PRIME_LOW, WORD_PRIME_HIGH, rng)
         if det % p == 0:
             continue
         try:

@@ -163,7 +163,7 @@ def test_criterion_2_residual_suite(residual_suite):
     for slp, rep, cert in results:
         assert cert.attempts <= 5
         composed = compose_affine(slp, AffineChange.from_matrix(cert.lam))
-        report = check_representation(rep, composed, exact=True, fresh_primes=0)
+        report = check_representation(rep, composed, exact=True)
         assert report.passed, report.failed_clauses()
         accepted += 1
         total_attempts += cert.attempts

@@ -9,7 +9,6 @@ from kronecker.bounds import (
     prime_budget,
     sample_bounds,
 )
-from kronecker.solver import _running_products
 
 
 def test_degree_budget_exact():
@@ -90,13 +89,11 @@ def test_budgets_monotone_property():
 
 def test_boundset_for_system():
     bs = BoundSet.for_system(3, (2, 2, 3), 5)
-    assert tuple(_running_products((2, 2, 3))) == (2, 4, 12)
-    assert bs.D == degree_budget(3, 3, 12)
-    assert (bs.a, bs.b) == sample_bounds(bs.D)
+    assert (bs.a, bs.b) == sample_bounds(degree_budget(3, 3, 12))
     assert bs.heights == tuple(
         height_budget(3, 3, 5, 3, s) for s in (1, 2, 3)
     )
-    assert bs.prime_lower == 12 * bs.prime_bits_budget
+    assert bs.prime_lower == prime_budget(3, 3, 5, 3)[1]
 
 
 def test_boundset_rejects_bad_shapes():

@@ -8,11 +8,13 @@
 * parse: the input text is malformed (CLI exit 3);
 * outcome: what the attempt driver raises once no attempt is left (exit 2).
 
-A class added to errors.py without a route here fails the first test.  The
-errors that only the tests' references raise are defined beside them in
+A class added to errors.py without a route here fails the first test, and
+one that nothing in the package raises fails the second.  The errors that
+only the tests' references raise are defined beside them in
 ``tests/reference`` and named nowhere in the package.
 """
 
+import ast
 import inspect
 import pkgutil
 
@@ -33,7 +35,6 @@ ROUTES = {
     "ResidualNonzeroError": "restart",
     "NoPrimeFoundError": "restart",
     "DuplicateNodeError": "restart",
-    "BudgetExceededError": "structural",
     "EmptyIntersectionError": "structural",
     "SingularMatrixError": "local",
     "NotInvertibleError": "local",
@@ -62,8 +63,6 @@ def _instance(name):
         return cls(1, "injected")
     if issubclass(cls, errors.UnluckyError):
         return cls(1)
-    if name == "BudgetExceededError":
-        return cls(2, 5, 4)
     if cls in (errors.RetryExhaustedError, errors.InputNotRegularError):
         return cls(1, ["injected"])
     return cls("injected")
@@ -87,6 +86,17 @@ def test_every_error_class_has_a_route():
         and obj.__module__ == errors.__name__
     }
     assert classes == set(ROUTES)
+
+
+def test_every_error_class_is_raised_in_the_package():
+    raised = set()
+    for text in _sources().values():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised.update(
+                    sub.id for sub in ast.walk(node.exc) if isinstance(sub, ast.Name)
+                )
+    assert set(ROUTES) - {"KroneckerError"} <= raised
 
 
 @pytest.mark.parametrize("name", _names("restart", "structural", "local"))

@@ -161,7 +161,7 @@ def test_exact_check_catches_wrong_rational_rep():
         rep,
         params={1: tuple(c + Fraction(1, 7) for c in rep.params[1])},
     )
-    report = check_representation(wrong, composed, exact=True, fresh_primes=0)
+    report = check_representation(wrong, composed, exact=True)
     assert not report.passed
 
 

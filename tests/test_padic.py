@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from kronecker import padic
+from kronecker import padic, verify
 from kronecker.errors import (
     InputNotRegularError,
     NoReconstructionError,
@@ -213,11 +213,10 @@ def test_accepted_solution_verifies_against_fresh_primes():
         slp, SolveConfiguration(seed=5, exact_check=True)
     )
     composed = compose_affine(slp, AffineChange.from_matrix(cert.lam))
-    report = check_representation(
-        rep, composed, exact=True, fresh_primes=3,
-        rng=random.Random(123),
-    )
+    report = check_representation(rep, composed, exact=True)
     assert report.passed
+    fresh = verify.fresh_prime_checks(rep, composed, 3, random.Random(123))
+    assert len(fresh) == 3 and all(passed for _, passed in fresh)
 
 
 @pytest.mark.parametrize(

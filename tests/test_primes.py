@@ -4,6 +4,8 @@ import pytest
 
 from kronecker.errors import NoPrimeFoundError
 from kronecker.primes import (
+    WORD_PRIME_HIGH,
+    WORD_PRIME_LOW,
     is_probable_prime,
     random_prime_avoiding,
     random_prime_in_range,
@@ -63,6 +65,6 @@ def test_probable_prime_large():
 def test_range_sampler_respects_bounds():
     rng = random.Random(5)
     for _ in range(20):
-        p = random_prime_in_range(2**59, 2**62 - 1, rng)
-        assert 2**59 <= p < 2**62
+        p = random_prime_in_range(WORD_PRIME_LOW, WORD_PRIME_HIGH, rng)
+        assert 2**59 == WORD_PRIME_LOW <= p <= WORD_PRIME_HIGH == 2**62 - 1
         assert is_probable_prime(p)

@@ -15,7 +15,7 @@ import pytest
 from kronecker.errors import KroneckerError
 from kronecker.padic import SolveConfiguration, solve_over_rationals
 from kronecker.polys import normalize, poly_deriv, rem_monic
-from kronecker.primes import random_prime_in_range
+from kronecker.primes import WORD_PRIME_HIGH, WORD_PRIME_LOW, random_prime_in_range
 from kronecker.rings import PolyQuotient, PrimeField, ResidueRing
 from kronecker.slp import AffineChange, compose_affine, parse_system
 from kronecker.solver import (
@@ -28,9 +28,6 @@ from kronecker.solver import (
     to_univariate,
 )
 from kronecker.verify import (
-    VERIFY_PRIME_HIGH,
-    VERIFY_PRIME_LOW,
-    check_representation,
     contract_u_expansion,
     fresh_prime_checks,
 )
@@ -131,15 +128,12 @@ def test_fresh_prime_checks_replay_the_verify_prime_draws():
     replay.setstate(rng.getstate())
     checks = fresh_prime_checks(rep, slp, 3, rng)
     expected = [
-        random_prime_in_range(VERIFY_PRIME_LOW, VERIFY_PRIME_HIGH, replay)
+        random_prime_in_range(WORD_PRIME_LOW, WORD_PRIME_HIGH, replay)
         for _ in range(3)
     ]
     assert [p for p, _ in checks] == expected
     assert all(passed for _, passed in checks)
     assert rng.getstate() == replay.getstate()
-    report = check_representation(rep, slp, fresh_primes=3, rng=random.Random(11))
-    fresh = [c for c in report.clauses if c[0].startswith("residual mod fresh")]
-    assert fresh == [
-        (f"residual mod fresh prime #{k}", True, f"p = {p}")
-        for k, p in enumerate(expected, start=1)
+    assert fresh_prime_checks(rep, slp, 3, random.Random(11)) == [
+        (p, True) for p in expected
     ]

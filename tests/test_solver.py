@@ -1,15 +1,20 @@
 import random
 from dataclasses import replace
 from itertools import islice
+from math import prod
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kronecker.errors import (
     DegreeDropError,
     EmptyIntersectionError,
+    KroneckerError,
     NotInvertibleError,
     UnluckyError,
 )
+from kronecker.padic import _sample_change
 from kronecker.rings import PrimeField, SeriesRing
 from kronecker.slp import AffineChange, compose_affine, parse_system
 from kronecker.solver import (
@@ -28,6 +33,7 @@ from kronecker.solver import (
     to_kronecker,
     to_univariate,
 )
+from kronecker.verify import gate_stage
 
 from reference.polys import from_int_coeffs
 from reference.rings import ExtField
@@ -295,8 +301,10 @@ def test_intersect_two_points_over_one_value_is_unlucky():
     curve = lift_curve(to_univariate(first_stage(state)), state.slp)
     q2, samples = intersect_minimal_poly(curve, state.slp, 1, 1, state.rng)
     assert q2 == from_int_coeffs([1, -2, 1], FBIG)
-    with pytest.raises(UnluckyError, match="not squarefree"):
-        intersect_parametrization(curve, q2, samples)
+    fiber = intersect_parametrization(curve, q2, samples)
+    assert fiber.stage == 2 and fiber.min_poly == q2
+    with pytest.raises(UnluckyError, match="squarefree"):
+        gate_stage(fiber)
 
 
 # -- full modular solve -------------------------------------------------------
@@ -308,6 +316,35 @@ def test_solve_mod_p_univariate():
     F7 = PrimeField(7)
     assert fiber.min_poly == from_int_coeffs([-1, 0, 1], F7)
     assert state.stage_degrees == [2]
+
+
+@given(
+    st.lists(st.integers(1, 3), min_size=1, max_size=3), st.integers(0, 2**32 - 1)
+)
+def test_stage_degrees_stay_within_the_bezout_numbers(degrees, seed):
+    # No stage check bounds the degrees: stage 1 keeps d_1 or raises
+    # DegreeDropError, and stage s interpolates through d_s·δ_(s-1) + 1
+    # nodes, so δ_s <= d_1···d_s whenever the solve returns.
+    from test_acceptance import _random_dense_system
+
+    rng = random.Random(seed)
+    n = len(degrees)
+    slp = parse_system(_random_dense_system(n, degrees, rng))
+    change = _sample_change(n, 100, rng)
+    state = SolveState(
+        slp=compose_affine(slp, change),
+        change=change,
+        field=FBIG,
+        point=tuple(rng.randrange(100) for _ in range(n - 1)),
+        rng=rng,
+    )
+    try:
+        solve_mod_p(state)
+    except KroneckerError:
+        return
+    assert state.stage_degrees[0] == degrees[0]
+    for s in range(n):
+        assert state.stage_degrees[s] <= prod(degrees[: s + 1])
 
 
 def test_solve_mod_p_two_quadrics():

@@ -7,10 +7,10 @@ import pytest
 
 from kronecker import padic, verify
 from kronecker.errors import (
-    BudgetExceededError,
     NoPrimeFoundError,
     ResidualNonzeroError,
     RetryExhaustedError,
+    UnluckyError,
 )
 from kronecker.padic import SolveConfiguration, solve_modular, solve_over_rationals
 from kronecker.polys import poly_mul
@@ -27,7 +27,6 @@ from kronecker.solver import (
 )
 from kronecker.verify import (
     check_representation,
-    check_stage,
     gate_stage,
     reduce_rational_rep,
 )
@@ -65,7 +64,7 @@ def test_first_stage_output_passes():
     )
     rep = first_stage(state)
     assert check_representation(rep, slp).passed
-    assert check_stage(rep, budget=2).passed
+    gate_stage(rep)
 
 
 def test_perturbed_parametrization_fails_residual():
@@ -129,7 +128,7 @@ def test_squarefree_clause_over_q_matches_exact_gcd(
         return exact(f, R)
 
     monkeypatch.setattr(verify, "is_squarefree", recording)
-    report = check_representation(rep, parse_system("vars x; x;"), fresh_primes=0)
+    report = check_representation(rep, parse_system("vars x; x;"))
     assert ("squarefree", squarefree, "gcd(Q, Q') = 1") in report.clauses
     assert (QQ in rings) == exact_gcd_runs
 
@@ -157,22 +156,14 @@ def test_rational_check_reduces_mod_many_primes():
         checked += 1
 
 
-def test_check_stage_flags_square_factor():
+def test_gate_stage_flags_square_factor():
     fiber, slp = _two_quadrics_fiber()
     bad_q = from_int_coeffs([1, 2, 1], FBIG)  # (T+1)^2
     bad = replace(fiber, min_poly=bad_q, params={1: (1,)})
-    report = check_stage(bad, budget=4)
-    failed = dict(report.failed_clauses())
-    assert "squarefree" in failed
-
-
-def test_check_stage_flags_budget_violation():
-    fiber, slp = _two_quadrics_fiber()
-    report = check_stage(fiber, budget=3)
-    failed = dict(report.failed_clauses())
-    assert "degree" in failed
-    with pytest.raises(BudgetExceededError):
-        gate_stage(fiber, budget=3)
+    with pytest.raises(UnluckyError) as info:
+        gate_stage(bad)
+    assert info.value.stage == 2
+    assert info.value.cause == "stage check failed: squarefree (gcd(Q, Q') = 1)"
 
 
 def _modular_solve_returning(monkeypatch, text, fiber_of):
@@ -188,7 +179,7 @@ def test_first_step_rejects_a_final_fiber_with_a_nonzero_residual(monkeypatch):
     w = list(fiber.params[1])
     w[0] = FBIG.add(w[0], 1)
     bad = replace(fiber, params={1: tuple(w)})
-    assert gate_stage(bad, budget=4).passed  # the gate checks no residual
+    gate_stage(bad)  # the gate checks no residual
     with pytest.raises(ResidualNonzeroError):
         next(islice(rungs(to_univariate(bad), slp), 1, None))
     with pytest.raises(RetryExhaustedError) as info:
