@@ -7,17 +7,18 @@ is deterministic for a fixed seed and input: primes, coordinates and node
 choices all flow from the single seeded generator.
 
 Exit codes: 0 verified success, 2 retries exhausted (or input rejected as
-not a reduced regular sequence), 3 unreadable or malformed input, an
-unusable option value (a ``--prime`` that is not an odd prime, ``--retries``
-below 1, ``--verify-primes`` below 1, or a ``KRONECKER_SEED`` that is not an
-integer) or an ``--out`` path that cannot be written (a directory, or a
-missing parent directory).
+not a reduced regular sequence), 3 unreadable, malformed or oversized
+input (see ``slp.parse_system``), an unusable option value (a ``--prime``
+that is not an odd prime, ``--retries`` below 1, ``--verify-primes`` below
+1, or a ``KRONECKER_SEED`` that is not an integer) or an ``--out`` path that
+cannot be written (a directory, or a missing parent directory).
 """
 
 import argparse
 import json
 import os
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import InputNotRegularError, ParseError, RetryExhaustedError
@@ -35,9 +36,11 @@ FORMAT = "kronecker-rep/1"
 
 
 def _coeff_to_json(c):
+    # Through Decimal, since str() of an int stops at 4300 digits.
     if isinstance(c, Fraction):
-        return {"num": str(c.numerator), "den": str(c.denominator)}
-    return str(c)
+        num, den = c.numerator, c.denominator
+        return {"num": str(Decimal(num)), "den": str(Decimal(den))}
+    return str(Decimal(c))
 
 
 def _poly_to_json(coeffs):

@@ -71,9 +71,8 @@ class ZeroResultantError(UnluckyError):
 
 
 class ResidualNonzeroError(KroneckerError):
-    """A fiber has a nonzero residual: seen by the value pass of the Newton
-    step that leaves it, or by ``solver.check_fiber`` on the last rung of a
-    curve lift."""
+    """A fiber has a nonzero residual, seen by the value pass of the Newton
+    step that leaves it: the one residual check of a rung, on every ladder."""
 
 
 class EmptyIntersectionError(KroneckerError):

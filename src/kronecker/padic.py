@@ -18,7 +18,8 @@ gets no residual check of its own: from a checked rung with an invertible
 Jacobian a Newton step is exact to the doubled precision
 (Giusti-Lecerf-Salvy), so that check could only find a defect in the code,
 and the lifted fiber is not what the solve returns; the acceptance check
-verifies the returned candidate over Q in both modes.
+verifies the returned candidate over Q in both modes.  The curve lift
+keeps the same rule (see ``solver.lift_curve``).
 
 The attempt driver behind ``solve_over_rationals`` and ``solve_modular``
 draws λ, the lifting point and the prime of each attempt, restarts unlucky

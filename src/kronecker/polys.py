@@ -363,14 +363,14 @@ def rational_reconstruct(a, m):
         r0, r1 = r1, r0 - qq * r1
         t0, t1 = t1, t0 - qq * t1
     if t1 == 0:
-        raise NoReconstructionError(f"no fraction below bound {bound}")
+        raise NoReconstructionError("no fraction within the bound")
     num, den = (r1, t1) if t1 > 0 else (-r1, -t1)
     g = _int_gcd(abs(num), den)
     if g > 1:
         num //= g
         den //= g
     if den > bound or abs(num) > bound or _int_gcd(den, m) != 1:
-        raise NoReconstructionError(f"no fraction below bound {bound}")
+        raise NoReconstructionError("no fraction within the bound")
     if (num - a * den) % m != 0:
         raise NoReconstructionError("candidate failed the congruence check")
     return num, den

@@ -42,6 +42,12 @@ _TOKEN_RE = re.compile(
 
 _MAX_DENSE_TERMS = 200_000
 
+# Caps of ``parse_system``: the degree bound of a polynomial and the Bezout
+# number, four times the fiber degree 64 the solver is meant for, and the
+# bits of a power of a constant, which is expanded in closed form.
+_MAX_DEGREE = 256
+_MAX_CONSTANT_BITS = 1 << 16
+
 
 @dataclass(frozen=True)
 class AffineChange:
@@ -85,25 +91,6 @@ class AffineChange:
             self.matrix[i][j] == (1 if i == j else 0)
             for i in range(self.n)
             for j in range(self.n)
-        )
-
-    def left_compose(self, outer):
-        """The change z = outer * (self * x), i.e. the product matrix."""
-        n = self.n
-        prod = [
-            [
-                sum(outer.matrix[i][k] * self.matrix[k][j] for k in range(n))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        return AffineChange.from_matrix(prod)
-
-    def apply(self, xs):
-        """Forward map x -> y = matrix * x over plain integers."""
-        n = self.n
-        return tuple(
-            sum(self.matrix[i][j] * xs[j] for j in range(n)) for i in range(n)
         )
 
 
@@ -205,6 +192,8 @@ def _tokenize(text):
             bad = len(text) - len(stripped)
             raise ParseError(f"unexpected character {text[bad]!r}", bad)
         if m.group("num") is not None:
+            if len(m.group("num")) > 4300:  # the interpreter's digit cap
+                raise ParseError("number too long", m.start("num"))
             tokens.append(("num", int(m.group("num")), m.start("num")))
         elif m.group("ident") is not None:
             tokens.append(("ident", m.group("ident"), m.start("ident")))
@@ -377,6 +366,17 @@ class _Builder:
         return acc
 
 
+def _degree_bound(node):
+    """Total degree bound of an expression tree; a constant has degree 0."""
+    op = node[0]
+    if op in ("const", "var"):
+        return int(op == "var")
+    if op == "pow":
+        return node[2] * _degree_bound(node[1])
+    degrees = [_degree_bound(child) for child in node[1:]]
+    return sum(degrees) if op == "mul" else max(degrees)
+
+
 def _dense_expand(node, n_vars):
     """Dense monomial map of an expression; raises ParseError past the cap."""
     op = node[0]
@@ -396,6 +396,9 @@ def _dense_expand(node, n_vars):
             # needs no e multiplications, whatever the size of e.
             if e == 0:
                 return {(0,) * n_vars: 1}
+            if any(e * abs(c).bit_length() > _MAX_CONSTANT_BITS
+                   for c in base.values() if abs(c) > 1):
+                raise ParseError("power of a constant too large to expand")
             return {tuple(e * a for a in k): c**e for k, c in base.items()}
         out = {(0,) * n_vars: 1}
         for _ in range(e):
@@ -434,9 +437,10 @@ def _dense_mul(a, b):
 def parse_system(source):
     """Parse the input text into a StraightLineProgram.
 
-    Rejects systems with more polynomials than variables and inputs that are
-    identically zero, and records per-output total degrees plus the maximum
-    coefficient bit length for the bounds machinery.
+    Rejects systems with more polynomials than variables, inputs that are
+    identically zero and sizes past the caps above, and records per-output
+    total degrees plus the maximum coefficient bit length for the bounds
+    machinery.
     """
     parser = _Parser(source)
     names, exprs = parser.parse()
@@ -450,12 +454,18 @@ def parse_system(source):
     dense_forms = []
     degrees = []
     height = 0
+    bezout = 1
     for k, node in enumerate(exprs):
+        if _degree_bound(node) > _MAX_DEGREE:
+            raise ParseError(f"polynomial #{k + 1}: degree bound above {_MAX_DEGREE}")
         dense = _dense_expand(node, n)
         if not dense:
             raise ParseError(f"polynomial #{k + 1} is identically zero")
         dense_forms.append(dict(dense))
         degrees.append(max(sum(e) for e in dense))
+        bezout *= degrees[-1]
+        if bezout > _MAX_DEGREE:
+            raise ParseError(f"Bezout number above {_MAX_DEGREE}")
         height = max(height, max(abs(c) for c in dense.values()).bit_length())
         outputs.append(builder.build(node))
     return StraightLineProgram(
@@ -475,11 +485,12 @@ def compose_affine(slp, change):
 
     Evaluating the result at y equals evaluating ``slp`` at x = change⁻¹ y;
     the inverse is carried as (adjugate, det) and applied inside the
-    evaluation ring.
+    evaluation ring.  Raises ValueError for a wrong size or a second change.
     """
     if change.n != slp.n_vars:
         raise ValueError("change of variables has the wrong dimension")
-    combined = change if slp.transform is None else slp.transform.left_compose(change)
+    if slp.transform is not None:
+        raise ValueError("program already carries a change of variables")
     return StraightLineProgram(
         n_vars=slp.n_vars,
         var_names=slp.var_names,
@@ -488,7 +499,7 @@ def compose_affine(slp, change):
         degrees=slp.degrees,
         height=slp.height,
         dense_forms=slp.dense_forms,
-        transform=combined,
+        transform=change,
     )
 
 

@@ -307,15 +307,14 @@ def newton_step(slp, rep, R):
     values F of the first ``stage`` outputs are their values on the input
     fiber, and must vanish: that is the residual check of the input, read
     off the value pass truncated to precision k rather than run through
-    ``residuals``.  So
-    π^k divides F (π = p or t), and the correction J⁻¹F is π^k times
-    J⁻¹(F/π^k), which is needed only to precision m - k.  The tangent
-    passes, the Jacobian J and the linear solve run there; the correction
-    is multiplied back by π^k.  With m <= 2k, the update products q'·e and
-    n_j'·e of the primitive element correction e = π^k·ê are π^k times
-    q'·ê and n_j'·ê mod q at precision m - k, where q_new ≡ q, so they are
-    formed there too.  The returned fiber is checked by the next step, if
-    one is taken.
+    ``residuals``.  So π^k divides F (π = p or t), and the correction J⁻¹F
+    is π^k times J⁻¹(F/π^k), which is needed only to precision m - k.  The
+    tangent passes, the Jacobian J and the linear solve run there; the
+    correction is multiplied back by π^k.  With m <= 2k, the update
+    products q'·e and n_j'·e of the primitive element correction e = π^k·ê
+    are π^k times q'·ê and n_j'·ê mod q at precision m - k, where q_new ≡
+    q, so they are formed there too.  The returned fiber is checked by the
+    next step, if one is taken, or downstream (see ``rungs``).
     """
     n = slp.n_vars
     stage, prim, q = rep.stage, rep.prim_var, rep.min_poly
@@ -326,7 +325,9 @@ def newton_step(slp, rep, R):
     vals, jac = evaluate_jacobian(
         slp, coords, A, list(range(prim, n)), n_out=stage, tangent_ring=low
     )
-    _require_vanishing(vals, R.at_precision(k), stage)
+    Rk = R.at_precision(k)
+    if any(Rk.truncate(v) for v in vals):
+        raise ResidualNonzeroError(f"stage {stage} residual nonzero over {Rk!r}")
     rhs = [low.shift_down(v, k) for v in vals]
     try:
         corr = solve_linear(jac, rhs, low)
@@ -355,9 +356,9 @@ def rungs(rep, slp, last=None):
     A yielded rung is residual-checked only by the step that leaves it.
     Once the first step has passed, a step from a checked rung with an
     invertible Jacobian is exact to the doubled precision
-    (Giusti-Lecerf-Salvy), so a later rung's residual can only reveal a
-    defect in the code; a caller checks the rung it stops at with
-    ``check_fiber`` only where nothing downstream checks the result."""
+    (Giusti-Lecerf-Salvy), so a later rung's residual could only reveal a
+    defect in the code.  The rung the ladder stops at is checked downstream
+    of the caller: by the next fiber's step, or the acceptance check."""
     while True:
         k = rep.ring.nilpotency
         yield k, rep
@@ -365,25 +366,6 @@ def rungs(rep, slp, last=None):
             return
         m = 2 * k if last is None else min(2 * k, last)
         rep = newton_step(slp, rep, rep.ring.at_precision(m))
-
-
-def check_fiber(slp, rep):
-    """Raise ResidualNonzeroError unless ``residuals`` of the univariate
-    fiber ``rep`` all vanish.  ``lift_curve`` runs this on its last rung,
-    which nothing downstream re-checks; every earlier rung is checked by
-    the value pass of the step that leaves it, and the p-adic ladder's
-    result is verified over Q instead."""
-    if any(residuals(slp, rep)):
-        raise ResidualNonzeroError(
-            f"stage {rep.stage} residual nonzero over {rep.ring!r}"
-        )
-
-
-def _require_vanishing(vals, R, stage):
-    """Raise ResidualNonzeroError unless every value, a coefficient list
-    over a local ring, is zero truncated to the precision of ``R``."""
-    if any(R.truncate(v) for v in vals):
-        raise ResidualNonzeroError(f"stage {stage} residual nonzero over {R!r}")
 
 
 # -- curve lifting ------------------------------------------------------------
@@ -402,7 +384,9 @@ def lift_curve(fiber, slp):
     element correction; ``iterations`` counts the steps.  The returned
     Kronecker curve is exact: its coefficients have t-degree at most δ,
     which the guard coefficient t^(δ+1) checks.  The first step checks the
-    fiber itself, its residual and its Jacobian mod (p, Q).
+    fiber itself, its residual and its Jacobian mod (p, Q).  The last rung
+    gets no residual pass: the curve's only use is the next fiber, cut from
+    it, and whatever takes that fiber checks F_1..F_(s+1) on it.
     """
     fiber = to_univariate(fiber)
     F = fiber.ring
@@ -427,7 +411,6 @@ def lift_curve(fiber, slp):
     )
     for iters, (_, rep) in enumerate(rungs(start, slp, last=target)):
         pass
-    check_fiber(slp, rep)
     kron = to_kronecker(rep)
     for poly_ts in (kron.min_poly, *kron.params.values()):
         if any(degree(c) > delta for c in poly_ts):
@@ -639,9 +622,9 @@ def solve_mod_p(state):
     Q monic and bounds its degree: stage 1 has degree d_1 or raises
     DegreeDropError, and stage s + 1 interpolates through d_(s+1)·δ_s + 1
     nodes, so δ_(s+1) <= d_1···d_(s+1).  The residual and Jacobian of a
-    stage below the last are checked by the first step of its
-    ``lift_curve``; those of the returned fiber are left to the step its
-    caller takes on it.
+    fiber below the last stage are checked by the first step of its
+    ``lift_curve``, and the curve's last rung through the next fiber; those
+    of the returned fiber are left to the step its caller takes on it.
     """
     from . import verify
 

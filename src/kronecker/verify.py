@@ -11,7 +11,8 @@ checks the others, the residual identity F_i(point, T, V(T)) = 0 mod
 the curve lift below the last stage, the first rung of the p-adic ladder at
 the last, and, for the fiber ``solve_modular`` returns, one step taken for
 the check alone.  (A rational solve whose ladder stops at p^1 takes no
-step; its output is verified over Q.)
+step; its output is verified over Q.)  A ladder's rungs are checked the
+same way, the last through the next fiber or the output over Q.
 
 Over a field or a local ring the residual of a representation is
 ``solver.residuals`` of its univariate form.  A rational representation is

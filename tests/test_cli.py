@@ -56,6 +56,16 @@ def test_unsolvable_input_exits_2(tmp_path):
     assert run([src, "--retries", "2", "--seed", "0"]) == 2
 
 
+def test_coefficients_past_the_digit_cap_are_written(tmp_path, capsys):
+    # The interpreter's str() of an int stops at 4300 digits; the output's
+    # constant term is λ·10^5000, with 5003 digits.
+    src = _write(tmp_path, "vars x; x - 10^5000;")
+    assert run([src, "--seed", "0"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    constant = doc["representation"]["minimal_poly"][0]["num"]
+    assert len(constant) > 5000 and constant.endswith("0" * 5000)
+
+
 def test_huge_power_of_a_constant_is_parsed_at_once(tmp_path):
     # The equation is linear; its 1^100000000 is expanded in closed form,
     # not by 10^8 multiplications.
@@ -63,6 +73,23 @@ def test_huge_power_of_a_constant_is_parsed_at_once(tmp_path):
     start = time.perf_counter()
     assert run([src, "--seed", "0"]) == 0
     assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "vars x; x^300000 - 1;",
+        "vars x; x^99999999999;",
+        "vars x, y; x^200 - y; y^200 - x - 1;",
+        "vars x; (x+1)^100000;",
+    ],
+)
+def test_oversized_input_exits_3_at_once(tmp_path, capsys, source):
+    src = _write(tmp_path, source)
+    start = time.perf_counter()
+    assert run([src, "--seed", "0"]) == 3
+    assert time.perf_counter() - start < 1
+    assert "above 256" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -354,6 +354,14 @@ def test_rational_reconstruct_recovers_every_bounded_fraction(case):
     assert rational_reconstruct(a, m) == (num, den)
 
 
+def test_rational_reconstruct_refuses_past_the_digit_cap():
+    # The bound has 4771 decimal digits, past the interpreter's cap on
+    # int-to-str conversion, which the refusal must not format.
+    m = 3**20000
+    with pytest.raises(NoReconstructionError, match="within the bound"):
+        rational_reconstruct(random.Random(9).randrange(m), m)
+
+
 @st.composite
 def _residues(draw):
     """A modulus m and a residue a = num/den mod m, for num anywhere in

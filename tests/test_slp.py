@@ -140,6 +140,32 @@ def test_parse_rejects_unknown_variable():
         parse_system("vars x; y;")
 
 
+def test_parse_caps_the_degree_bound_and_the_bezout_number():
+    # The cap is 256: a degree bound read off the tree, where a constant has
+    # degree 0, and the product of the expanded degrees.
+    assert parse_system("vars x; x^256 - 1;").degrees == (256,)
+    assert parse_system("vars x; 7^1000*x - 2;").degrees == (1,)
+    assert parse_system("vars x; (x+1)^200 - (x+1)^200 + x;").degrees == (1,)
+    assert parse_system("vars x, y; x^16 - y; y^16 - x;").degrees == (16, 16)
+    for source in (
+        "vars x; x^257 - 1;",
+        "vars x; (x^2)^129;",
+        "vars x; (x+1)^200*(x+1)^57;",
+        "vars x; (x+1)^257 - (x+1)^257 + x;",
+    ):
+        with pytest.raises(ParseError, match="degree bound above 256"):
+            parse_system(source)
+    with pytest.raises(ParseError, match="Bezout number above 256"):
+        parse_system("vars x, y; x^16*y - 1; y^16 - x;")
+
+
+def test_parse_refuses_oversized_constants():
+    with pytest.raises(ParseError, match="power of a constant"):
+        parse_system("vars x; 2^99999999999*x - 1;")
+    with pytest.raises(ParseError, match="number too long"):
+        parse_system("vars x; x - 1" + "0" * 5000 + ";")
+
+
 def test_evaluate_two_squares_at_point():
     slp = parse_system("vars x,y; x^2 + y^2 - 5;")
     assert evaluate(slp, (1, 2), PrimeField(7)) == [0]
@@ -217,7 +243,7 @@ def test_compose_inverse_identity_property():
                     continue
             comp = compose_affine(slp, change)
             x = tuple(rng.randrange(-9, 10) for _ in range(3))
-            y = change.apply(x)
+            y = tuple(sum(a * b for a, b in zip(row, x)) for row in rows)
             assert evaluate(comp, y, F) == evaluate(slp, x, F)
 
 
