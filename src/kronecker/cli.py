@@ -17,6 +17,7 @@ cannot be written (a directory, or a missing parent directory).
 import argparse
 import json
 import os
+import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -65,10 +66,17 @@ def _rep_payload(rep, univariate=None):
     return payload
 
 
+def _int_from_json(s):
+    # Through Decimal, since int() of a string stops at 4300 digits.
+    if not isinstance(s, str) or not re.fullmatch(r"-?[0-9]+", s):
+        raise ValueError(f"not an integer string: {s!r}")
+    return int(Decimal(s))
+
+
 def _coeff_from_json(c, ring):
     if isinstance(c, dict):
-        return Fraction(int(c["num"]), int(c["den"]))
-    return ring.from_int(int(c))
+        return Fraction(_int_from_json(c["num"]), _int_from_json(c["den"]))
+    return ring.from_int(_int_from_json(c))
 
 
 def load_representation(doc):

@@ -374,3 +374,40 @@ def rational_reconstruct(a, m):
     if (num - a * den) % m != 0:
         raise NoReconstructionError("candidate failed the congruence check")
     return num, den
+
+
+def charpoly_division_free(mat, A):
+    """Coefficients 1, c_1, ..., c_s of det(x·I - M), x^s first, by
+    Berkowitz's algorithm: no divisions, O(s^4) ring operations, valid over
+    any commutative ring.
+
+    Builds the characteristic polynomial of each leading principal block
+    [[M, c], [r, a]] from that of M by a Toeplitz product whose first column
+    is 1, -a, -r c, -r M c, ..., -r M^(k-1) c.
+    """
+    s = len(mat)
+    coeffs = [A.one]  # char poly of the leading k x k block, x^k first
+    for k in range(s):
+        col = [mat[i][k] for i in range(k)]
+        row = mat[k][:k]
+        toeplitz = [A.one, A.neg(mat[k][k])]
+        for step in range(k):
+            toeplitz.append(A.neg(dot(row, col, A)))
+            if step < k - 1:
+                col = [dot(mat[i][:k], col, A) for i in range(k)]
+        new = [A.one]
+        for i in range(1, k + 2):
+            acc = toeplitz[i]  # times coeffs[0] = 1
+            for j in range(1, min(i, k) + 1):
+                acc = A.add(acc, A.mul(toeplitz[i - j], coeffs[j]))
+            new.append(acc)
+        coeffs = new
+    return coeffs
+
+
+def dot(u, v, A):
+    """Sum of u_i·v_i over A."""
+    acc = A.zero
+    for x, y in zip(u, v):
+        acc = A.add(acc, A.mul(x, y))
+    return acc

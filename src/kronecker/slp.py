@@ -9,10 +9,13 @@ per statement::
 
 Integer constants are arbitrary precision; ``^`` takes a nonnegative integer
 exponent and is expanded by repeated squaring at parse time, so programs stay
-division-free.  The builder hash-conses: an operation on the same operands
-(in either order for ``+`` and ``*``) is emitted once and shared, so ``x^2``
-appearing in several monomials or outputs costs one multiplication, and the
-recorded ``length`` counts the distinct ring operations after that sharing.
+division-free.  The parser makes one pass over the tokens, with no expression
+tree: each subexpression yields the instruction computing it and its dense
+expansion, whose degree is checked against the cap before a product or a
+power is multiplied out.  Instructions are hash-consed: an operation on the
+same operands (in either order for ``+`` and ``*``) is emitted once and
+shared, so ``x^2`` appearing in several monomials or outputs costs one
+multiplication, and ``length`` counts the distinct ring operations.
 
 A program can carry an affine change of variables (an integer matrix with its
 adjugate and determinant).  Evaluation then maps the supplied point y to
@@ -30,11 +33,11 @@ on it store equal tuples, and the slices are freed with the program.
 """
 
 import re
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass, field, replace
 
 from .errors import NotInvertibleError, ParseError, SingularMatrixError
-from .rings import coerce
+from .polys import charpoly_division_free, dot
+from .rings import ZZ, coerce
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^();,]))"
@@ -42,9 +45,10 @@ _TOKEN_RE = re.compile(
 
 _MAX_DENSE_TERMS = 200_000
 
-# Caps of ``parse_system``: the degree bound of a polynomial and the Bezout
-# number, four times the fiber degree 64 the solver is meant for, and the
-# bits of a power of a constant, which is expanded in closed form.
+# Caps of ``parse_system``: the expanded degree of each product and power,
+# checked before it is multiplied out, and the Bezout number, four times the
+# fiber degree 64 the solver is meant for; and the bits of a power of a
+# constant, which is expanded in closed form.
 _MAX_DEGREE = 256
 _MAX_CONSTANT_BITS = 1 << 16
 
@@ -63,16 +67,26 @@ class AffineChange:
 
     @classmethod
     def from_matrix(cls, rows):
+        """From det(x·I - M) = x^n + c_1 x^(n-1) + ... + c_n: det M is
+        (-1)^n c_n and, by Cayley–Hamilton, adj M is (-1)^(n-1) times
+        M^(n-1) + c_1 M^(n-2) + ... + c_(n-1) I, summed by Horner's rule."""
         rows = tuple(tuple(int(c) for c in row) for row in rows)
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise ValueError("matrix must be square")
-        det, inv = _fraction_inverse(rows)
+        coeffs = charpoly_division_free(rows, ZZ)
+        det = -coeffs[-1] if n % 2 else coeffs[-1]
         if det == 0:
             raise SingularMatrixError("change of variables has determinant 0")
-        adj = tuple(
-            tuple(_as_int(det * inv[i][j]) for j in range(n)) for i in range(n)
-        )
+        acc = [[int(i == j) for j in range(n)] for i in range(n)]
+        for c in coeffs[1:n]:
+            cols = list(zip(*acc))
+            acc = [
+                [dot(row, col, ZZ) + c * (i == j) for j, col in enumerate(cols)]
+                for i, row in enumerate(rows)
+            ]
+        sign = 1 if n % 2 else -1
+        adj = tuple(tuple(sign * v for v in row) for row in acc)
         return cls(matrix=rows, det=det, adjugate=adj)
 
     @classmethod
@@ -92,37 +106,6 @@ class AffineChange:
             for i in range(self.n)
             for j in range(self.n)
         )
-
-
-def _as_int(fr):
-    assert fr.denominator == 1
-    return int(fr)
-
-
-def _fraction_inverse(rows):
-    """Exact determinant and inverse of an integer matrix, by elimination."""
-    n = len(rows)
-    a = [[Fraction(rows[i][j]) for j in range(n)] for i in range(n)]
-    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return 0, None
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            inv[col], inv[pivot] = inv[pivot], inv[col]
-            det = -det
-        det *= a[col][col]
-        scale = 1 / a[col][col]
-        a[col] = [v * scale for v in a[col]]
-        inv[col] = [v * scale for v in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-                inv[r] = [v - f * w for v, w in zip(inv[r], inv[col])]
-    return _as_int(det), inv
 
 
 @dataclass(frozen=True)
@@ -191,23 +174,30 @@ def _tokenize(text):
                 break
             bad = len(text) - len(stripped)
             raise ParseError(f"unexpected character {text[bad]!r}", bad)
-        if m.group("num") is not None:
-            if len(m.group("num")) > 4300:  # the interpreter's digit cap
-                raise ParseError("number too long", m.start("num"))
-            tokens.append(("num", int(m.group("num")), m.start("num")))
-        elif m.group("ident") is not None:
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
+        kind = m.lastgroup
+        val = m.group(kind)
+        if kind == "num":
+            if len(val) > 4300:  # the interpreter's digit cap
+                raise ParseError("number too long", m.start(kind))
+            val = int(val)
+        tokens.append((kind, val, m.start(kind)))
         pos = m.end()
     tokens.append(("end", None, len(text)))
     return tokens
 
 
 class _Parser:
+    """Recursive descent that builds the program as it reads.  Each
+    production returns (index, dense, degree): the hash-consed instruction
+    computing its value, its dense map {exponents: nonzero integer}, which
+    the caller owns, and that map's total degree (-1 for 0)."""
+
     def __init__(self, text):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.instructions = []
+        self.index = {}
+        self.k = 0  # 1-based number of the polynomial being read
 
     def peek(self):
         return self.tokens[self.i]
@@ -217,206 +207,189 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expect_op(self, op):
-        kind, val, pos = self.next()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}", pos)
+    def accept(self, ops):
+        """The next token if it is one of the operators ``ops``, consumed;
+        otherwise None."""
+        kind, val, _ = self.tokens[self.i]
+        if kind != "op" or val not in ops:
+            return None
+        self.i += 1
+        return val
 
-    def parse(self):
+    def expect_op(self, op):
+        if not self.accept(op):
+            raise ParseError(f"expected {op!r}", self.peek()[2])
+
+    def emit(self, *ins):
+        """Index of the instruction ``ins``, appended unless an identical
+        one exists; commutative operands are put in index order first."""
+        if ins[0] in ("add", "mul") and ins[2] < ins[1]:
+            ins = (ins[0], ins[2], ins[1])
+        idx = self.index.get(ins)
+        if idx is None:
+            idx = self.index[ins] = len(self.instructions)
+            self.instructions.append(ins)
+        return idx
+
+    def program(self):
         kind, val, pos = self.next()
         if kind != "ident" or val != "vars":
             raise ParseError("input must start with a 'vars' declaration", pos)
         names = []
-        while True:
+        sep = ","
+        while sep == ",":
             kind, val, pos = self.next()
             if kind != "ident":
                 raise ParseError("expected a variable name", pos)
             if val in names:
                 raise ParseError(f"duplicate variable {val!r}", pos)
             names.append(val)
-            kind, val, pos = self.next()
-            if kind == "op" and val == ",":
-                continue
-            if kind == "op" and val == ";":
-                break
+            sep = self.accept(",;")
+        if sep is None:
+            pos = self.peek()[2]
             raise ParseError("expected ',' or ';' in the vars line", pos)
-        self.var_index = {name: i for i, name in enumerate(names)}
-        exprs = []
+        n = len(names)
+        self.var_index = {
+            name: (self.emit("var", i), tuple(int(j == i) for j in range(n)))
+            for i, name in enumerate(names)
+        }
+        self.unit = (0,) * n
+        polys = []
         while self.peek()[0] != "end":
-            exprs.append(self.expr())
+            self.k += 1
+            polys.append(self.expr())
             self.expect_op(";")
-        if not exprs:
+        if not polys:
             raise ParseError("no polynomials declared", self.peek()[2])
-        return names, exprs
+        if len(polys) > n:
+            raise ParseError(
+                f"{len(polys)} polynomials in {n} variables is overdetermined"
+            )
+        outputs, dense_forms, degrees = zip(*polys)
+        height = 0
+        bezout = 1
+        for k, (dense, deg) in enumerate(zip(dense_forms, degrees), 1):
+            if not dense:
+                raise ParseError(f"polynomial #{k} is identically zero")
+            bezout *= deg
+            if bezout > _MAX_DEGREE:
+                raise ParseError(f"Bezout number above {_MAX_DEGREE}")
+            height = max(height, max(map(abs, dense.values())).bit_length())
+        return StraightLineProgram(
+            n_vars=n,
+            var_names=tuple(names),
+            instructions=tuple(self.instructions),
+            outputs=outputs,
+            degrees=degrees,
+            height=height,
+            dense_forms=dense_forms,
+        )
+
+    def signed(self, operand):
+        """``operand()`` after a '+' or '-', or None when there is neither;
+        a '-' emits the constant 0 before the operand's instructions."""
+        sign = self.accept("+-")
+        if sign is None:
+            return None
+        if sign == "+":
+            return operand()
+        zero = self.emit("const", 0)
+        idx, dense, deg = operand()
+        neg = {k: -v for k, v in dense.items()}
+        return self.emit("sub", zero, idx), neg, deg
 
     def expr(self):
-        kind, val, _ = self.peek()
-        negate = False
-        if kind == "op" and val in "+-":
-            self.next()
-            negate = val == "-"
-        node = self.term()
-        if negate:
-            node = ("neg", node)
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                rhs = self.term()
-                node = ("add" if val == "+" else "sub", node, rhs)
-            else:
-                return node
+        node = self.signed(self.term) or self.term()
+        while sign := self.accept("+-"):
+            node = self.combine(sign, node, self.term())
+        return node
 
     def term(self):
         node = self.factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "*":
-                self.next()
-                node = ("mul", node, self.factor())
-            else:
-                return node
+        while self.accept("*"):
+            node = self.product(node, self.factor())
+        return node
 
     def factor(self):
-        kind, val, pos = self.peek()
-        if kind == "op" and val in "+-":
-            self.next()
-            inner = self.factor()
-            return ("neg", inner) if val == "-" else inner
+        signed = self.signed(self.factor)
+        if signed:
+            return signed
         node = self.atom()
-        kind, val, pos = self.peek()
-        if kind == "op" and val == "^":
-            self.next()
+        if self.accept("^"):
             kind, exp, pos = self.next()
             if kind != "num":
                 raise ParseError("exponent must be a nonnegative integer", pos)
-            node = ("pow", node, exp)
+            node = self.power(node, exp)
         return node
 
     def atom(self):
         kind, val, pos = self.next()
         if kind == "num":
-            return ("const", val)
+            dense = {self.unit: val} if val else {}
+            return self.emit("const", val), dense, 0 if val else -1
         if kind == "ident":
             if val not in self.var_index:
                 raise ParseError(f"unknown variable {val!r}", pos)
-            return ("var", self.var_index[val])
+            idx, key = self.var_index[val]
+            return idx, {key: 1}, 1
         if kind == "op" and val == "(":
             node = self.expr()
             self.expect_op(")")
             return node
         raise ParseError("expected a number, variable or '('", pos)
 
+    def combine(self, sign, a, b):
+        """a + b or a - b for the ``sign`` '+' or '-'; the degree is
+        rescanned only when terms of the top degree cancel."""
+        op, s = ("add", 1) if sign == "+" else ("sub", -1)
+        out, deg = a[1], max(a[2], b[2])
+        cancelled = False
+        for k, v in b[1].items():
+            nv = out.get(k, 0) + s * v
+            if nv:
+                out[k] = nv
+            else:
+                del out[k]
+                cancelled = cancelled or sum(k) == deg
+        if cancelled:
+            deg = max((sum(k) for k in out), default=-1)
+        return self.emit(op, a[0], b[0]), out, deg
 
-class _Builder:
-    def __init__(self, n_vars):
-        self.instructions = []
-        self.var_idx = {}
-        self.const_idx = {}
-        self.op_idx = {}
-        for i in range(n_vars):
-            self.var_idx[i] = len(self.instructions)
-            self.instructions.append(("var", i))
+    def check_degree(self, degree):
+        if degree > _MAX_DEGREE:
+            raise ParseError(
+                f"polynomial #{self.k}: degree bound above {_MAX_DEGREE}"
+            )
 
-    def const(self, c):
-        if c not in self.const_idx:
-            self.const_idx[c] = len(self.instructions)
-            self.instructions.append(("const", c))
-        return self.const_idx[c]
-
-    def emit(self, op, a, b):
-        """Index of the instruction (op, a, b), appended unless an identical
-        one exists; commutative operands are put in index order first."""
-        if op != "sub" and b < a:
-            a, b = b, a
-        ins = (op, a, b)
-        idx = self.op_idx.get(ins)
-        if idx is None:
-            idx = self.op_idx[ins] = len(self.instructions)
-            self.instructions.append(ins)
-        return idx
-
-    def build(self, node):
-        op = node[0]
-        if op == "const":
-            return self.const(node[1])
-        if op == "var":
-            return self.var_idx[node[1]]
-        if op == "neg":
-            return self.emit("sub", self.const(0), self.build(node[1]))
-        if op == "pow":
-            base = self.build(node[1])
-            return self.power(base, node[2])
-        a = self.build(node[1])
-        b = self.build(node[2])
-        return self.emit(op, a, b)
+    def product(self, a, b):
+        deg = a[2] + b[2]
+        self.check_degree(deg)
+        dense = _dense_mul(a[1], b[1])
+        return self.emit("mul", a[0], b[0]), dense, deg if dense else -1
 
     def power(self, base, e):
+        idx, dense, deg = base
+        self.check_degree(e * deg)
         if e == 0:
-            return self.const(1)
-        if e == 1:
-            return base
+            return self.emit("const", 1), {self.unit: 1}, 0
+        if len(dense) <= 1:
+            # (c*x^a)^e = c^e*x^(e*a) in closed form: a monomial needs no e
+            # multiplications, whatever the size of e.
+            if any(e * abs(c).bit_length() > _MAX_CONSTANT_BITS
+                   for c in dense.values() if abs(c) > 1):
+                raise ParseError("power of a constant too large to expand")
+            out = {tuple(e * a for a in k): c**e for k, c in dense.items()}
+        else:
+            out = {self.unit: 1}
+            for _ in range(e):
+                out = _dense_mul(out, dense)
         # Repeated squaring along the bits of e, high to low.
-        bits = bin(e)[3:]
-        acc = base
-        for bit in bits:
+        acc = idx
+        for bit in bin(e)[3:]:
             acc = self.emit("mul", acc, acc)
             if bit == "1":
-                acc = self.emit("mul", acc, base)
-        return acc
-
-
-def _degree_bound(node):
-    """Total degree bound of an expression tree; a constant has degree 0."""
-    op = node[0]
-    if op in ("const", "var"):
-        return int(op == "var")
-    if op == "pow":
-        return node[2] * _degree_bound(node[1])
-    degrees = [_degree_bound(child) for child in node[1:]]
-    return sum(degrees) if op == "mul" else max(degrees)
-
-
-def _dense_expand(node, n_vars):
-    """Dense monomial map of an expression; raises ParseError past the cap."""
-    op = node[0]
-    if op == "const":
-        return {(0,) * n_vars: node[1]} if node[1] != 0 else {}
-    if op == "var":
-        e = [0] * n_vars
-        e[node[1]] = 1
-        return {tuple(e): 1}
-    if op == "neg":
-        return {k: -v for k, v in _dense_expand(node[1], n_vars).items()}
-    if op == "pow":
-        base = _dense_expand(node[1], n_vars)
-        e = node[2]
-        if len(base) <= 1:
-            # (c*x^a)^e = c^e*x^(e*a) in closed form, 0^0 = 1: a monomial
-            # needs no e multiplications, whatever the size of e.
-            if e == 0:
-                return {(0,) * n_vars: 1}
-            if any(e * abs(c).bit_length() > _MAX_CONSTANT_BITS
-                   for c in base.values() if abs(c) > 1):
-                raise ParseError("power of a constant too large to expand")
-            return {tuple(e * a for a in k): c**e for k, c in base.items()}
-        out = {(0,) * n_vars: 1}
-        for _ in range(e):
-            out = _dense_mul(out, base)
-        return out
-    a = _dense_expand(node[1], n_vars)
-    b = _dense_expand(node[2], n_vars)
-    if op == "mul":
-        return _dense_mul(a, b)
-    sign = 1 if op == "add" else -1
-    out = dict(a)
-    for k, v in b.items():
-        nv = out.get(k, 0) + sign * v
-        if nv:
-            out[k] = nv
-        else:
-            out.pop(k, None)
-    return out
+                acc = self.emit("mul", acc, idx)
+        return acc, out, e * deg if out else -1
 
 
 def _dense_mul(a, b):
@@ -435,49 +408,14 @@ def _dense_mul(a, b):
 
 
 def parse_system(source):
-    """Parse the input text into a StraightLineProgram.
+    """Parse the input text into a StraightLineProgram, in one pass.
 
     Rejects systems with more polynomials than variables, inputs that are
     identically zero and sizes past the caps above, and records per-output
     total degrees plus the maximum coefficient bit length for the bounds
     machinery.
     """
-    parser = _Parser(source)
-    names, exprs = parser.parse()
-    n = len(names)
-    if len(exprs) > n:
-        raise ParseError(
-            f"{len(exprs)} polynomials in {n} variables is overdetermined"
-        )
-    builder = _Builder(n)
-    outputs = []
-    dense_forms = []
-    degrees = []
-    height = 0
-    bezout = 1
-    for k, node in enumerate(exprs):
-        if _degree_bound(node) > _MAX_DEGREE:
-            raise ParseError(f"polynomial #{k + 1}: degree bound above {_MAX_DEGREE}")
-        dense = _dense_expand(node, n)
-        if not dense:
-            raise ParseError(f"polynomial #{k + 1} is identically zero")
-        dense_forms.append(dict(dense))
-        degrees.append(max(sum(e) for e in dense))
-        bezout *= degrees[-1]
-        if bezout > _MAX_DEGREE:
-            raise ParseError(f"Bezout number above {_MAX_DEGREE}")
-        height = max(height, max(abs(c) for c in dense.values()).bit_length())
-        outputs.append(builder.build(node))
-    return StraightLineProgram(
-        n_vars=n,
-        var_names=tuple(names),
-        instructions=tuple(builder.instructions),
-        outputs=tuple(outputs),
-        degrees=tuple(degrees),
-        height=height,
-        dense_forms=tuple(dense_forms),
-        transform=None,
-    )
+    return _Parser(source).program()
 
 
 def compose_affine(slp, change):
@@ -491,16 +429,7 @@ def compose_affine(slp, change):
         raise ValueError("change of variables has the wrong dimension")
     if slp.transform is not None:
         raise ValueError("program already carries a change of variables")
-    return StraightLineProgram(
-        n_vars=slp.n_vars,
-        var_names=slp.var_names,
-        instructions=slp.instructions,
-        outputs=slp.outputs,
-        degrees=slp.degrees,
-        height=slp.height,
-        dense_forms=slp.dense_forms,
-        transform=change,
-    )
+    return replace(slp, transform=change)
 
 
 def _transformed_inputs(slp, point, R):

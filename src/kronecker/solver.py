@@ -29,7 +29,9 @@ from .errors import (
     ZeroResultantError,
 )
 from .polys import (
+    charpoly_division_free,
     degree,
+    dot,
     interpolate,
     monic,
     normalize,
@@ -195,42 +197,6 @@ def to_kronecker(rep):
 # -- linear algebra over quotient rings --------------------------------------
 
 
-def charpoly_division_free(mat, A):
-    """Coefficients 1, c_1, ..., c_s of det(x·I - M), x^s first, by
-    Berkowitz's algorithm: no divisions, O(s^4) ring operations, valid over
-    any commutative ring.
-
-    Builds the characteristic polynomial of each leading principal block
-    [[M, c], [r, a]] from that of M by a Toeplitz product whose first column
-    is 1, -a, -r c, -r M c, ..., -r M^(k-1) c.
-    """
-    s = len(mat)
-    coeffs = [A.one]  # char poly of the leading k x k block, x^k first
-    for k in range(s):
-        col = [mat[i][k] for i in range(k)]
-        row = mat[k][:k]
-        toeplitz = [A.one, A.neg(mat[k][k])]
-        for step in range(k):
-            toeplitz.append(A.neg(_dot(row, col, A)))
-            if step < k - 1:
-                col = [_dot(mat[i][:k], col, A) for i in range(k)]
-        new = [A.one]
-        for i in range(1, k + 2):
-            acc = toeplitz[i]  # times coeffs[0] = 1
-            for j in range(1, min(i, k) + 1):
-                acc = A.add(acc, A.mul(toeplitz[i - j], coeffs[j]))
-            new.append(acc)
-        coeffs = new
-    return coeffs
-
-
-def _dot(u, v, A):
-    acc = A.zero
-    for x, y in zip(u, v):
-        acc = A.add(acc, A.mul(x, y))
-    return acc
-
-
 class _PivotStuck(Exception):
     pass
 
@@ -269,7 +235,7 @@ def _solve_by_cayley_hamilton(mat, rhs, A):
     c_inv = A.inv(coeffs[-1])
     acc = list(rhs)
     for c in coeffs[1:-1]:
-        acc = [A.add(_dot(row, acc, A), A.mul(c, b)) for row, b in zip(mat, rhs)]
+        acc = [A.add(dot(row, acc, A), A.mul(c, b)) for row, b in zip(mat, rhs)]
     return [A.neg(A.mul(c_inv, v)) for v in acc]
 
 

@@ -12,10 +12,16 @@ Enumeration is vectorized with numpy in chunks; coefficients stay far below
 import numpy as np
 
 from kronecker.errors import KroneckerError
-from kronecker.polys import degree, monic, normalize, poly_mul, rem_monic
+from kronecker.polys import (
+    charpoly_division_free,
+    degree,
+    monic,
+    normalize,
+    poly_mul,
+    rem_monic,
+)
 from kronecker.rings import PolyRing
 from kronecker.slp import AffineChange
-from kronecker.solver import charpoly_division_free
 
 from .rings import ExtField
 

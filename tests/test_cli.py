@@ -170,6 +170,35 @@ def test_modular_document_with_a_composite_modulus_is_refused(tmp_path):
         load_representation(doc)
 
 
+@pytest.mark.parametrize("flags", [[], ["--mod-p-only"]])
+def test_documents_with_coefficients_past_4300_digits_read_back(
+    tmp_path, flags
+):
+    # int() refuses a decimal string of more than 4300 digits; the CLI
+    # writes such coefficients through Decimal and must read them back.
+    src = _write(tmp_path, "vars x; x - 10^5000;")
+    out = str(tmp_path / "rep.json")
+    assert run([src, "--seed", "3", "--out", out] + flags) == 0
+    doc = json.loads(open(out).read())
+    rep = load_representation(doc)
+    root = doc["lambda"][0] * 10**5000  # the solution in Y = lambda * x
+    if flags:
+        assert rep.min_poly == (-root % int(doc["modulus"]), 1)
+    else:
+        assert rep.min_poly == (-root, 1)
+
+
+@pytest.mark.parametrize("bad", ["1.5", "1e5"])
+def test_document_with_a_non_integer_coefficient_is_refused(tmp_path, bad):
+    src = _write(tmp_path, TWO_QUADRICS)
+    out = str(tmp_path / "rep.json")
+    assert run([src, "--mod-p-only", "--seed", "6", "--out", out]) == 0
+    doc = json.loads(open(out).read())
+    doc["representation"]["minimal_poly"][0] = bad
+    with pytest.raises(ValueError, match="not an integer string"):
+        load_representation(doc)
+
+
 # sha256 of the output document for TWO_QUADRICS at seed 42.  Two runs of
 # the same code agreeing cannot show drift in the representation, the
 # certificate or the JSON layout between versions; these pinned digests can.

@@ -5,11 +5,16 @@ import random
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
+import pytest
 import sympy
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from kronecker.errors import RetryExhaustedError, SingularMatrixError
+from kronecker.errors import (
+    ParseError,
+    RetryExhaustedError,
+    SingularMatrixError,
+)
 from kronecker.padic import SolveConfiguration, solve_over_rationals
 from kronecker.polys import interpolate, monic, resultant
 from kronecker.rings import PrimeField
@@ -113,6 +118,112 @@ def test_parser_handles_nested_parentheses_and_big_constants():
 
     val = evaluate(slp, (2,), QQ)[0]
     assert val == ((2 - 10**19) ** 2 + 1) * 2
+
+
+# -- the parser against sympy ----------------------------------------------------
+#
+# A drawn expression is (text, precedence level, size): levels are 0 atom,
+# 1 factor (power or unary sign), 2 term (product), 3 sum, and size bounds
+# the degree of every subexpression.  An operand below the level its place
+# needs is put in parentheses, so the text means what was drawn; otherwise
+# parentheses appear only where drawn.  sympy reads the text on its own.
+
+_X, _Y = sympy.symbols("x y")
+
+
+def _wrap(node, level):
+    text, own, _ = node
+    return text if own <= level else f"({text})"
+
+
+_LEAVES = st.one_of(
+    st.integers(0, 30).map(lambda c: (str(c), 0, 0)),
+    st.sampled_from([("x", 0, 1), ("y", 0, 1)]),
+)
+
+
+def _grown(children):
+    return st.one_of(
+        children.map(lambda a: (f"({a[0]})", 0, a[2])),
+        st.builds(
+            lambda a, sign: (sign + _wrap(a, 1), 1, a[2]),
+            children,
+            st.sampled_from("-+"),
+        ),
+        st.builds(
+            lambda a, e: (f"{_wrap(a, 0)}^{e}", 1, max(1, e) * a[2]),
+            children,
+            st.integers(0, 4),
+        ),
+        st.builds(
+            lambda a, b: (f"{_wrap(a, 2)}*{_wrap(b, 1)}", 2, a[2] + b[2]),
+            children,
+            children,
+        ),
+        st.builds(
+            lambda a, b, op: (
+                f"{_wrap(a, 3)} {op} {_wrap(b, 2)}", 3, max(a[2], b[2])
+            ),
+            children,
+            children,
+            st.sampled_from("+-"),
+        ),
+    )
+
+
+_EXPRESSIONS = (
+    st.recursive(_LEAVES, _grown, max_leaves=8)
+    .filter(lambda node: node[2] <= 24)
+    .map(lambda node: node[0])
+)
+
+
+@settings(max_examples=60)
+@given(_EXPRESSIONS, st.tuples(st.integers(0, 10006), st.integers(0, 10006)))
+@example("-(x - 2*y)^3*-x + -y", (5, 7))
+@example("((x + 1)^2*(y - 1))^2 - (2*x)^0 - --x", (3, 10006))
+@example("(x - x)^3 + 0*y", (1, 1))
+def test_parser_matches_sympy_expansion(text, point):
+    value = sympy.expand(sympy.sympify(text))  # sympy reads ^ as a power
+    source = f"vars x, y; {text};"
+    if value == 0:
+        with pytest.raises(ParseError, match="identically zero"):
+            parse_system(source)
+        return
+    slp = parse_system(source)
+    poly = sympy.Poly(value, _X, _Y)
+    expected = {k: int(c) for k, c in poly.as_dict().items()}
+    assert slp.dense_forms == (expected,)
+    assert slp.degrees == (poly.total_degree(),)
+    assert slp.height == max(abs(c) for c in expected.values()).bit_length()
+    at_point = int(value.subs({_X: point[0], _Y: point[1]}))
+    assert evaluate(slp, point, FBIG) == [at_point % 10007]
+
+
+@settings(max_examples=40)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(
+                st.one_of(st.integers(-2, 2), st.integers(-10**6, 10**6)),
+                min_size=n,
+                max_size=n,
+            ),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+@example([[2, 4], [1, 2]])
+def test_affine_change_matches_sympy_det_and_adjugate(rows):
+    m = sympy.Matrix(rows)
+    if m.det() == 0:
+        with pytest.raises(SingularMatrixError):
+            AffineChange.from_matrix(rows)
+        return
+    change = AffineChange.from_matrix(rows)
+    assert change.det == m.det()
+    assert sympy.Matrix(change.adjugate) == m.adjugate()
 
 
 def _sympy_eliminant(slp, lam):

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 import weakref
 
@@ -23,6 +24,8 @@ from kronecker.slp import (
     evaluate_jacobian,
     parse_system,
 )
+
+from test_acceptance import _random_dense_system
 
 
 def test_parse_length_mul_sub():
@@ -141,8 +144,9 @@ def test_parse_rejects_unknown_variable():
 
 
 def test_parse_caps_the_degree_bound_and_the_bezout_number():
-    # The cap is 256: a degree bound read off the tree, where a constant has
-    # degree 0, and the product of the expanded degrees.
+    # The cap is 256: on the expanded degree of each product and power,
+    # checked before it is multiplied out (deg a + deg b, e * deg base), and
+    # on the product of the outputs' degrees.
     assert parse_system("vars x; x^256 - 1;").degrees == (256,)
     assert parse_system("vars x; 7^1000*x - 2;").degrees == (1,)
     assert parse_system("vars x; (x+1)^200 - (x+1)^200 + x;").degrees == (1,)
@@ -157,6 +161,62 @@ def test_parse_caps_the_degree_bound_and_the_bezout_number():
             parse_system(source)
     with pytest.raises(ParseError, match="Bezout number above 256"):
         parse_system("vars x, y; x^16*y - 1; y^16 - x;")
+
+
+# sha256 of the parsed programs of a fixed corpus: the acceptance suite's
+# random dense systems and grammar examples with signs, nesting and powers.
+# Instructions (their order too), outputs, degrees, height and dense forms
+# are all pinned, so any change to what the parser builds shows here.
+PARSE_CORPUS = (
+    "vars x; -x;",
+    "vars x; x^0 + 0^0 - (0*x)^5 + 1^100000000;",
+    "vars x; (x^2)^3 - x^6 + x;",
+    "vars x; 7^1000*x - 2;",
+    "vars x; (2*x^3 - 5)^4 - 16*x^12;",
+    "vars x, y; -x*y + -(x - y)^3 - 2;",
+    "vars x, y; ((x + 1)*(y - 1))^2 - ((x))*(-(-y));",
+    "vars x, y; +x - +y; --x*y - 1;",
+    "vars x, y; (x + y)^5 - (x - y)^5;",
+    "vars x, y; ((((x - 1))))^2*(y + 2)^3 - x*y;",
+    "vars x, y; -(x^2 + y^2)^2 + 4*x^2*y^2 - 1; x*-y + y*x^2;",
+    "vars x, y, z; x*y*z - x*z*y + (z - x)^2 - 3; -z; (x + y + z)^3;",
+    "vars w, x, y, z; w*x - y*z; w^2 - 1; x - (y + z)^2; (w + x)^3 - z;",
+)
+PARSE_GOLDEN_SHA256 = (
+    "e9e4b019ecd007cb4340fe0006f8df0709583858b54513c650ef3ccaccae9eb6"
+)
+
+
+def _acceptance_systems(count=40):
+    rng = random.Random(20260811)
+    systems = []
+    for _ in range(count):
+        n = rng.choice([1, 2, 3])
+        degrees = [rng.choice([1, 2, 3, 4]) for _ in range(n)]
+        systems.append(_random_dense_system(n, degrees, rng))
+    return systems
+
+
+def test_parsed_programs_match_their_pinned_digest():
+    digest = hashlib.sha256()
+    for text in PARSE_CORPUS + tuple(_acceptance_systems()):
+        slp = parse_system(text)
+        dense = tuple(sorted(d.items()) for d in slp.dense_forms)
+        digest.update(
+            repr(
+                (slp.instructions, slp.outputs, slp.degrees, slp.height, dense)
+            ).encode()
+        )
+    assert digest.hexdigest() == PARSE_GOLDEN_SHA256
+
+
+def test_parse_caps_expanded_degrees_as_it_reads():
+    # A power of the zero polynomial has expanded degree -1, whatever the
+    # exponent; a size error is raised where it is read, before a syntax
+    # error further on.
+    assert parse_system("vars x; (x-x)^1000 + x;").degrees == (1,)
+    with pytest.raises(ParseError, match="polynomial #1: degree bound"):
+        parse_system("vars x; x^300 + x; x + ;")
 
 
 def test_parse_refuses_oversized_constants():
