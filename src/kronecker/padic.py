@@ -4,6 +4,13 @@ The fiber over F_p climbs the precision ladder of ``solver.rungs`` over
 Z/p, Z/p^2, Z/p^4, ..., one Newton step per rung, the same ladder the
 lifting curve climbs over F_p[t]/(t^k), and its Kronecker coefficients are
 rationally reconstructed at each rung from the first one the mode names.
+The reconstruction is by maximal quotient (``polys.rational_reconstruct``):
+a coefficient num/den comes back once p^k has about bits(num) + bits(den)
+bits, plus at most 32 + log2(bits(p^k)) for the guard, where a bound of
+sqrt(p^k/2) on both |num| and den would need 2·max of the two.  The
+Kronecker form's numerators are large and its denominators small
+(Dahan-Schost), so heuristic mode often stops a rung below where such a
+bound would.
 Both modes stop at the first rung whose reconstruction passes the
 acceptance check (the fresh-prime verification, plus the exact check over
 Q when asked for), as Giusti-Lecerf-Salvy's lift may.  The mode only picks
@@ -122,8 +129,10 @@ def _budget_exponent(p, target_bits):
 
 
 def reconstruct_rep(rep):
-    """Rational reconstruction of every coefficient of a fiber over Z/p^k;
-    raises NoReconstructionError when the precision is insufficient."""
+    """Rational reconstruction of every coefficient of a fiber over Z/p^k,
+    by maximal quotient; raises NoReconstructionError when some coefficient
+    has no quotient past the guard, that is when the precision is
+    insufficient."""
     m = rep.ring.modulus
 
     def recover(c):

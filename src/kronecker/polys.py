@@ -13,7 +13,7 @@ resultant, factorization) require a field context; Euclidean division by a
 *monic* divisor works over any ring and is what the solver uses elsewhere.
 """
 
-from math import gcd as _int_gcd, isqrt
+from math import gcd as _int_gcd
 
 from .errors import DuplicateNodeError, NoReconstructionError, NotInvertibleError
 
@@ -342,34 +342,49 @@ def interpolate(points, F):
 
 
 def rational_reconstruct(a, m):
-    """Recover num/den from a mod m with |num| <= B, 0 < den <= B, for B the
-    largest bound with 2B**2 < m.
+    """Recover num/den from a mod m by maximal-quotient rational
+    reconstruction (Monagan, ISSAC 2004).
+
+    Each pair (r, t) of the extended Euclidean sequence of (m, a) has
+    r = t·a mod m and |r·t| <= m/q, for q the quotient that follows it, so a
+    fraction with |num|·den far below m shows as one quotient far above the
+    others.  The pair before the largest quotient is returned when that
+    quotient exceeds the guard T = 2^c·bits(m), c = min(32, bits(m) // 8).
+    A returned pair has |num|·den < m/T, and every fraction in lowest terms
+    with den prime to m and m > 2·T·(|num|·den)^2 comes back.  So m needs
+    about bits(num) + bits(den) + bits(T) bits, where a bound of sqrt(m/2)
+    on both |num| and den needs twice the larger: the Kronecker form's
+    numerators are large and its denominators small.  A residue that is no such fraction has
+    about 0.6·bits(m) quotients, each above T with odds of about 1.44/T, so
+    the guard refuses it but for odds of about 2^-c; c is smaller at a small
+    m, so that small fractions modulo a small m still come back.
 
     Returns the reduced pair (num, den); raises NoReconstructionError when
-    no fraction within the bound matches, which callers treat as "lift
-    further".
+    no quotient passes the guard, which callers treat as "lift further".
     """
     if m <= 2:
         raise ValueError("modulus too small")
     if not 0 <= a < m:
         raise ValueError("residue out of range")
-    bound = isqrt(m // 2)
-    while bound > 1 and 2 * bound * bound >= m:
-        bound -= 1
+    if a == 0:
+        return 0, 1
+    bits = m.bit_length()
+    best = bits << min(32, bits // 8)
+    pair = None
     r0, r1 = m, a
     t0, t1 = 0, 1
-    while r1 > bound:
+    # A later quotient is at most r0, so the search ends exactly once r0 is
+    # no more than the guard or the best quotient so far.
+    while r1 and r0 > best:
         qq = r0 // r1
+        if qq > best:
+            best, pair = qq, (r1, t1)
         r0, r1 = r1, r0 - qq * r1
         t0, t1 = t1, t0 - qq * t1
-    if t1 == 0:
+    if pair is None:
         raise NoReconstructionError("no fraction within the bound")
-    num, den = (r1, t1) if t1 > 0 else (-r1, -t1)
-    g = _int_gcd(abs(num), den)
-    if g > 1:
-        num //= g
-        den //= g
-    if den > bound or abs(num) > bound or _int_gcd(den, m) != 1:
+    num, den = pair if pair[1] > 0 else (-pair[0], -pair[1])
+    if _int_gcd(abs(num), den) != 1 or _int_gcd(den, m) != 1:
         raise NoReconstructionError("no fraction within the bound")
     if (num - a * den) % m != 0:
         raise NoReconstructionError("candidate failed the congruence check")

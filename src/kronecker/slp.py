@@ -379,6 +379,9 @@ class _Parser:
                    for c in dense.values() if abs(c) > 1):
                 raise ParseError("power of a constant too large to expand")
             out = {tuple(e * a for a in k): c**e for k, c in dense.items()}
+            if deg <= 0:
+                # A power of a constant is a constant: one instruction.
+                return self.emit("const", out.get(self.unit, 0)), out, deg
         else:
             out = {self.unit: 1}
             for _ in range(e):

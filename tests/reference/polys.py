@@ -1,6 +1,8 @@
 """Polynomial helpers over a prime field that only the tests use:
 coefficient lists from ints, squarefree parts, irreducibility and Chinese
-remaindering."""
+remaindering; and the textbook maximal-quotient rational reconstruction."""
+
+from math import gcd
 
 from kronecker.errors import KroneckerError
 from kronecker.polys import (
@@ -106,3 +108,38 @@ def crt_polys(residues, F):
         v = poly_add(v, poly_mul(q, t, F), F)
         q = poly_mul(q, q2, F)
     return poly_rem(v, q, F)
+
+
+def reconstruction_guard(m):
+    """The guard T = 2^c·bits(m), c = min(32, bits(m) // 8), that the
+    largest quotient must exceed."""
+    bits = m.bit_length()
+    return 2 ** min(32, bits // 8) * bits
+
+
+def euclidean_sequence(a, m):
+    """(q, r, t) for each step of the extended Euclidean sequence of (m, a):
+    the quotient q and the pair (r, t), r = t·a mod m, that precedes it."""
+    r0, r1, t0, t1 = m, a, 0, 1
+    while r1:
+        q = r0 // r1
+        yield q, r1, t1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+
+
+def maximal_quotient_reconstruct(a, m):
+    """Monagan's maximal-quotient rational reconstruction (ISSAC 2004) over
+    the whole Euclidean sequence, with no early stop: (num, den) from the
+    pair before the first largest quotient when that quotient exceeds the
+    guard and the pair is in lowest terms with den prime to m; None
+    otherwise."""
+    if a == 0:
+        return 0, 1
+    q, r, t = max(euclidean_sequence(a, m), key=lambda step: step[0])
+    if q <= reconstruction_guard(m):
+        return None
+    num, den = (r, t) if t > 0 else (-r, -t)
+    if gcd(num, den) != 1 or gcd(den, m) != 1:
+        return None
+    return num, den

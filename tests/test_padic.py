@@ -1,3 +1,4 @@
+import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -31,6 +32,7 @@ from kronecker.solver import (
 from kronecker.verify import check_representation
 
 from reference.polys import from_int_coeffs
+from test_acceptance import _random_dense_system
 
 F7 = PrimeField(7)
 IDENT = AffineChange.identity(1)
@@ -265,6 +267,39 @@ def test_wrongly_sized_lambda_is_rejected_before_the_first_attempt(
         solve_over_rationals(parse_system("vars x, y; x^2 - 2; y^2 - 3;"), config)
 
 
+# A dense (5, 5) system, δ = 25, with λ, the lifting point and the prime
+# pinned.  Its Kronecker form has numerators of up to 156 bits over
+# denominators of up to 30: about 190 bits of p^4 = 244 for
+# maximal-quotient reconstruction, against the 313 that a bound of
+# sqrt(m/2) on both asked for, which stopped the ladder at p^8.  The digest
+# of the representation was computed while it still stopped there.
+LADDER_SYSTEM = (
+    "vars x,y; 10*y + 8*y^2 + 3*y^3 - 7*y^4 - 3*y^5 - 10*x - 5*x*y"
+    " - 3*x*y^2 + 8*x*y^3 + 7*x*y^4 + 5*x^2 + 2*x^2*y - 1*x^2*y^2"
+    " + 2*x^2*y^3 - 10*x^3 + 10*x^3*y - 5*x^3*y^2 + 9*x^4 + 6*x^4*y + 8*x^5;"
+    " 5 + 6*y - 5*y^2 - 4*y^3 - 1*y^4 + 3*y^5 + 3*x - 1*x*y - 4*x*y^2"
+    " + 6*x*y^3 + 3*x*y^4 - 6*x^2 - 2*x^2*y - 10*x^2*y^2 + 7*x^2*y^3"
+    " - 4*x^3 + 5*x^3*y - 4*x^3*y^2 + 1*x^4 - 6*x^4*y - 2*x^5;"
+)
+LADDER_SHA256 = (
+    "c0218b35ffc808108c34e2f27cf8b8a30e1c1b72d8bf7b6e3fbe95dbd8ef1cb0"
+)
+
+
+def test_heuristic_ladder_stops_where_the_output_fits():
+    config = SolveConfiguration(
+        seed=1,
+        lambda_matrix=((30, 17), (16, 29)),
+        lifting_point=(22,),
+        prime=2**61 - 1,
+    )
+    rep, cert = solve_over_rationals(parse_system(LADDER_SYSTEM), config)
+    text = repr((rep.min_poly, sorted(rep.params.items())))
+    assert hashlib.sha256(text.encode()).hexdigest() == LADDER_SHA256
+    assert cert.precision_exponent == 4
+    assert cert.reconstruction_exponents == ((1, False), (2, False), (4, True))
+
+
 TWO_QUADRICS = "vars x,y; x^2 + y^2 - 5; x*y - 2;"
 
 
@@ -336,8 +371,6 @@ def test_both_modes_stop_at_a_verified_rung_with_the_same_fiber(seed):
     # at Z/p and provable mode at the height budget, so the heuristic rung
     # is never the higher one, and with λ and the lifting point pinned the
     # fiber over Q is the same.
-    from test_acceptance import _random_dense_system
-
     rng = random.Random(seed)
     n = rng.choice([1, 2])
     degrees = [rng.choice([1, 2]) for _ in range(n)]

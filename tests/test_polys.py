@@ -31,8 +31,11 @@ from reference.polys import (
     CharacteristicTooSmallError,
     ModuliNotCoprimeError,
     crt_polys,
+    euclidean_sequence,
     from_int_coeffs,
     is_irreducible,
+    maximal_quotient_reconstruct,
+    reconstruction_guard,
     squarefree_part,
 )
 
@@ -335,53 +338,141 @@ def test_rational_reconstruct_roundtrip_property():
         assert rational_reconstruct(a, m) == (num, den)
 
 
+# Maximal-quotient reconstruction trades balance for reach: it returns the
+# pair before the largest Euclidean quotient once that quotient passes the
+# guard T, so it recovers any fraction with m > 2·T·(|num|·den)^2, however
+# unbalanced, and a fraction with |num| close to den only when that
+# quotient stands out.
+
+
+def _within_reach(num, den, extra):
+    """A modulus m prime to den with m > 2·T(m)·(|num|·den)^2, ``extra``
+    bits above the least such size."""
+    size = max(abs(num) * den, 1)
+    floor = 2 * size * size
+    shift = 0
+    while floor << shift <= 2 * reconstruction_guard(floor << (shift + 1)) * (
+        size * size
+    ):
+        shift += 1
+    m = (floor << (shift + extra)) + 1
+    while gcd(den, m) != 1:
+        m += 1
+    return m
+
+
 @st.composite
-def _bounded_fractions(draw):
-    """A fraction num/den in lowest terms with |num|, den <= B, and a
-    modulus m > 2B^2 prime to den."""
-    bound = draw(st.integers(1, 2**64))
-    m = draw(st.integers(2 * bound * bound + 1, 2 * bound * bound + 2**70))
-    den = draw(st.integers(1, bound).filter(lambda d: gcd(d, m) == 1))
-    num = draw(st.integers(-bound, bound).filter(lambda u: gcd(u, den) == 1))
-    return num, den, bound, m
+def _fractions_within_reach(draw):
+    """A fraction num/den in lowest terms, of up to 200 bits each, and a
+    modulus within its reach."""
+    num = draw(st.integers(-(2**200), 2**200))
+    den = draw(st.integers(1, 2**200))
+    g = gcd(num, den)
+    m = _within_reach(num // g, den // g, draw(st.integers(0, 64)))
+    return num // g, den // g, m
 
 
 @settings(max_examples=200)
-@given(_bounded_fractions())
-def test_rational_reconstruct_recovers_every_bounded_fraction(case):
-    num, den, bound, m = case
+@given(_fractions_within_reach())
+def test_rational_reconstruct_recovers_every_fraction_within_reach(case):
+    num, den, m = case
+    assert m > 2 * reconstruction_guard(m) * (abs(num) * den) ** 2
     a = num * pow(den, -1, m) % m
     assert rational_reconstruct(a, m) == (num, den)
 
 
+def test_rational_reconstruct_reaches_past_the_balanced_bound():
+    # A Kronecker-form coefficient: a large numerator over a small
+    # denominator.  sqrt(m/2) bounds neither its numerator nor, below the
+    # numerator's square, m; the product |num|·den is well within reach.
+    rng = random.Random(16)
+    m = 3**151  # 240 bits
+    for _ in range(50):
+        num = rng.getrandbits(150) | 1 << 149
+        den = rng.getrandbits(30) | 1 << 29
+        g = gcd(num, den)
+        num, den = num // g, den // g
+        if den % 3 == 0:
+            continue
+        assert num > isqrt(m // 2)
+        a = num * pow(den, -1, m) % m
+        assert rational_reconstruct(a, m) == (num, den)
+        assert rational_reconstruct(m - a, m) == (-num, den)
+
+
+def test_rational_reconstruct_refuses_a_coincidental_quotient():
+    m = 3**151
+    guard = reconstruction_guard(m)
+    rng = random.Random(17)
+    # A random residue: its largest quotient is far below the guard.
+    for _ in range(100):
+        with pytest.raises(NoReconstructionError):
+            rational_reconstruct(rng.randrange(m), m)
+    # A fraction with |num|·den just below m/2^20: its quotient, about 2^20,
+    # is the largest of the sequence but not above the guard.
+    num, den = 2**109 + 1, 2**110 + 3
+    a = num * pow(den, -1, m) % m
+    q, r, t = max(euclidean_sequence(a, m), key=lambda step: step[0])
+    assert (r, t) == (num, den) and 2**19 < q < guard
+    with pytest.raises(NoReconstructionError):
+        rational_reconstruct(a, m)
+
+
 def test_rational_reconstruct_refuses_past_the_digit_cap():
-    # The bound has 4771 decimal digits, past the interpreter's cap on
+    # The modulus has 9543 decimal digits, past the interpreter's cap on
     # int-to-str conversion, which the refusal must not format.
     m = 3**20000
     with pytest.raises(NoReconstructionError, match="within the bound"):
         rational_reconstruct(random.Random(9).randrange(m), m)
 
 
+def test_rational_reconstruct_takes_the_first_of_two_largest_quotients():
+    # m/a has the continued fraction [3; 2^40, 5, 2^40, 7]: the early stop
+    # must not pass over the first 2^40 for the second.
+    quotients = [3, 2**40, 5, 2**40, 7]
+    m, a = quotients[-1], 1
+    for q in reversed(quotients[:-1]):
+        m, a = q * m + a, m
+    steps = list(euclidean_sequence(a, m))
+    assert [q for q, _, _ in steps] == quotients
+    _, r, t = steps[1]
+    assert rational_reconstruct(a, m) == (-r, -t)
+    assert maximal_quotient_reconstruct(a, m) == (-r, -t)
+
+
 @st.composite
 def _residues(draw):
-    """A modulus m and a residue a = num/den mod m, for num anywhere in
-    [-m, m] and den up to sqrt(m): within the reconstruction bound or not,
-    and with den = 1 any residue at all."""
-    m = draw(st.integers(3, 2**80))
-    den = draw(st.integers(1, isqrt(m)).filter(lambda d: gcd(d, m) == 1))
-    num = draw(st.integers(-m, m))
+    """A modulus m and a residue a = num/den mod m: any residue, or a
+    fraction of up to 2^2000 over up to 2^2000, for m up to 2^4000."""
+    m = draw(st.integers(3, 2**4000))
+    if draw(st.booleans()):
+        return m, draw(st.integers(0, m - 1))
+    den = draw(st.integers(1, 2**2000).filter(lambda d: gcd(d, m) == 1))
+    num = draw(st.integers(-(2**2000), 2**2000))
     return m, num * pow(den, -1, m) % m
 
 
 @settings(max_examples=200)
 @given(_residues())
-def test_rational_reconstruct_of_any_residue_is_bounded_or_refused(case):
+def test_rational_reconstruct_of_any_residue_is_within_reach_or_refused(case):
     m, a = case
-    bound = isqrt((m - 1) // 2)  # the largest B with 2B^2 < m
     try:
         num, den = rational_reconstruct(a, m)
     except NoReconstructionError:
         return
-    assert abs(num) <= bound and 0 < den <= bound
-    assert gcd(num, den) == 1
+    assert abs(num) * den * reconstruction_guard(m) < m
+    assert den > 0 and gcd(num, den) == 1 and gcd(den, m) == 1
     assert (num - a * den) % m == 0
+
+
+@settings(max_examples=200)
+@given(_residues())
+def test_rational_reconstruct_stops_early_as_the_full_sequence_would(case):
+    # The loop stops once no later quotient can beat the best one; the
+    # reference runs the whole sequence.
+    m, a = case
+    try:
+        got = rational_reconstruct(a, m)
+    except NoReconstructionError:
+        got = None
+    assert got == maximal_quotient_reconstruct(a, m)
