@@ -394,7 +394,8 @@ def rational_reconstruct(a, m):
 def charpoly_division_free(mat, A):
     """Coefficients 1, c_1, ..., c_s of det(x·I - M), x^s first, by
     Berkowitz's algorithm: no divisions, O(s^4) ring operations, valid over
-    any commutative ring.
+    any commutative ring.  Its callers, ``solver.solve_linear`` and
+    ``slp.AffineChange.from_matrix``, go on with ``charpoly_horner``.
 
     Builds the characteristic polynomial of each leading principal block
     [[M, c], [r, a]] from that of M by a Toeplitz product whose first column
@@ -418,6 +419,16 @@ def charpoly_division_free(mat, A):
             new.append(acc)
         coeffs = new
     return coeffs
+
+
+def charpoly_horner(mat, coeffs, v, A):
+    """M^(s-1)·v + c_1 M^(s-2)·v + ... + c_(s-1)·v by Horner's rule, for the
+    coefficients ``coeffs`` = 1, c_1, ..., c_s of det(x·I - M).  By
+    Cayley–Hamilton it is (-1)^(s-1) adj(M)·v, and M times it is -c_s·v."""
+    acc = list(v)
+    for c in coeffs[1:-1]:
+        acc = [A.add(dot(row, acc, A), A.mul(c, b)) for row, b in zip(mat, v)]
+    return acc
 
 
 def dot(u, v, A):

@@ -36,7 +36,7 @@ import re
 from dataclasses import dataclass, field, replace
 
 from .errors import NotInvertibleError, ParseError, SingularMatrixError
-from .polys import charpoly_division_free, dot
+from .polys import charpoly_division_free, charpoly_horner
 from .rings import ZZ, coerce
 
 _TOKEN_RE = re.compile(
@@ -67,9 +67,9 @@ class AffineChange:
 
     @classmethod
     def from_matrix(cls, rows):
-        """From det(x·I - M) = x^n + c_1 x^(n-1) + ... + c_n: det M is
-        (-1)^n c_n and, by Cayley–Hamilton, adj M is (-1)^(n-1) times
-        M^(n-1) + c_1 M^(n-2) + ... + c_(n-1) I, summed by Horner's rule."""
+        """det M = (-1)^n c_n for det(x·I - M) = x^n + c_1 x^(n-1) + ... +
+        c_n, and column j of adj M is (-1)^(n-1) ``charpoly_horner`` of the
+        unit vector e_j.  Raises SingularMatrixError when det M = 0."""
         rows = tuple(tuple(int(c) for c in row) for row in rows)
         n = len(rows)
         if any(len(row) != n for row in rows):
@@ -78,15 +78,10 @@ class AffineChange:
         det = -coeffs[-1] if n % 2 else coeffs[-1]
         if det == 0:
             raise SingularMatrixError("change of variables has determinant 0")
-        acc = [[int(i == j) for j in range(n)] for i in range(n)]
-        for c in coeffs[1:n]:
-            cols = list(zip(*acc))
-            acc = [
-                [dot(row, col, ZZ) + c * (i == j) for j, col in enumerate(cols)]
-                for i, row in enumerate(rows)
-            ]
         sign = 1 if n % 2 else -1
-        adj = tuple(tuple(sign * v for v in row) for row in acc)
+        units = [[int(i == j) for i in range(n)] for j in range(n)]
+        cols = [charpoly_horner(rows, coeffs, e, ZZ) for e in units]
+        adj = tuple(tuple(sign * v for v in row) for row in zip(*cols))
         return cls(matrix=rows, det=det, adjugate=adj)
 
     @classmethod
@@ -154,8 +149,12 @@ class StraightLineProgram:
 
     @property
     def length(self):
+        """Ring operations of one evaluation: the add/sub/mul of the slice
+        of all outputs, plus 2n^2 for a non-identity change of variables."""
         ops = sum(
-            1 for ins in self.instructions if ins[0] in ("add", "sub", "mul")
+            1
+            for i in self.slice(tuple(range(self.n_outputs)))
+            if self.instructions[i][0] in ("add", "sub", "mul")
         )
         if self.transform is not None and not self.transform.is_identity():
             n = self.n_vars

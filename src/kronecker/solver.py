@@ -30,8 +30,8 @@ from .errors import (
 )
 from .polys import (
     charpoly_division_free,
+    charpoly_horner,
     degree,
-    dot,
     interpolate,
     monic,
     normalize,
@@ -197,62 +197,16 @@ def to_kronecker(rep):
 # -- linear algebra over quotient rings --------------------------------------
 
 
-class _PivotStuck(Exception):
-    pass
-
-
-def _solve_by_elimination(mat, rhs, A):
-    s = len(mat)
-    aug = [list(mat[i]) + [rhs[i]] for i in range(s)]
-    for col in range(s):
-        pivot_row = None
-        pivot_inv = None
-        for r in range(col, s):
-            try:
-                pivot_inv = A.inv(aug[r][col])
-                pivot_row = r
-                break
-            except NotInvertibleError:
-                continue
-        if pivot_row is None:
-            raise _PivotStuck(col)
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        aug[col] = [A.mul(pivot_inv, v) for v in aug[col]]
-        for r in range(s):
-            if r != col and not A.is_zero(aug[r][col]):
-                f = aug[r][col]
-                aug[r] = [
-                    A.sub(v, A.mul(f, w)) for v, w in zip(aug[r], aug[col])
-                ]
-    return [aug[i][s] for i in range(s)]
-
-
-def _solve_by_cayley_hamilton(mat, rhs, A):
-    """x = -(M^(s-1) b + c_1 M^(s-2) b + ... + c_(s-1) b) / c_s, from
-    M^s + c_1 M^(s-1) + ... + c_s I = 0; needs only c_s = ±det(M) to be a
-    unit."""
-    coeffs = charpoly_division_free(mat, A)
-    c_inv = A.inv(coeffs[-1])
-    acc = list(rhs)
-    for c in coeffs[1:-1]:
-        acc = [A.add(dot(row, acc, A), A.mul(c, b)) for row, b in zip(mat, rhs)]
-    return [A.neg(A.mul(c_inv, v)) for v in acc]
-
-
 def solve_linear(mat, rhs, A):
-    """Solve an s x s system over a quotient ring.
-
-    Gaussian elimination with unit-pivot search first; if no pivot column
-    offers a unit (possible over a split algebra even for an invertible
-    matrix), falls back to Cayley–Hamilton, which only needs det(M) to be a
-    unit.  Raises NotInvertibleError when the matrix is singular.
-    """
-    if len(mat) == 0:
-        return []
-    try:
-        return _solve_by_elimination(mat, rhs, A)
-    except _PivotStuck:
-        return _solve_by_cayley_hamilton(mat, rhs, A)
+    """Solve M·x = b for an s x s matrix M over a commutative ring A, as
+    x = -(M^(s-1) b + c_1 M^(s-2) b + ... + c_(s-1) b) / c_s by
+    Cayley–Hamilton, with det(x·I - M) = x^s + c_1 x^(s-1) + ... + c_s.
+    The one inverse is of c_s = ±det M, so only det M must be a unit: over
+    the Newton step's R[T]/(Q), an invertible M may have no unit in a
+    column.  Raises NotInvertibleError when det M is not a unit."""
+    coeffs = charpoly_division_free(mat, A)
+    neg_inv = A.neg(A.inv(coeffs[-1]))
+    return [A.mul(neg_inv, v) for v in charpoly_horner(mat, coeffs, rhs, A)]
 
 
 # -- Newton lifting -----------------------------------------------------------

@@ -7,8 +7,14 @@ import pytest
 
 from kronecker.errors import NotInvertibleError
 from kronecker.padic import SolveConfiguration, solve_over_rationals
-from kronecker.polys import poly_eval
-from kronecker.rings import QQ, PolyQuotient, PrimeField
+from kronecker.polys import normalize, poly_eval
+from kronecker.rings import (
+    QQ,
+    PolyQuotient,
+    PrimeField,
+    ResidueRing,
+    SeriesRing,
+)
 from kronecker.slp import parse_system
 from kronecker.solver import solve_linear
 
@@ -23,14 +29,19 @@ def _split_quotient():
     return PolyQuotient(F, from_int_coeffs([-1, 0, 1], F))
 
 
-def test_solve_linear_adjugate_fallback_on_zero_divisor_column():
+def _times(mat, x, A):
+    return [functools.reduce(A.add, (A.mul(m, v) for m, v in zip(row, x)))
+            for row in mat]
+
+
+def test_solve_linear_with_no_unit_in_the_first_column():
     A = _split_quotient()
     t_minus = from_int_coeffs([-1, 1], F)
     t_plus = from_int_coeffs([1, 1], F)
     one = A.one
     # First column holds only zero divisors, yet det = (T-1) - (T+1) = -2
-    # is a unit: elimination cannot find a pivot, the Cayley-Hamilton
-    # fallback must.
+    # is a unit: no unit pivot starts an elimination, and Cayley-Hamilton,
+    # which needs only det M to be a unit, solves it.
     mats = [[[t_minus, one], [t_plus, one]]]
     # s = 3, 4: M = E1·P + E2·Q for the orthogonal idempotents E1 = (1+T)/2,
     # E2 = (1-T)/2 and permutation matrices P = I and Q a cyclic shift, which
@@ -56,11 +67,7 @@ def test_solve_linear_adjugate_fallback_on_zero_divisor_column():
         rhs = [from_int_coeffs([rng.randrange(10007) for _ in range(2)], F)
                for _ in range(s)]
         x = solve_linear(mat, rhs, A)
-        got = [
-            functools.reduce(A.add, (A.mul(mat[i][j], x[j]) for j in range(s)))
-            for i in range(s)
-        ]
-        assert got == [A.reduce(r) for r in rhs]
+        assert _times(mat, x, A) == [A.reduce(r) for r in rhs]
 
 
 def test_solve_linear_reports_singular():
@@ -69,6 +76,52 @@ def test_solve_linear_reports_singular():
     mat = [[t_minus, t_minus], [t_minus, t_minus]]
     with pytest.raises(NotInvertibleError):
         solve_linear(mat, [A.one, A.one], A)
+
+
+P = 7
+F7 = PrimeField(P)
+
+
+def _local_quotients():
+    """R[T]/(q) over Z/7^k and F_7[t]/(t^k), k > 1, the algebras of the
+    p-adic and the t-adic Newton step, with q ≡ (T-1)(T+1)(T-2) mod the
+    maximal ideal: split, so T - 1 is a non-unit that is not nilpotent."""
+    for k in (2, 3):
+        R = ResidueRing(P, k)
+        q = [R.from_int(c) for c in (2 + 3 * P, -1, -2 + P, 1)]
+        yield PolyQuotient(R, q), (lambda rng, R=R: rng.randrange(R.modulus))
+        q = [(2, 3), (P - 1,), (P - 2, 1), (1,)]
+        yield PolyQuotient(SeriesRing(F7, k), q), (
+            lambda rng, k=k: normalize([rng.randrange(P) for _ in range(k)], F7)
+        )
+
+
+def _random_element(A, draw, rng):
+    return A.reduce([draw(rng) for _ in range(A.deg)])
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_solve_linear_over_the_newton_step_algebras(s):
+    rng = random.Random(s)
+    for A, draw in _local_quotients():
+        solved = 0
+        while solved < 3:
+            mat = [[_random_element(A, draw, rng) for _ in range(s)]
+                   for _ in range(s)]
+            try:
+                A.inv(det_division_free(mat, A))
+            except NotInvertibleError:
+                continue
+            rhs = [_random_element(A, draw, rng) for _ in range(s)]
+            assert _times(mat, solve_linear(mat, rhs, A), A) == rhs
+            solved += 1
+        # det M times a non-unit is not a unit: the maximal ideal's
+        # generator (p or t), or T - 1, a zero divisor mod that ideal.
+        pi = A.shift_up(A.one, 1)
+        for z in (pi, A.reduce([A.base.from_int(-1), A.base.one])):
+            bad = [[A.mul(z, e) for e in mat[0]]] + mat[1:]
+            with pytest.raises(NotInvertibleError):
+                solve_linear(bad, rhs, A)
 
 
 def test_det_division_free_matches_field_determinant():

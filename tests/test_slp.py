@@ -53,6 +53,14 @@ def test_parse_power_chain_counts():
     assert slp.degrees == (5,)
 
 
+def test_length_counts_only_what_an_output_reaches():
+    # (0*x)^5 folds to the constant 0, so the mul of 0*x is left with no
+    # reader; an evaluation runs one operation, the add.
+    slp = parse_system("vars x; x + (0*x)^5;")
+    assert slp.length == 1
+    assert evaluate(slp, (3,), PrimeField(10007)) == [3]
+
+
 def test_parse_shares_powers_and_commuted_products():
     # x^2, x^4 and x*y = y*x are emitted once each: x^2, x^4, x*y, the add,
     # x^4*y and the sub.
