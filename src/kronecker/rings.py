@@ -19,6 +19,18 @@ The truncated local rings ``ResidueRing`` (Z/p^k, π = p) and ``SeriesRing``
 ring at precision m, and ``truncate``, ``shift_down`` and ``shift_up`` take
 a whole coefficient list over the ring at another precision to this one,
 as it is, divided by π^j and multiplied by π^j.
+
+A base ring may own the product of its quotients R[T]/(q): ``PolyQuotient``
+calls the base's ``quotient_mul(a, b, q)`` when it has one.  ``SeriesRing``
+does, by Kronecker substitution: each (T, t) coefficient takes one slot of
+w bits, a T-block takes 2k - 1 slots so that products of two series never
+reach the next block, and the product is one big-int multiplication; the
+division by q runs along T, one packed multiplication per quotient term.
+Over the product and all division steps, a slot collects fewer than
+k·(len a + len b) products of two residues below p, so w = 2·bits(p) +
+bits(k·(len a + len b)), rounded up to whole bytes, keeps every slot below
+2^w and no slot carries into its neighbour.  Other bases multiply and
+reduce coefficient by coefficient.
 """
 
 from fractions import Fraction
@@ -239,6 +251,43 @@ class SeriesRing:
                     out[i + j] += c * b[j]
         return polys.normalize([c % self.field.p for c in out], self.field)
 
+    def quotient_mul(self, a, b, q):
+        """a·b mod the monic q in R[T]/(q) over this ring, by Kronecker
+        substitution: one big-int product, then schoolbook division along T
+        with one packed multiplication per quotient term."""
+        d = len(q) - 1
+        if not a or not b or d < 1:
+            return ()
+        p, k = self.field.p, self.prec
+        wb = (2 * p.bit_length() + (k * (len(a) + len(b))).bit_length() + 7) // 8
+        sb = (2 * k - 1) * wb  # bytes per T-block
+
+        def pack(poly):
+            blocks = [
+                b"".join([c.to_bytes(wb, "little") for c in s[:k]]).ljust(sb, b"\0")
+                for s in poly
+            ]
+            return int.from_bytes(b"".join(blocks), "little")
+
+        def unpack(buf, count):
+            return [
+                [int.from_bytes(buf[j : j + wb], "little") % p
+                 for j in range(o, o + k * wb, wb)]
+                for o in range(0, count * sb, sb)
+            ]
+
+        top = len(a) + len(b) - 1
+        prod = pack(a) * pack(b)
+        if top > d:
+            neg_q = pack([[-c % p for c in s] for s in q[:d]])
+            series = (1 << (8 * k * wb)) - 1
+            for i in range(top - 1, d - 1, -1):
+                head = (prod >> (8 * i * sb)) & series
+                lead = unpack(head.to_bytes(sb, "little"), 1)
+                prod += (pack(lead) * neg_q) << (8 * (i - d) * sb)
+        rem = unpack(prod.to_bytes(top * sb, "little"), min(d, top))
+        return polys.normalize([polys.normalize(s, self.field) for s in rem], self)
+
     def neg(self, a):
         return polys.poly_neg(a, self.field)
 
@@ -354,6 +403,8 @@ class PolyQuotient:
         self.zero = ()
         self.one = (base.one,) if self.deg > 0 else ()
         self.gen = polys.rem_monic((base.zero, base.one), self.modulus, base)
+        # A base ring may own a faster product for its quotients.
+        self._kernel = getattr(base, "quotient_mul", None)
 
     def reduce(self, f):
         return polys.rem_monic(polys.normalize(f, self.base), self.modulus, self.base)
@@ -365,6 +416,8 @@ class PolyQuotient:
         return polys.poly_sub(a, b, self.base)
 
     def mul(self, a, b):
+        if self._kernel is not None:
+            return self._kernel(a, b, self.modulus)
         return polys.rem_monic(polys.poly_mul(a, b, self.base), self.modulus, self.base)
 
     def neg(self, a):

@@ -37,7 +37,6 @@ from .polys import (
     normalize,
     poly_deriv,
     poly_eval,
-    poly_mul,
     rem_monic,
     resultant,
 )
@@ -185,12 +184,9 @@ def to_kronecker(rep):
     """Univariate -> Kronecker: W_j = Q' V_j mod Q."""
     if rep.form == "kronecker":
         return rep
-    F = rep.ring
-    q = rep.min_poly
-    qp = poly_deriv(q, F)
-    params = {
-        j: rem_monic(poly_mul(qp, v, F), q, F) for j, v in rep.params.items()
-    }
+    A = PolyQuotient(rep.ring, rep.min_poly)
+    qp = poly_deriv(rep.min_poly, rep.ring)
+    params = {j: A.mul(qp, v) for j, v in rep.params.items()}
     return replace(rep, params=params, form="kronecker")
 
 

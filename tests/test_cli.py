@@ -269,6 +269,33 @@ def test_golden_output_without_ladder_fields(tmp_path):
     assert digest == GOLDEN_SHA256_WITHOUT_LADDER
 
 
+# Modular documents of an n = 3 (fiber degrees 2, 4, 8) and an n = 4
+# (2, 4, 8, 16) system at seed 1.  Unlike TWO_QUADRICS, each lifts several
+# curves to t-adic precision above 1, so these pin the products over
+# F_p[t]/(t^k)[T]/(Q) of the curve lift.
+THREE_QUADRICS = (
+    "vars x, y, z;\nx^2 + 2*y*z - 3*x + 1;\ny^2 - x*z + 5*y - 2;\n"
+    "z^2 + 3*x*y - z + 4;\n"
+)
+FOUR_QUADRICS = (
+    "vars x, y, z, w;\nx^2 + y*w - 2*z + 1;\ny^2 - x*z + 3*w - 2;\n"
+    "z^2 + 2*x*y - w + 3;\nw^2 - y*z + x - 5;\n"
+)
+GOLDEN_SHA256_MOD_P_ONLY = {
+    THREE_QUADRICS: "c0c8b2ea91f0688cd4fee09f6456de5e1936934fa9503c76fbdfc75573bf8e4d",
+    FOUR_QUADRICS: "9cfeb734589a11c0b3024d932cb2b283134e123ed69e9bbe1022365e84fca367",
+}
+
+
+@pytest.mark.parametrize("text", list(GOLDEN_SHA256_MOD_P_ONLY), ids=["n3", "n4"])
+def test_golden_mod_p_only_bytes(tmp_path, text):
+    src = _write(tmp_path, text)
+    out = tmp_path / "rep.json"
+    assert run([src, "--mod-p-only", "--seed", "1", "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == GOLDEN_SHA256_MOD_P_ONLY[text]
+
+
 @pytest.mark.parametrize("flags", [[], ["--mod-p-only"]])
 def test_non_prime_prime_exits_3(tmp_path, capsys, flags):
     src = _write(tmp_path, TWO_QUADRICS)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from kronecker import polys
 from kronecker.errors import NotInvertibleError
 from kronecker.polys import poly_eval
 from kronecker.rings import (
@@ -129,6 +130,54 @@ def test_quotient_inverse_over_series_ring():
         except NotInvertibleError:
             continue
         assert A.mul(u, v) == A.one
+
+
+# Small, word-size and just-below-word-size primes: the slot width of the
+# packed product grows with bits(p).
+PACKED_PRIMES = (3, 7, 1152921504606846883, 4611686018427387847)
+
+
+def _series_poly(rng, S, length):
+    """A polynomial over S of the given length whose series may run past
+    the precision and carry trailing zeros: the product must not rely on
+    canonical operands."""
+    p = S.field.p
+    return tuple(
+        tuple(rng.randrange(p) for _ in range(rng.randint(0, S.prec + 2)))
+        for _ in range(length)
+    )
+
+
+def _schoolbook(a, b, q, S):
+    return polys.rem_monic(polys.poly_mul(a, b, S), q, S)
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+def test_packed_quotient_product_matches_schoolbook(p):
+    rng = random.Random(p)
+    F = ResidueRing(p, 1)
+    for k in range(1, 41):
+        S = SeriesRing(F, k)
+        for d in (k % 21, (k * 8) % 21):
+            q = _series_poly(rng, S, d) + (S.one,)
+            A = PolyQuotient(S, q)
+            lengths = (rng.randint(0, 2 * d), rng.randint(1, 2 * d + 1))
+            for la, lb in (lengths, (2 * d, 0)):
+                a = _series_poly(rng, S, la)
+                b = _series_poly(rng, S, lb)
+                assert A.mul(a, b) == _schoolbook(a, b, q, S)
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+def test_packed_quotient_product_worst_case_slots(p):
+    # Every coefficient p - 1 at the largest lengths: the slots of the
+    # product and of every division step are as full as they get.
+    S = SeriesRing(ResidueRing(p, 1), 40)
+    full = (p - 1,) * 40
+    q = (full,) * 20 + (S.one,)
+    a = (full,) * 40
+    assert PolyQuotient(S, q).mul(a, a) == _schoolbook(a, a, q, S)
+    assert PolyQuotient(S, q[19:]).mul(a, a[:1]) == _schoolbook(a, a[:1], q[19:], S)
 
 
 def test_quotient_detects_zero_divisor():
