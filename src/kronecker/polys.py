@@ -13,6 +13,7 @@ resultant, factorization) require a field context; Euclidean division by a
 *monic* divisor works over any ring and is what the solver uses elsewhere.
 """
 
+from itertools import zip_longest
 from math import gcd as _int_gcd
 
 from .errors import DuplicateNodeError, NoReconstructionError, NotInvertibleError
@@ -44,6 +45,11 @@ def constant(c, R):
 def poly_add(f, g, R):
     if len(f) < len(g):
         f, g = g, f
+    m = getattr(R, "int_modulus", None)
+    if m is not None:
+        out = [(a + b) % m for a, b in zip(f, g)]
+        out += f[len(g):]
+        return normalize(out, R)
     out = list(f)
     for i, c in enumerate(g):
         out[i] = R.add(out[i], c)
@@ -51,6 +57,9 @@ def poly_add(f, g, R):
 
 
 def poly_sub(f, g, R):
+    m = getattr(R, "int_modulus", None)
+    if m is not None:
+        return normalize([(a - b) % m for a, b in zip_longest(f, g, fillvalue=0)], R)
     n = max(len(f), len(g))
     out = []
     for i in range(n):
@@ -408,15 +417,13 @@ def charpoly_division_free(mat, A):
         row = mat[k][:k]
         toeplitz = [A.one, A.neg(mat[k][k])]
         for step in range(k):
-            toeplitz.append(A.neg(dot(row, col, A)))
+            toeplitz.append(A.neg(A.dot(row, col)))
             if step < k - 1:
-                col = [dot(mat[i][:k], col, A) for i in range(k)]
+                col = [A.dot(mat[i][:k], col) for i in range(k)]
         new = [A.one]
         for i in range(1, k + 2):
-            acc = toeplitz[i]  # times coeffs[0] = 1
-            for j in range(1, min(i, k) + 1):
-                acc = A.add(acc, A.mul(toeplitz[i - j], coeffs[j]))
-            new.append(acc)
+            top = min(i, k) + 1
+            new.append(A.dot(toeplitz[i::-1][:top], coeffs[:top]))
         coeffs = new
     return coeffs
 
@@ -427,12 +434,15 @@ def charpoly_horner(mat, coeffs, v, A):
     Cayley–Hamilton it is (-1)^(s-1) adj(M)·v, and M times it is -c_s·v."""
     acc = list(v)
     for c in coeffs[1:-1]:
-        acc = [A.add(dot(row, acc, A), A.mul(c, b)) for row, b in zip(mat, v)]
+        acc = [A.dot((*row, c), (*acc, b)) for row, b in zip(mat, v)]
     return acc
 
 
 def dot(u, v, A):
-    """Sum of u_i·v_i over A."""
+    """Sum of u_i·v_i over A, one product and one sum at a time: the
+    ``dot`` of a ring that has no fused one.  Callers use ``A.dot``, which
+    over ``PolyQuotient``, Z/p^k and the integers sums the unreduced
+    products and reduces once."""
     acc = A.zero
     for x, y in zip(u, v):
         acc = A.add(acc, A.mul(x, y))

@@ -1,7 +1,8 @@
 """Coefficient ring contexts shared by the circuit and polynomial code.
 
 Each context exposes the same small protocol: ``zero``, ``one``, ``add``,
-``sub``, ``mul``, ``neg``, ``from_int``, ``is_zero`` and ``inv``.
+``sub``, ``mul``, ``dot``, ``neg``, ``from_int``, ``is_zero`` and ``inv``;
+``dot(us, vs)`` is the sum of the products us[i]·vs[i].
 Elements are ordinary Python values:
 
 * ``ResidueRing``                 -- Z/p^k, ints reduced into [0, p^k); at
@@ -20,20 +21,40 @@ ring at precision m, and ``truncate``, ``shift_down`` and ``shift_up`` take
 a whole coefficient list over the ring at another precision to this one,
 as it is, divided by π^j and multiplied by π^j.
 
-A base ring may own the product of its quotients R[T]/(q): ``PolyQuotient``
-calls the base's ``quotient_mul(a, b, q)`` when it has one.  ``SeriesRing``
-does, by Kronecker substitution: each (T, t) coefficient takes one slot of
-w bits, a T-block takes 2k - 1 slots so that products of two series never
-reach the next block, and the product is one big-int multiplication; the
-division by q runs along T, one packed multiplication per quotient term.
-Over the product and all division steps, a slot collects fewer than
-k·(len a + len b) products of two residues below p, so w = 2·bits(p) +
-bits(k·(len a + len b)), rounded up to whole bytes, keeps every slot below
-2^w and no slot carries into its neighbour.  Other bases multiply and
-reduce coefficient by coefficient.
+The base ring of a quotient R[T]/(q) owns its product and its sum of
+products: ``PolyQuotient`` binds them to q once, from the base's
+``quotient_kernel(q)``, which returns the pair (mul, dot).  Each product
+is reduced mod q once, and so is each sum of products but over
+``SeriesRing``:
+
+* over ``ResidueRing`` the products are convolved over Z and summed, then
+  divided by q over Z, with one reduction mod p^k per quotient coefficient
+  and per output coefficient; a factor of T-degree 0 costs one product per
+  coefficient of the other;
+* over ``SeriesRing`` a factor of T-degree 0 multiplies coefficient by
+  coefficient through the series ring when the other factor is shorter
+  than q; any other product is packed by Kronecker substitution: each
+  (T, t) coefficient takes one slot of w bits, a T-block takes 2k - 1 slots
+  so that products of two series never reach the next block, and the
+  product is one big-int multiplication; the division by q runs along T,
+  one packed multiplication by the packed -q per quotient term, and -q is
+  packed once per quotient and slot width.  Over the product and all
+  division steps, a slot collects fewer than k·(len a + len b) products of
+  two residues below p, so w = 2·bits(p) + bits(k·(len a + len b)), rounded
+  up to whole bytes, keeps every slot below 2^w and no slot carries into
+  its neighbour.  A sum of products adds the reduced products: packing
+  the sum measured no faster;
+* any other base (the rationals, an extension field) multiplies with
+  ``polys.poly_mul``, sums the products unreduced and takes one
+  ``polys.rem_monic``.
+
+An element of T-degree 0 inverts in the base ring, not by Euclid or Newton
+over the quotient, and a series that is a constant inverts in its field.
 """
 
 from fractions import Fraction
+from itertools import zip_longest
+from operator import mul as _times
 
 from . import polys
 from .errors import NotInvertibleError
@@ -81,6 +102,9 @@ class ResidueRing:
     def mul(self, a, b):
         return (a * b) % self.modulus
 
+    def dot(self, us, vs):
+        return sum(map(_times, us, vs)) % self.modulus
+
     def neg(self, a):
         return -a % self.modulus
 
@@ -122,6 +146,37 @@ class ResidueRing:
         step = self.p**j
         return self.truncate([c * step for c in coeffs])
 
+    def quotient_kernel(self, q):
+        """(mul, dot) of R[T]/(q) for the monic q over this ring, each
+        reduced mod q once, over Z (see the module docstring)."""
+        m = self.modulus
+        d = len(q) - 1
+        low = q[:d]
+
+        def reduce(out):
+            for i in range(len(out) - 1, d - 1, -1):
+                c = out[i] % m
+                if c:
+                    for j, g in enumerate(low, i - d):
+                        out[j] -= c * g
+            return polys.normalize([c % m for c in out[:d]], self)
+
+        def mul(a, b):
+            if not a or not b:
+                return ()
+            return reduce(_convolve([0] * (len(a) + len(b) - 1), a, b))
+
+        def dot(us, vs):
+            pairs = [(a, b) for a, b in zip(us, vs) if a and b]
+            if not pairs:
+                return ()
+            out = [0] * max(len(a) + len(b) - 1 for a, b in pairs)
+            for a, b in pairs:
+                _convolve(out, a, b)
+            return reduce(out)
+
+        return mul, dot
+
     def __eq__(self, other):
         same = isinstance(other, ResidueRing)
         return same and (self.p, self.k) == (other.p, other.k)
@@ -150,6 +205,9 @@ class Rationals:
 
     def mul(self, a, b):
         return a * b
+
+    def dot(self, us, vs):
+        return sum(map(_times, us, vs), self.zero)
 
     def neg(self, a):
         return -a
@@ -194,6 +252,9 @@ class Integers:
     def mul(self, a, b):
         return a * b
 
+    def dot(self, us, vs):
+        return sum(map(_times, us, vs))
+
     def neg(self, a):
         return -a
 
@@ -234,10 +295,22 @@ class SeriesRing:
         return polys.normalize(coeffs, self.field)
 
     def add(self, a, b):
-        return self._trim(list(polys.poly_add(a, b, self.field)))
+        a, b = a[: self.prec], b[: self.prec]
+        if len(a) < len(b):
+            a, b = b, a
+        m = self.field.modulus
+        out = [(x + y) % m for x, y in zip(a, b)]
+        out += a[len(b) :]
+        return polys.normalize(out, self.field)
 
     def sub(self, a, b):
-        return self._trim(list(polys.poly_sub(a, b, self.field)))
+        a, b = a[: self.prec], b[: self.prec]
+        m = self.field.modulus
+        out = [(x - y) % m for x, y in zip_longest(a, b, fillvalue=0)]
+        return polys.normalize(out, self.field)
+
+    def dot(self, us, vs):
+        return polys.dot(us, vs, self)
 
     def mul(self, a, b):
         if not a or not b:
@@ -251,42 +324,61 @@ class SeriesRing:
                     out[i + j] += c * b[j]
         return polys.normalize([c % self.field.p for c in out], self.field)
 
-    def quotient_mul(self, a, b, q):
-        """a·b mod the monic q in R[T]/(q) over this ring, by Kronecker
-        substitution: one big-int product, then schoolbook division along T
-        with one packed multiplication per quotient term."""
+    def quotient_kernel(self, q):
+        """(mul, dot) of R[T]/(q) for the monic q over this ring: packed
+        products by Kronecker substitution (see the module docstring)."""
         d = len(q) - 1
-        if not a or not b or d < 1:
-            return ()
         p, k = self.field.p, self.prec
-        wb = (2 * p.bit_length() + (k * (len(a) + len(b))).bit_length() + 7) // 8
-        sb = (2 * k - 1) * wb  # bytes per T-block
+        # Packed -q by slot width, filled on first use; racing threads
+        # store equal values.
+        neg_q = {}
 
-        def pack(poly):
-            blocks = [
-                b"".join([c.to_bytes(wb, "little") for c in s[:k]]).ljust(sb, b"\0")
-                for s in poly
-            ]
-            return int.from_bytes(b"".join(blocks), "little")
+        def mul(a, b):
+            if not a or not b or d < 1:
+                return ()
+            if len(a) > len(b):
+                a, b = b, a
+            if len(a) == 1 and len(b) <= d:
+                c = a[0]
+                return polys.normalize([self.mul(c, s) for s in b], self)
+            wb = (2 * p.bit_length() + (k * (len(a) + len(b))).bit_length() + 7) // 8
+            sb = (2 * k - 1) * wb  # bytes per T-block
 
-        def unpack(buf, count):
-            return [
-                [int.from_bytes(buf[j : j + wb], "little") % p
-                 for j in range(o, o + k * wb, wb)]
-                for o in range(0, count * sb, sb)
-            ]
+            def pack(poly):
+                blocks = [
+                    b"".join([c.to_bytes(wb, "little") for c in s[:k]]).ljust(sb, b"\0")
+                    for s in poly
+                ]
+                return int.from_bytes(b"".join(blocks), "little")
 
-        top = len(a) + len(b) - 1
-        prod = pack(a) * pack(b)
-        if top > d:
-            neg_q = pack([[-c % p for c in s] for s in q[:d]])
-            series = (1 << (8 * k * wb)) - 1
-            for i in range(top - 1, d - 1, -1):
-                head = (prod >> (8 * i * sb)) & series
-                lead = unpack(head.to_bytes(sb, "little"), 1)
-                prod += (pack(lead) * neg_q) << (8 * (i - d) * sb)
-        rem = unpack(prod.to_bytes(top * sb, "little"), min(d, top))
-        return polys.normalize([polys.normalize(s, self.field) for s in rem], self)
+            def unpack(buf, count):
+                return [
+                    [int.from_bytes(buf[j : j + wb], "little") % p
+                     for j in range(o, o + k * wb, wb)]
+                    for o in range(0, count * sb, sb)
+                ]
+
+            top = len(a) + len(b) - 1
+            prod = pack(a) * pack(b)
+            if top > d:
+                packed_q = neg_q.get(wb)
+                if packed_q is None:
+                    packed_q = neg_q[wb] = pack([[-c % p for c in s] for s in q[:d]])
+                series = (1 << (8 * k * wb)) - 1
+                for i in range(top - 1, d - 1, -1):
+                    head = (prod >> (8 * i * sb)) & series
+                    lead = unpack(head.to_bytes(sb, "little"), 1)
+                    prod += (pack(lead) * packed_q) << (8 * (i - d) * sb)
+            rem = unpack(prod.to_bytes(top * sb, "little"), min(d, top))
+            return polys.normalize([polys.normalize(s, self.field) for s in rem], self)
+
+        def dot(us, vs):
+            acc = ()
+            for a, b in zip(us, vs):
+                acc = polys.poly_add(acc, mul(a, b), self)
+            return acc
+
+        return mul, dot
 
     def neg(self, a):
         return polys.poly_neg(a, self.field)
@@ -303,6 +395,8 @@ class SeriesRing:
             raise NotInvertibleError("series with zero constant term")
         inv0 = F.inv(a[0])
         b = (inv0,)
+        if len(a) == 1:
+            return b
         # Newton: b <- b*(2 - a*b), doubling correct coefficients each pass.
         two = self.from_int(2)
         steps = ceil_log2(self.prec) if self.prec > 1 else 0
@@ -361,6 +455,9 @@ class PolyRing:
     def mul(self, a, b):
         return polys.poly_mul(a, b, self.base)
 
+    def dot(self, us, vs):
+        return polys.dot(us, vs, self)
+
     def neg(self, a):
         return polys.poly_neg(a, self.base)
 
@@ -403,8 +500,9 @@ class PolyQuotient:
         self.zero = ()
         self.one = (base.one,) if self.deg > 0 else ()
         self.gen = polys.rem_monic((base.zero, base.one), self.modulus, base)
-        # A base ring may own a faster product for its quotients.
-        self._kernel = getattr(base, "quotient_mul", None)
+        kernel = getattr(base, "quotient_kernel", None)
+        q = self.modulus
+        self._mul, self._dot = kernel(q) if kernel else _by_parts(base, q)
 
     def reduce(self, f):
         return polys.rem_monic(polys.normalize(f, self.base), self.modulus, self.base)
@@ -416,9 +514,10 @@ class PolyQuotient:
         return polys.poly_sub(a, b, self.base)
 
     def mul(self, a, b):
-        if self._kernel is not None:
-            return self._kernel(a, b, self.modulus)
-        return polys.rem_monic(polys.poly_mul(a, b, self.base), self.modulus, self.base)
+        return self._mul(a, b)
+
+    def dot(self, us, vs):
+        return self._dot(us, vs)
 
     def neg(self, a):
         return polys.poly_neg(a, self.base)
@@ -452,6 +551,8 @@ class PolyQuotient:
         return PolyQuotient(low, low.truncate(self.modulus))
 
     def inv(self, a):
+        if len(a) == 1 and self.deg > 0:
+            return (self.base.inv(a[0]),)
         if self.base.is_field:
             return polys.poly_inverse_mod(a, self.modulus, self.base)
         F, qbar = self._residue_quotient()
@@ -488,6 +589,30 @@ class PolyQuotient:
 
     def __repr__(self):
         return f"{type(self).__name__}({self.base!r}, deg={self.deg})"
+
+
+def _convolve(out, a, b):
+    """Add the product of the integer coefficient lists a and b into out."""
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _by_parts(base, q):
+    """(mul, dot) of R[T]/(q) for a base ring with no ``quotient_kernel``."""
+
+    def mul(a, b):
+        return polys.rem_monic(polys.poly_mul(a, b, base), q, base)
+
+    def dot(us, vs):
+        acc = ()
+        for a, b in zip(us, vs):
+            acc = polys.poly_add(acc, polys.poly_mul(a, b, base), base)
+        return polys.rem_monic(acc, q, base)
+
+    return mul, dot
 
 
 def coerce(R, x):

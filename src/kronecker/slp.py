@@ -529,7 +529,9 @@ def evaluate_jacobian(slp, point, R, wrt, n_out=None, tangent_ring=None):
     it.  Forward-mode: one value pass, then one tangent pass per direction;
     exact over any ring.  Both kinds of pass run only the slice of the
     selected outputs.  Returns (values, rows) with rows[i][k] the
-    derivative of the i-th selected output along ``wrt[k]``.
+    derivative of the i-th selected output along ``wrt[k]``.  The tangent
+    of a product, a·b' + a'·b, is one sum of products (the ring's ``dot``),
+    so over a ``PolyQuotient`` it is reduced mod q once.
 
     The value pass runs over R.  The tangent passes run over
     ``tangent_ring`` when one is given: a lower-precision quotient of the
@@ -572,9 +574,7 @@ def evaluate_jacobian(slp, point, R, wrt, n_out=None, tangent_ring=None):
                 tans[i] = T.sub(tans[ins[1]], tans[ins[2]])
             else:
                 a, b = ins[1], ins[2]
-                tans[i] = T.add(
-                    T.mul(tvals[a], tans[b]), T.mul(tans[a], tvals[b])
-                )
+                tans[i] = T.dot((tvals[a], tans[a]), (tans[b], tvals[b]))
         for row, k in zip(rows, outs):
             row[col] = tans[slp.outputs[k]]
     values = [vals[slp.outputs[k]] for k in outs]

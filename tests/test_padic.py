@@ -300,6 +300,40 @@ def test_heuristic_ladder_stops_where_the_output_fits():
     assert cert.reconstruction_exponents == ((1, False), (2, False), (4, True))
 
 
+# Dense (4, 4) and (5, 5) systems, δ = 16 and 25, with λ and the lifting
+# point pinned and the prime drawn from the seed: their ladders stop at p^2
+# and p^4, so these pin the products over Z/p^2 and Z/p^4 that a
+# two-quadric solve barely reaches.  Digests of the rational output.
+DENSE_GOLDENS = {
+    (
+        "vars x,y; -3 + 8*y + 7*y^2 - 6*y^3 + 1*y^4 + 9*x + 5*x*y + 10*x*y^2"
+        " + 8*x*y^3 - 8*x^2 + 9*x^2*y - 10*x^2*y^2 + 5*x^3 - 2*x^3*y + 7*x^4;"
+        " -3 - 4*y + 5*y^2 + 7*y^3 + 7*y^4 + 5*x + 2*x*y + 10*x*y^2 - 6*x*y^3"
+        " - 3*x^2 + 10*x^2*y - 6*x^2*y^2 + 6*x^3 + 2*x^3*y - 10*x^4;",
+        3,
+    ): "6d20f775f0ab971823f9df37cff0a7a38b5cf839150647d181190c928ff7f29d",
+    (
+        "vars x,y; -3 - 1*y - 7*y^2 + 2*y^3 + 5*y^4 - 6*y^5 - 8*x - 8*x*y"
+        " - 10*x*y^2 + 2*x*y^3 + 7*x*y^4 - 1*x^2 - 9*x^2*y - 3*x^2*y^2"
+        " + 6*x^2*y^3 + 7*x^3 + 1*x^3*y - 2*x^3*y^2 - 5*x^4 - 7*x^4*y - 2*x^5;"
+        " -4 - 10*y + 10*y^2 - 2*y^3 - 2*y^4 - 4*y^5 - 5*x - 1*x*y - 1*x*y^2"
+        " + 10*x*y^3 + 1*x*y^4 - 8*x^2 + 9*x^2*y + 2*x^2*y^3 + 6*x^3"
+        " - 3*x^3*y - 5*x^3*y^2 - 3*x^4 + 5*x^4*y - 2*x^5;",
+        4,
+    ): "0a3526e6a03b485f6b7549e7f2ace29ed49b08587b225da70eb1912bc7dd9fda",
+}
+
+
+@pytest.mark.parametrize("text, seed", list(DENSE_GOLDENS), ids=["d16", "d25"])
+def test_dense_heuristic_solve_matches_its_golden(text, seed):
+    config = SolveConfiguration(
+        seed=seed, lambda_matrix=((3, 1), (-2, 5)), lifting_point=(4,)
+    )
+    rep, _ = solve_over_rationals(parse_system(text), config)
+    digest = repr((rep.min_poly, sorted(rep.params.items())))
+    assert hashlib.sha256(digest.encode()).hexdigest() == DENSE_GOLDENS[text, seed]
+
+
 TWO_QUADRICS = "vars x,y; x^2 + y^2 - 5; x*y - 2;"
 
 

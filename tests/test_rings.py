@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -6,7 +8,10 @@ from kronecker import polys
 from kronecker.errors import NotInvertibleError
 from kronecker.polys import poly_eval
 from kronecker.rings import (
+    QQ,
+    ZZ,
     PolyQuotient,
+    PolyRing,
     PrimeField,
     ResidueRing,
     SeriesRing,
@@ -178,6 +183,151 @@ def test_packed_quotient_product_worst_case_slots(p):
     a = (full,) * 40
     assert PolyQuotient(S, q).mul(a, a) == _schoolbook(a, a, q, S)
     assert PolyQuotient(S, q[19:]).mul(a, a[:1]) == _schoolbook(a, a[:1], q[19:], S)
+
+
+L7 = ExtField(F7, from_int_coeffs([1, 0, 1], F7))  # F_49 = F_7[x]/(x^2 + 1)
+
+
+def test_every_ring_dot_is_the_sum_of_products():
+    cases = [
+        (ResidueRing(7, 2), [3, -4, 50], [12, 5, 49]),
+        (ZZ, [3, -4], [5, 6]),
+        (QQ, [Fraction(1, 2), Fraction(3)], [Fraction(2, 3), Fraction(-1, 3)]),
+        (SeriesRing(F7, 3), [(1, 2), (3,)], [(4, 5, 6), (6, 1)]),
+        (PolyRing(F7), [(1, 2), (3,)], [(4, 5), (6, 1)]),
+        # Quotients over bases with no kernel of their own.
+        (
+            PolyQuotient(QQ, (QQ.one, QQ.zero, QQ.one)),
+            [(Fraction(1, 2), QQ.one), (Fraction(3),)],
+            [(Fraction(2), Fraction(5)), (QQ.one, Fraction(-1, 7))],
+        ),
+        (
+            PolyQuotient(L7, (L7.one, L7.gen, L7.one)),
+            [(L7.gen, (3,)), (L7.one,)],
+            [((2, 5), L7.gen), ((4,), (1, 1))],
+        ),
+    ]
+    for R, us, vs in cases:
+        assert R.dot(us, vs) == polys.dot(us, vs, R)
+        assert R.dot([], []) == R.zero
+
+
+# The integer kernels of R[T]/(q) over Z/p^k: a small, a word-size and a
+# 61-bit Mersenne prime, at exponents 1, 2 and 8.
+KERNEL_BASES = [ResidueRing(p, k) for p in (3, 7, 2**61 - 1) for k in (1, 2, 8)]
+
+
+def _residues(rng, R, length):
+    """Coefficients that may be negative or past p^k, and may end in
+    zeros: the kernels must not rely on reduced operands."""
+    m = R.modulus
+    return tuple(rng.choice((0, rng.randrange(-2 * m, 2 * m))) for _ in range(length))
+
+
+def _kernel_cases(R, seed):
+    """(quotient, rng, operand lengths) for deg q = 0, ..., 20; the lengths
+    run from the empty element past twice the degree, scalars included."""
+    rng = random.Random(seed)
+    for d in range(21):
+        q = tuple(rng.randrange(R.modulus) for _ in range(d)) + (R.one,)
+        lengths = sorted({0, 1, 2, d, d + 1, 2 * d + 1})
+        yield PolyQuotient(R, q), rng, lengths
+
+
+@pytest.mark.parametrize("R", KERNEL_BASES, ids=repr)
+def test_residue_quotient_product_matches_reference(R):
+    for A, rng, lengths in _kernel_cases(R, R.modulus):
+        for la in lengths:
+            for lb in lengths:
+                a, b = _residues(rng, R, la), _residues(rng, R, lb)
+                want = polys.rem_monic(polys.poly_mul(a, b, R), A.modulus, R)
+                assert A.mul(a, b) == want
+
+
+@pytest.mark.parametrize("R", KERNEL_BASES, ids=repr)
+def test_residue_quotient_dot_matches_sum_of_products(R):
+    for A, rng, lengths in _kernel_cases(R, R.modulus + 1):
+        for pairs in range(5):
+            us = [_residues(rng, R, rng.choice(lengths)) for _ in range(pairs)]
+            vs = [_residues(rng, R, rng.choice(lengths)) for _ in range(pairs)]
+            assert A.dot(us, vs) == reduce(A.add, map(A.mul, us, vs), A.zero)
+
+
+@pytest.mark.parametrize("p", (3, 7, 2**61 - 1))
+@pytest.mark.parametrize("k", (1, 2, 8))
+def test_series_quotient_kernel_matches_reference(p, k):
+    # A scalar operand against one longer than q must still be reduced.
+    S = SeriesRing(ResidueRing(p, 1), k)
+    rng = random.Random(p * k)
+    for d in range(21):
+        q = _series_poly(rng, S, d) + (S.one,)
+        A = PolyQuotient(S, q)
+        lengths = sorted({0, 1, 2, d, d + 1, 2 * d + 1})
+        for la in lengths:
+            for lb in lengths:
+                a, b = _series_poly(rng, S, la), _series_poly(rng, S, lb)
+                assert A.mul(a, b) == _schoolbook(a, b, q, S)
+        for pairs in range(4):
+            us = [_series_poly(rng, S, rng.choice(lengths)) for _ in range(pairs)]
+            vs = [_series_poly(rng, S, rng.choice(lengths)) for _ in range(pairs)]
+            assert A.dot(us, vs) == reduce(A.add, map(A.mul, us, vs), A.zero)
+
+
+def test_zero_divisor_scalar_trims_the_top_coefficient():
+    # In Z/p^2, p·(1 + p·T) = p: the product and the sum lose their top.
+    p = 7
+    A = PolyQuotient(ResidueRing(p, 2), (3, 1, 1))
+    assert A.mul((p,), (1, p)) == (p,)
+    assert A.mul((1, p), (p,)) == (p,)
+    assert A.dot([(p,), ()], [(1, p), (5,)]) == (p,)
+    assert A.dot([(p,), (1,)], [(1, p), (-1, 0)]) == (p - 1,)
+
+
+@pytest.mark.parametrize(
+    "A",
+    [
+        PolyQuotient(F7, (3, 1, 1)),
+        PolyQuotient(ResidueRing(7, 3), (3, 1, 1)),
+        PolyQuotient(SeriesRing(F7, 4), ((3, 1), (), (1,))),
+    ],
+    ids=["field", "residue", "series"],
+)
+def test_constant_inverts_through_the_base(A):
+    R = A.base
+    for c in (R.from_int(3), R.from_int(-2)):
+        v = A.inv((c,))
+        assert v == (R.inv(c),)
+        assert A.mul((c,), v) == A.one
+    non_units = [()]
+    if not R.is_field:
+        non_units.append((R.shift_up([R.one], 1)[0],))  # p, or t
+    for u in non_units:
+        with pytest.raises(NotInvertibleError):
+            A.inv(u)
+
+
+def test_constant_series_inverts_in_the_field():
+    S = SeriesRing(F7, 5)
+    assert S.inv((3,)) == (5,)
+    assert S.inv((10,)) == (5,)
+    with pytest.raises(NotInvertibleError):
+        S.inv((0,))
+    with pytest.raises(NotInvertibleError):
+        S.inv((7,))
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+def test_packed_quotient_keeps_minus_q_per_slot_width(p):
+    # One quotient, products whose slots widen from one length to the next
+    # and narrow again: each must divide by -q packed at its own width.
+    S = SeriesRing(ResidueRing(p, 1), 2)
+    q = ((1, p - 2), (p - 1, 1), S.one)
+    A = PolyQuotient(S, q)
+    rng = random.Random(p)
+    for la, lb in [(1, 3)] + [(n, n) for n in (2, 4, 8, 16, 32, 64, 128, 256)] + [(1, 3)]:
+        a = tuple((rng.randrange(p), rng.randrange(p)) for _ in range(la))
+        b = tuple((rng.randrange(p), rng.randrange(p)) for _ in range(lb))
+        assert A.mul(a, b) == _schoolbook(a, b, q, S)
 
 
 def test_quotient_detects_zero_divisor():
