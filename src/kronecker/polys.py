@@ -79,11 +79,7 @@ def poly_mul(f, g, R):
     m = getattr(R, "int_modulus", None)
     if m is not None:
         # Integer coefficients: convolve over Z, one reduction per entry.
-        out = [0] * (len(f) + len(g) - 1)
-        for i, a in enumerate(f):
-            if a:
-                for j, b in enumerate(g):
-                    out[i + j] += a * b
+        out = int_convolve([0] * (len(f) + len(g) - 1), f, g)
         return normalize([c % m for c in out], R)
     out = [R.zero] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
@@ -92,6 +88,16 @@ def poly_mul(f, g, R):
         for j, b in enumerate(g):
             out[i + j] = R.add(out[i + j], R.mul(a, b))
     return normalize(out, R)
+
+
+def int_convolve(out, f, g):
+    """Add the product of the integer coefficient lists f and g into the
+    list out, over Z with no reduction; returns out."""
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g, i):
+                out[j] += a * b
+    return out
 
 
 def scalar_mul(c, f, R):
@@ -113,24 +119,27 @@ def poly_deriv(f, R):
 
 
 def divmod_monic(f, g, R):
-    """Quotient and remainder of f by a monic g, over any ring."""
+    """Quotient and remainder of f by a monic g, over any ring.  Over a
+    ring with an ``int_modulus`` the coefficients of f may be any integers,
+    as ``int_convolve`` leaves them: the remainder comes out reduced."""
     if not is_monic(g, R):
         raise ValueError("divisor must be monic")
     dg = degree(g)
     if dg == 0:
         return f, ZERO
     m = getattr(R, "int_modulus", None)
-    if m is not None and len(f) > dg:
-        # Integer coefficients: reduce multipliers as used, fold once at end.
+    if m is not None:
+        # Integer coefficients, reduced or not: reduce multipliers as used,
+        # fold once at the end.
         rem = list(f)
+        low = g[:dg]
         quo = [0] * (len(f) - dg)
         for i in range(len(rem) - 1, dg - 1, -1):
             c = rem[i] % m
             if c:
                 quo[i - dg] = c
-                for j in range(dg):
-                    rem[i - dg + j] -= c * g[j]
-            rem[i] = 0
+                for j, b in enumerate(low, i - dg):
+                    rem[j] -= c * b
         return (
             normalize(quo, R),
             normalize([c % m for c in rem[:dg]], R),

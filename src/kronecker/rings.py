@@ -27,8 +27,9 @@ products: ``PolyQuotient`` binds them to q once, from the base's
 is reduced mod q once, and so is each sum of products but over
 ``SeriesRing``:
 
-* over ``ResidueRing`` the products are convolved over Z and summed, then
-  divided by q over Z, with one reduction mod p^k per quotient coefficient
+* over ``ResidueRing`` the products are convolved and summed over Z
+  (``polys.int_convolve``), then divided by q with ``polys.rem_monic``,
+  which over Z/p^k takes one reduction mod p^k per quotient coefficient
   and per output coefficient; a factor of T-degree 0 costs one product per
   coefficient of the other;
 * over ``SeriesRing`` a factor of T-degree 0 multiplies coefficient by
@@ -53,7 +54,6 @@ over the quotient, and a series that is a constant inverts in its field.
 """
 
 from fractions import Fraction
-from itertools import zip_longest
 from operator import mul as _times
 
 from . import polys
@@ -147,24 +147,15 @@ class ResidueRing:
         return self.truncate([c * step for c in coeffs])
 
     def quotient_kernel(self, q):
-        """(mul, dot) of R[T]/(q) for the monic q over this ring, each
-        reduced mod q once, over Z (see the module docstring)."""
-        m = self.modulus
-        d = len(q) - 1
-        low = q[:d]
-
-        def reduce(out):
-            for i in range(len(out) - 1, d - 1, -1):
-                c = out[i] % m
-                if c:
-                    for j, g in enumerate(low, i - d):
-                        out[j] -= c * g
-            return polys.normalize([c % m for c in out[:d]], self)
+        """(mul, dot) of R[T]/(q) for the monic q over this ring: products
+        convolved and summed over Z, then divided by q once (see the module
+        docstring)."""
 
         def mul(a, b):
             if not a or not b:
                 return ()
-            return reduce(_convolve([0] * (len(a) + len(b) - 1), a, b))
+            out = polys.int_convolve([0] * (len(a) + len(b) - 1), a, b)
+            return polys.rem_monic(out, q, self)
 
         def dot(us, vs):
             pairs = [(a, b) for a, b in zip(us, vs) if a and b]
@@ -172,8 +163,8 @@ class ResidueRing:
                 return ()
             out = [0] * max(len(a) + len(b) - 1 for a, b in pairs)
             for a, b in pairs:
-                _convolve(out, a, b)
-            return reduce(out)
+                polys.int_convolve(out, a, b)
+            return polys.rem_monic(out, q, self)
 
         return mul, dot
 
@@ -295,19 +286,10 @@ class SeriesRing:
         return polys.normalize(coeffs, self.field)
 
     def add(self, a, b):
-        a, b = a[: self.prec], b[: self.prec]
-        if len(a) < len(b):
-            a, b = b, a
-        m = self.field.modulus
-        out = [(x + y) % m for x, y in zip(a, b)]
-        out += a[len(b) :]
-        return polys.normalize(out, self.field)
+        return polys.poly_add(a[: self.prec], b[: self.prec], self.field)
 
     def sub(self, a, b):
-        a, b = a[: self.prec], b[: self.prec]
-        m = self.field.modulus
-        out = [(x - y) % m for x, y in zip_longest(a, b, fillvalue=0)]
-        return polys.normalize(out, self.field)
+        return polys.poly_sub(a[: self.prec], b[: self.prec], self.field)
 
     def dot(self, us, vs):
         return polys.dot(us, vs, self)
@@ -339,6 +321,8 @@ class SeriesRing:
             if len(a) > len(b):
                 a, b = b, a
             if len(a) == 1 and len(b) <= d:
+                # A constant times a reduced element, the commonest product
+                # of the curve lift: series by series beats packing it.
                 c = a[0]
                 return polys.normalize([self.mul(c, s) for s in b], self)
             wb = (2 * p.bit_length() + (k * (len(a) + len(b))).bit_length() + 7) // 8
@@ -589,15 +573,6 @@ class PolyQuotient:
 
     def __repr__(self):
         return f"{type(self).__name__}({self.base!r}, deg={self.deg})"
-
-
-def _convolve(out, a, b):
-    """Add the product of the integer coefficient lists a and b into out."""
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                out[j] += x * y
-    return out
 
 
 def _by_parts(base, q):

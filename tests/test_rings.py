@@ -97,6 +97,11 @@ def test_series_inverse():
 def test_series_truncation():
     S = SeriesRing(F7, 3)
     assert S.mul((0, 1), (0, 0, 1)) == ()  # t * t^2 = t^3 = 0
+    # Either operand may run past t^3; sums and differences drop that tail.
+    long = (1, 2, 3, 4, 5)
+    assert S.add(long, (6,)) == S.add((6,), long) == (0, 2, 3)
+    assert S.sub(long, (1, 2)) == (0, 0, 3)
+    assert S.sub((1, 2), long) == (0, 0, 4)
 
 
 def test_quotient_inverse_over_field():
@@ -234,14 +239,31 @@ def _kernel_cases(R, seed):
         yield PolyQuotient(R, q), rng, lengths
 
 
+def _by_ring_protocol(a, b, q, R):
+    """a·b mod q by R's own add, sub and mul, one coefficient at a time:
+    a reference that shares none of the integer loops of ``polys``."""
+    prod = [R.zero] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = R.add(prod[i + j], R.mul(x, y))
+    d = len(q) - 1
+    for i in range(len(prod) - 1, d - 1, -1):
+        c = prod[i]
+        for j in range(d + 1):
+            prod[i - d + j] = R.sub(prod[i - d + j], R.mul(c, q[j]))
+    return polys.normalize(prod[:d], R)
+
+
 @pytest.mark.parametrize("R", KERNEL_BASES, ids=repr)
 def test_residue_quotient_product_matches_reference(R):
     for A, rng, lengths in _kernel_cases(R, R.modulus):
+        q = A.modulus
         for la in lengths:
             for lb in lengths:
                 a, b = _residues(rng, R, la), _residues(rng, R, lb)
-                want = polys.rem_monic(polys.poly_mul(a, b, R), A.modulus, R)
+                want = _by_ring_protocol(a, b, q, R)
                 assert A.mul(a, b) == want
+                assert polys.rem_monic(polys.poly_mul(a, b, R), q, R) == want
 
 
 @pytest.mark.parametrize("R", KERNEL_BASES, ids=repr)
