@@ -10,23 +10,25 @@ bits, plus at most 32 + log2(bits(p^k)) for the guard, where a bound of
 sqrt(p^k/2) on both |num| and den would need 2·max of the two.  The
 Kronecker form's numerators are large and its denominators small
 (Dahan-Schost), so heuristic mode often stops a rung below where such a
-bound would.
-Both modes stop at the first rung whose reconstruction passes the
-acceptance check (the fresh-prime verification, plus the exact check over
-Q when asked for), as Giusti-Lecerf-Salvy's lift may.  The mode only picks
-the range of rungs: heuristic mode climbs from Z/p to p^(2^16) at the
-latest; provable mode from the rung the height budget asks for to 2^7
-times that exponent.  A candidate that fails the check and equals the
-previous rung's candidate is a fixed point of the lift that does not
-verify, so the attempt is restarted instead of climbing to the cap.  The
-step out of Z/p is the one check of the fiber's residual and Jacobian mod
-(p, Q), which the stage gate leaves to it.  The rung the ladder stops at
-gets no residual check of its own: from a checked rung with an invertible
-Jacobian a Newton step is exact to the doubled precision
-(Giusti-Lecerf-Salvy), so that check could only find a defect in the code,
-and the lifted fiber is not what the solve returns; the acceptance check
-verifies the returned candidate over Q in both modes.  The curve lift
-keeps the same rule (see ``solver.lift_curve``).
+bound would.  Both modes stop at the first rung whose reconstruction passes
+the acceptance check, as Giusti-Lecerf-Salvy's lift may: the fresh-prime
+verification, and in provable mode the exact check over Q as well.  That
+check makes provable output sound: Q is monic and squarefree of the modular
+degree δ, and every point of V(Q) satisfies every F_i over Q.  Completeness,
+that the fiber has no point beyond those δ, holds with the paper's
+probability through the prime budget.  Heuristic mode climbs from Z/p to
+p^(2^16) at the latest; provable mode from the rung the height budget asks
+for to 2^7 times that exponent, so the budget only picks the first rung.  A
+candidate that fails the check and equals the previous rung's candidate is
+a fixed point of the lift that does not verify, so the attempt is restarted
+instead of climbing to the cap.  The step out of Z/p is the one check of the
+fiber's residual and Jacobian mod (p, Q), which the stage gate leaves to
+it.  The rung the ladder stops at gets no residual check of its own: from a
+checked rung with an invertible Jacobian a Newton step is exact to the
+doubled precision (Giusti-Lecerf-Salvy), so that check could only find a
+defect in the code, and the lifted fiber is not what the solve returns; the
+acceptance check verifies the returned candidate over Q in both modes.  The
+curve lift keeps the same rule (see ``solver.lift_curve``).
 
 The attempt driver behind ``solve_over_rationals`` and ``solve_modular``
 draws λ, the lifting point and the prime of each attempt, restarts unlucky
@@ -79,7 +81,6 @@ class SolveConfiguration:
     seed: int = 0
     retries: int = 5
     verify_primes: int = 1
-    exact_check: bool = False
     prime: int | None = None
     lambda_matrix: tuple | None = None
     lifting_point: tuple | None = None
@@ -87,7 +88,8 @@ class SolveConfiguration:
 
 @dataclass
 class Certificate:
-    """Everything needed to audit one accepted solve."""
+    """Everything needed to audit one accepted solve; ``exact_checked``
+    (provable mode) records the exact residual check over Q."""
 
     mode: str
     seed: int
@@ -184,16 +186,14 @@ def _lift_and_reconstruct(uni_p, slp, first, last, gate):
 def check_configuration(config, n_vars):
     """Raise ValueError for a configuration that no attempt could use, or
     whose result no check would back: no attempts, a pinned prime, λ or
-    lifting point that does not fit, or no verification prime without the
-    exact check."""
+    lifting point that does not fit, or no verification prime."""
     if config.mode not in ("heuristic", "provable"):
         raise ValueError(f"unknown mode {config.mode!r}")
     if config.retries < 1:
         raise ValueError(f"retries must be at least 1, not {config.retries}")
-    if config.verify_primes < 1 and not config.exact_check:
+    if config.verify_primes < 1:
         raise ValueError(
-            "verify_primes must be at least 1 unless exact_check is set, "
-            f"not {config.verify_primes}"
+            f"verify_primes must be at least 1, not {config.verify_primes}"
         )
     p = config.prime
     if p is not None and (p <= 2 or not is_probable_prime(p)):
@@ -310,7 +310,8 @@ def solve_over_rationals(slp, config=None):
     def lift_and_verify(state, fiber_p, bounds, attempt):
         composed = state.slp
         uni_p = to_univariate(fiber_p)
-        if config.mode == "provable":
+        exact = config.mode == "provable"
+        if exact:
             first = _budget_exponent(uni_p.ring.p, 2 * bounds.heights[-1] + 2)
             last = first * 2**7
         else:
@@ -320,9 +321,7 @@ def solve_over_rationals(slp, config=None):
             fresh = verify.fresh_prime_checks(
                 candidate, composed, config.verify_primes, state.rng
             )
-            report = verify.check_representation(
-                candidate, composed, exact=config.exact_check
-            )
+            report = verify.check_representation(candidate, composed, exact=exact)
             if all(ok for _, ok in fresh) and report.passed:
                 return fresh, report
             return None
@@ -342,7 +341,7 @@ def solve_over_rationals(slp, config=None):
             verify_primes=tuple(p for p, _ in fresh),
             verification=report.to_dict(),
             stage_degrees=tuple(state.stage_degrees),
-            exact_checked=config.exact_check,
+            exact_checked=exact,
         )
         return rep_q, certificate
 

@@ -17,9 +17,10 @@ same way, the last through the next fiber or the output over Q.
 Over a field or a local ring the residual of a representation is
 ``solver.residuals`` of its univariate form.  A rational representation is
 checked modulo fresh primes by ``fresh_prime_checks`` (Monte Carlo), where
-it is a fiber over a field, and, on request, exactly over Q by a
+it is a fiber over a field, and, in provable mode, exactly over Q by a
 fraction-free U-expansion, since inverting Q' over Q blows up the
-coefficients.
+coefficients.  With Q squarefree, that check passing means every point of
+V(Q) satisfies every F_i over Q.
 """
 
 from dataclasses import dataclass, replace
@@ -255,8 +256,8 @@ def check_representation(rep, slp, *, exact=False):
 
     Prime-field and residue-ring representations are checked directly.  A
     rational representation gets its structural clauses, and its residual
-    checked exactly over Q when ``exact``; ``fresh_prime_checks`` checks it
-    modulo verify primes.
+    checked exactly over Q when ``exact`` (provable mode's acceptance
+    check); ``fresh_prime_checks`` checks it modulo verify primes.
     """
     R = rep.ring
     clauses = []

@@ -110,7 +110,7 @@ def test_criterion_1_end_to_end_exact_two_quadrics():
     started = time.time()
     slp = parse_system("vars x,y; x^2 + y^2 - 5; x*y - 2;")
     cfg = SolveConfiguration(
-        seed=42, exact_check=True, lambda_matrix=((1, 0), (0, 1))
+        mode="provable", seed=42, lambda_matrix=((1, 0), (0, 1))
     )
     rep, cert = solve_over_rationals(slp, cfg)
     elapsed = time.time() - started
@@ -141,7 +141,7 @@ def residual_suite():
         degrees = [rng.choice([1, 2, 3]) for _ in range(n)]
         source = _random_dense_system(n, degrees, rng)
         slp = parse_system(source)
-        cfg = SolveConfiguration(seed=rng.randrange(2**32), exact_check=False)
+        cfg = SolveConfiguration(seed=rng.randrange(2**32))
         try:
             rep, cert = solve_over_rationals(slp, cfg)
         except KroneckerError:
@@ -176,9 +176,7 @@ def test_criterion_2_residual_suite(residual_suite):
         n = rng.choice([1, 2, 3])
         degrees = [rng.choice([1, 2, 3]) for _ in range(n)]
         slp = parse_system(_random_dense_system(n, degrees, rng))
-        cfg = SolveConfiguration(
-            seed=rng.randrange(2**32), retries=1, exact_check=False
-        )
+        cfg = SolveConfiguration(seed=rng.randrange(2**32), retries=1)
         total_attempts += 1
         try:
             solve_over_rationals(slp, cfg)

@@ -10,6 +10,7 @@ from kronecker.slp import AffineChange, compose_affine, parse_system
 from kronecker.verify import check_representation
 
 TWO_QUADRICS = "vars x, y;\nx^2 + y^2 - 5;\nx*y - 2;\n"
+EXACT_CLAUSE = "exact residual over Q"
 
 
 def _write(tmp_path, text, name="sys.txt"):
@@ -207,7 +208,7 @@ def test_document_with_a_non_integer_coefficient_is_refused(tmp_path, bad):
 GOLDEN_SHA256 = {
     (): "39a7e83483c1b9acd391ce58f162b1b53f7eec08d12e1dcca1d9e55c7abbfb5d",
     ("--mode", "provable"): (
-        "6a036a7004fec86cb69f1633fbcffb801bf1837ec4fd4f1db8f3925b4fd4cb36"
+        "85c2df0bc9d7cdfd7e3ffc177d32829ab77eca8624d4e429bcfd85062fcd2a4a"
     ),
     ("--mod-p-only",): (
         "98861b05505b40e494cae739cd54c1ae5617225c2cb152b2866ccd9f0b8568a8"
@@ -217,13 +218,13 @@ GOLDEN_SHA256 = {
 # The same documents without certificate.verify_primes, re-serialized as the
 # CLI writes them.  The verify primes are drawn from the attempt's generator
 # after the modular solve, so they move whenever the solve takes a different
-# number of draws; everything else must not.  Pinned while the intersection
-# still factored Q_new (Cantor-Zassenhaus draws); the provable one is
-# unchanged since.
+# number of draws; everything else must not.  The heuristic one was pinned
+# while the intersection still factored Q_new (Cantor-Zassenhaus draws); the
+# provable one when provable mode began to check its output exactly over Q.
 GOLDEN_SHA256_WITHOUT_VERIFY_PRIMES = {
     (): "39015c2a352bd94a3588fb76faed0f68c1b0dd552ae303151e742de4f0facbc2",
     ("--mode", "provable"): (
-        "b57a5d655540175acca6e2d5b57cbd5bd4021b969af5bc331e9a53692960ba21"
+        "875a2fffab7275f0bbc40b4ba65afaf6cc841dbe28eb9a04ea61eee773684f94"
     ),
 }
 
@@ -246,6 +247,32 @@ def test_golden_output_without_verify_primes(tmp_path, flags):
     text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == GOLDEN_SHA256_WITHOUT_VERIFY_PRIMES[flags]
+
+
+# The provable document as it was before provable mode checked its output
+# exactly over Q: ``certificate.exact_checked`` set back to false and the
+# exact clause taken out of the verification report, re-serialized as the
+# CLI writes it.  This is the full provable digest of the code before that
+# check, so the check moved nothing else.
+GOLDEN_SHA256_PROVABLE_WITHOUT_EXACT_CHECK = (
+    "6a036a7004fec86cb69f1633fbcffb801bf1837ec4fd4f1db8f3925b4fd4cb36"
+)
+
+
+def test_golden_provable_output_without_the_exact_clause(tmp_path):
+    src = _write(tmp_path, TWO_QUADRICS)
+    out = tmp_path / "rep.json"
+    assert run([src, "--seed", "42", "--out", str(out), "--mode", "provable"]) == 0
+    doc = json.loads(out.read_bytes())
+    assert doc["certificate"]["exact_checked"] is True
+    doc["certificate"]["exact_checked"] = False
+    for report in (doc["verification"], doc["certificate"]["verification"]):
+        exact = [c for c in report["clauses"] if c["name"] == EXACT_CLAUSE]
+        assert [c["ok"] for c in exact] == [True]
+        report["clauses"].remove(exact[0])
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == GOLDEN_SHA256_PROVABLE_WITHOUT_EXACT_CHECK
 
 
 # The heuristic document without the two certificate fields that record how

@@ -4,13 +4,15 @@ Hypothesis draws small systems from the input grammar, mutates their text,
 and mixes in inputs too large to solve.  ``cli.run`` must return 0
 (verified), 2 (retries exhausted, or not a reduced regular sequence) or 3
 (input refused) on each, in heuristic mode, in provable mode and with
-``--mod-p-only``, and raise nothing.  Provable draws stay small (n <= 2,
-total degree <= 2, coefficients up to 20 in size): the provable height
-budget makes solves with large coefficients slow.
+``--mod-p-only``, and raise nothing.  Every document provable mode writes
+must carry a passed exact residual check over Q.  Provable draws stay small
+(n <= 2, total degree <= 2, coefficients up to 20 in size): the provable
+height budget makes solves with large coefficients slow.
 """
 
 import contextlib
 import io
+import json
 import os
 import tempfile
 
@@ -34,24 +36,31 @@ NAMES = ("x", "y", "z")
 
 
 def _run(text, mode):
-    """Exit code and stderr of ``kronecker-solve`` on ``text``."""
+    """Exit code, stdout and stderr of ``kronecker-solve`` on ``text``."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "sys.txt")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+        out = io.StringIO()
         err = io.StringIO()
         argv = [path, "--seed", "0", "--retries", "2", *MODES[mode]]
-        with contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stdout(out):
             with contextlib.redirect_stderr(err):
                 code = run(argv)
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def _assert_documented_exit(text, mode):
-    code, err = _run(text, mode)
+    code, out, err = _run(text, mode)
     assert code in (0, 2, 3), (text, mode, code)
     assert (code == 0) == (err == ""), (text, mode, err)
     assert err == "" or err.startswith("error: "), (text, mode, err)
+    if code == 0 and mode == "provable":
+        doc = json.loads(out)
+        assert doc["certificate"]["exact_checked"] is True, text
+        clauses = doc["verification"]["clauses"]
+        exact = [c["ok"] for c in clauses if c["name"] == "exact residual over Q"]
+        assert exact == [True], (text, clauses)
 
 
 @st.composite

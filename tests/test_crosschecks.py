@@ -27,6 +27,7 @@ from kronecker.solver import (
     lift_curve,
     to_univariate,
 )
+from kronecker.verify import check_representation
 
 from reference.oracle import mulmat_charpoly
 
@@ -80,7 +81,7 @@ def test_concurrent_solves_match_sequential():
 
     def solve(idx):
         slp = parse_system(sources[idx % len(sources)])
-        cfg = SolveConfiguration(seed=idx, exact_check=False)
+        cfg = SolveConfiguration(seed=idx)
         rep, cert = solve_over_rationals(slp, cfg)
         return rep.min_poly, rep.params, cert.prime
 
@@ -95,11 +96,11 @@ def test_four_variable_full_bezout():
         "vars w,x,y,z; w^2 + x - y + z - 2; x^2 + w + z - 3;"
         " y^2 - w*x + 1; w + x + y + z^2 - 5;"
     )
-    rep, cert = solve_over_rationals(
-        slp, SolveConfiguration(seed=1, exact_check=True)
-    )
+    rep, cert = solve_over_rationals(slp, SolveConfiguration(seed=1))
     assert cert.stage_degrees == (2, 4, 8, 16)
     assert cert.verification["passed"]
+    composed = compose_affine(slp, AffineChange.from_matrix(cert.lam))
+    assert check_representation(rep, composed, exact=True).passed
 
 
 def test_parser_tolerates_layout_variants():

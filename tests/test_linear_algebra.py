@@ -180,7 +180,7 @@ def test_known_product_system_ground_truth():
     slp = parse_system(
         "vars x,y; x^2 - 3*x + 2; y^2 - 2*y - 3;"
     )
-    cfg = SolveConfiguration(seed=13, exact_check=True)
+    cfg = SolveConfiguration(mode="provable", seed=13)
     rep, cert = solve_over_rationals(slp, cfg)
     assert cert.verification["passed"]
     lam = cert.lam

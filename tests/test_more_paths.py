@@ -128,26 +128,28 @@ def test_rational_solve_with_pinned_prime():
     cfg = SolveConfiguration(
         seed=2,
         prime=(1 << 61) - 1,
-        exact_check=True,
         lambda_matrix=((1, 0), (0, 1)),
     )
     rep, cert = solve_over_rationals(slp, cfg)
     assert cert.prime == (1 << 61) - 1
     assert rep.min_poly == tuple(Fraction(c) for c in (4, 0, -5, 0, 1))
+    composed = compose_affine(slp, AffineChange.identity(2))
+    assert check_representation(rep, composed, exact=True).passed
 
 
-def test_exact_check_degree_one_fiber():
+def test_exact_residual_degree_one_fiber():
     # Exercises the fraction-free checker on a linear minimal polynomial
-    # with a genuine denominator.
+    # with a genuine denominator, in provable mode's gate and on its own.
     slp = parse_system("vars x; 3*x - 1;")
-    cfg = SolveConfiguration(seed=0, lambda_matrix=((1,),), exact_check=True)
+    cfg = SolveConfiguration(mode="provable", seed=0, lambda_matrix=((1,),))
     rep, cert = solve_over_rationals(slp, cfg)
     assert rep.min_poly == (Fraction(-1, 3), Fraction(1))
+    assert cert.exact_checked
     composed = compose_affine(slp, AffineChange.identity(1))
     assert check_representation(rep, composed, exact=True).passed
 
 
-def test_exact_check_catches_wrong_rational_rep():
+def test_exact_residual_catches_wrong_rational_rep():
     slp = parse_system("vars x,y; x^2 + y^2 - 5; x*y - 2;")
     cfg = SolveConfiguration(seed=4, lambda_matrix=((1, 0), (0, 1)))
     rep, cert = solve_over_rationals(slp, cfg)

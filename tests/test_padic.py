@@ -156,10 +156,11 @@ def test_reconstruct_failure_without_enough_precision():
 
 def test_solve_two_quadrics_exactly():
     slp = parse_system("vars x,y; x^2 + y^2 - 5; x*y - 2;")
-    cfg = SolveConfiguration(
-        seed=42, exact_check=True, lambda_matrix=((1, 0), (0, 1))
-    )
+    cfg = SolveConfiguration(seed=42, lambda_matrix=((1, 0), (0, 1)))
     rep, cert = solve_over_rationals(slp, cfg)
+    assert not cert.exact_checked
+    composed = compose_affine(slp, AffineChange.identity(2))
+    assert check_representation(rep, composed, exact=True).passed
     assert rep.min_poly == tuple(Fraction(c) for c in (4, 0, -5, 0, 1))
     assert rep.params[1] == tuple(Fraction(c) for c in (-20, 0, 8))
     uni = to_univariate(rep)
@@ -200,20 +201,23 @@ def test_solve_provable_mode():
     cfg = SolveConfiguration(
         mode="provable",
         seed=7,
-        exact_check=True,
         lambda_matrix=((1, 0), (0, 1)),
     )
     rep, cert = solve_over_rationals(slp, cfg)
     assert rep.min_poly == tuple(Fraction(c) for c in (4, 0, -5, 0, 1))
     assert cert.mode == "provable"
     assert cert.verification["passed"]
+    assert cert.exact_checked
+    assert cert.verification["clauses"][-1] == {
+        "name": "exact residual over Q",
+        "ok": True,
+        "detail": "checked exactly",
+    }
 
 
 def test_accepted_solution_verifies_against_fresh_primes():
     slp = parse_system("vars x,y; x^2 - 2*y - 1; y^2 + x - 5;")
-    rep, cert = solve_over_rationals(
-        slp, SolveConfiguration(seed=5, exact_check=True)
-    )
+    rep, cert = solve_over_rationals(slp, SolveConfiguration(seed=5))
     composed = compose_affine(slp, AffineChange.from_matrix(cert.lam))
     report = check_representation(rep, composed, exact=True)
     assert report.passed
@@ -228,6 +232,7 @@ def test_accepted_solution_verifies_against_fresh_primes():
         ({"retries": -2}, "retries"),
         ({"verify_primes": 0}, "verify_primes"),
         ({"verify_primes": -1}, "verify_primes"),
+        ({"mode": "provable", "verify_primes": 0}, "verify_primes"),
     ],
 )
 def test_configuration_without_a_checked_result_is_rejected(fields, message):
@@ -236,15 +241,6 @@ def test_configuration_without_a_checked_result_is_rejected(fields, message):
         check_configuration(config, 2)
     with pytest.raises(ValueError, match=message):
         solve_over_rationals(parse_system("vars x; x^2 - 2;"), config)
-
-
-def test_exact_check_stands_in_for_verification_primes():
-    slp = parse_system("vars x, y; x^2 + y^2 - 5; x*y - 2;")
-    config = SolveConfiguration(seed=42, verify_primes=0, exact_check=True)
-    check_configuration(config, 2)
-    rep, cert = solve_over_rationals(slp, config)
-    assert cert.verify_primes == () and cert.exact_checked
-    assert cert.verification["passed"]
 
 
 @pytest.mark.parametrize(
@@ -385,6 +381,33 @@ def test_a_candidate_that_never_verifies_restarts_every_attempt(monkeypatch):
     assert {cause for _, _, cause in causes} == {
         "verification failed after lifting"
     }
+
+
+def test_provable_gate_refuses_what_only_the_exact_residual_sees(monkeypatch):
+    # Every fresh prime passes and one W_j coefficient is off by 1/7: only
+    # the exact residual over Q can refuse the candidate, on every rung.
+    original = padic.reconstruct_rep
+
+    def corrupted(rep):
+        candidate = original(rep)
+        w = candidate.params[1]
+        params = {1: (w[0] + Fraction(1, 7),) + w[1:]}
+        return replace(candidate, params=params)
+
+    monkeypatch.setattr(padic, "reconstruct_rep", corrupted)
+    monkeypatch.setattr(
+        verify,
+        "fresh_prime_checks",
+        lambda rep, slp, count, rng: [(2**61 - 1, True)] * count,
+    )
+    config = SolveConfiguration(
+        mode="provable", seed=42, retries=2, lambda_matrix=((1, 0), (0, 1))
+    )
+    with pytest.raises(RetryExhaustedError) as info:
+        solve_over_rationals(parse_system(TWO_QUADRICS), config)
+    assert [cause for _, _, cause in info.value.causes] == [
+        "verification failed after lifting"
+    ] * 2
 
 
 def _pinned_change(n, rng):

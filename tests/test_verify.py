@@ -79,9 +79,7 @@ def test_perturbed_parametrization_fails_residual():
 
 def test_rational_representation_checks_exactly():
     slp = parse_system("vars x,y; x^2 + y^2 - 5; x*y - 2;")
-    cfg = SolveConfiguration(
-        seed=3, exact_check=True, lambda_matrix=((1, 0), (0, 1))
-    )
+    cfg = SolveConfiguration(seed=3, lambda_matrix=((1, 0), (0, 1)))
     rep, cert = solve_over_rationals(slp, cfg)
     composed = compose_affine(slp, AffineChange.from_matrix(cert.lam))
     report = check_representation(rep, composed, exact=True)
