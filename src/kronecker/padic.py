@@ -89,7 +89,12 @@ class SolveConfiguration:
 @dataclass
 class Certificate:
     """Everything needed to audit one accepted solve; ``exact_checked``
-    (provable mode) records the exact residual check over Q."""
+    (provable mode) records the exact residual check over Q.
+
+    In provable mode a pinned ``prime`` is used as given, not drawn from
+    (12H, 24H] within the bad-prime budget, so the completeness
+    probability does not apply to it, as with a pinned λ or lifting point.
+    """
 
     mode: str
     seed: int

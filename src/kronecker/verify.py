@@ -17,10 +17,13 @@ same way, the last through the next fiber or the output over Q.
 Over a field or a local ring the residual of a representation is
 ``solver.residuals`` of its univariate form.  A rational representation is
 checked modulo fresh primes by ``fresh_prime_checks`` (Monte Carlo), where
-it is a fiber over a field, and, in provable mode, exactly over Q by a
-fraction-free U-expansion, since inverting Q' over Q blows up the
-coefficients.  With Q squarefree, that check passing means every point of
-V(Q) satisfies every F_i over Q.
+it is a fiber over a field, and, in provable mode, exactly over Q in its own
+form, since inverting Q' over Q blows up the coefficients.  The exact check
+evaluates the program at Y_j = W_j/Q' over Z, with T = 2^B (Kronecker
+substitution applied to the whole program) and Q' cleared by a tracked
+power of an integer multiple H of it, and then tests each residual's
+numerator for exact division by Q.  With Q squarefree, that check passing
+means every point of V(Q) satisfies every F_i over Q.
 """
 
 from dataclasses import dataclass, replace
@@ -28,20 +31,11 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import NoPrimeFoundError, NotInvertibleError, UnluckyError
-from .polys import (
-    degree,
-    divmod_monic,
-    is_monic,
-    is_squarefree,
-    normalize,
-    poly_add,
-    poly_deriv,
-    poly_mul,
-)
+from .polys import degree, is_monic, is_squarefree, normalize, poly_deriv
 from .primes import WORD_PRIME_HIGH, WORD_PRIME_LOW, random_prime_in_range
-from .rings import QQ, ZZ, PolyRing, Rationals, ResidueRing
+from .rings import QQ, ZZ, Rationals, ResidueRing
 from .slp import evaluate
-from .solver import embed_scalar, residuals
+from .solver import residuals
 
 # Verify primes drawn for one reduction before giving up on a prime that
 # divides neither a denominator of the fiber nor det λ.
@@ -72,157 +66,131 @@ class CheckReport:
         }
 
 
-class _ScaledQuotient:
-    """Z[S]/(q) with one tracked denominator per element.
+class _Packed:
+    """Z[T] at T = 2^B with a tracked power of H and a constant denominator:
+    (X, h, den) stands for P / (den·H^h), P in Z[T], X = P(2^B), and
+    ``h_value`` is H(2^B).  With ``norms`` set, X bounds ‖P‖₁ instead: T is
+    1, ``h_value`` is ‖H‖₁ and ``neg`` is the identity."""
 
-    Elements are (integer coefficient tuple, positive denominator); all
-    additions and multiplications stay in Z, so exact rational residual
-    checks avoid per-coefficient fraction normalization entirely.
-    """
+    def __init__(self, h_value, norms):
+        self.norms = norms
+        self.zero = (0, 0, 1)
+        self._h_powers = [1, h_value]
 
-    is_field = False
-
-    def __init__(self, modulus):
-        self.modulus = modulus
-        self.deg = degree(modulus)
-        self.zero = ((), 1)
-        self.one = ((1,), 1)
-        self.gen = (divmod_monic((0, 1), modulus, ZZ)[1], 1)
-
-    # Content reduction only once the denominator gets heavy: the gcd scans
-    # cost more than the size they save on small operands.
-    _REDUCE_BITS = 2048
-
-    def _reduce(self, num, den):
-        if not num:
-            return ((), 1)
-        if den == 1 or den.bit_length() < self._REDUCE_BITS:
-            return (tuple(num), den)
-        g = gcd(den, *(abs(c) for c in num))
-        if g > 1:
-            num = tuple(c // g for c in num)
-            den //= g
-        return (tuple(num), den)
+    def _lift(self, x, k):
+        while len(self._h_powers) <= k:
+            self._h_powers.append(self._h_powers[-1] * self._h_powers[1])
+        return x * self._h_powers[k]
 
     def add(self, a, b):
-        (na, da), (nb, db) = a, b
-        g = gcd(da, db)
-        scale_a = db // g
-        scale_b = da // g
-        num = poly_add(
-            tuple(c * scale_a for c in na),
-            tuple(c * scale_b for c in nb),
-            ZZ,
-        )
-        return self._reduce(num, da * scale_a)
+        (xa, ha, da), (xb, hb, db) = a, b
+        if ha < hb:
+            xa = self._lift(xa, hb - ha)
+        elif hb < ha:
+            xb = self._lift(xb, ha - hb)
+        if da != db:
+            g = gcd(da, db)
+            xa, xb, da = xa * (db // g), xb * (da // g), da // g * db
+        return (xa + xb, max(ha, hb), da)
 
     def sub(self, a, b):
-        (nb, db) = b
-        return self.add(a, (tuple(-c for c in nb), db))
+        return self.add(a, self.neg(b))
 
     def neg(self, a):
-        (na, da) = a
-        return (tuple(-c for c in na), da)
+        return a if self.norms else (-a[0], a[1], a[2])
 
     def mul(self, a, b):
-        (na, da), (nb, db) = a, b
-        num = divmod_monic(poly_mul(na, nb, ZZ), self.modulus, ZZ)[1]
-        return self._reduce(num, da * db)
+        return (a[0] * b[0], a[1] + b[1], a[2] * b[2])
 
     def from_int(self, n):
-        return ((int(n),), 1) if n else ((), 1)
-
-    def embed(self, x):
-        x = Fraction(x)
-        return self._reduce((x.numerator,), x.denominator)
+        return (abs(n) if self.norms else n, 0, 1)
 
     def is_zero(self, a):
-        return not a[0]
+        return a[0] == 0
 
     def inv(self, a):
-        # Needed only for rational constants (e.g. change-of-variables
-        # determinants); general quotient inversion is never used here.
-        (num, den) = a
-        if len(num) != 1:
-            raise NotInvertibleError("only constants are inverted here")
-        k = num[0]
-        return self._reduce((den if k > 0 else -den,), abs(k))
+        # Only det of the change of variables, a nonzero integer, is inverted.
+        x, _, den = a
+        return (den if x > 0 else -den, 0, abs(x))
 
 
-def contract_u_expansion(slp, A, point, gen, params, qp, count):
-    """Outputs of ``slp`` at Y = (point, T, W_j * U) over A[U], each
-    contracted against powers of Q' so that U stands for 1/Q'.
-
-    ``gen`` is T in A, ``params`` the W_j in A in variable order, and ``qp``
-    is Q' in A.  A zero W_j keeps its coordinate zero.  When Q' is a unit
-    mod Q the contraction is Q'^e times the residual, for e the U-degree of
-    the expansion, so one vanishes exactly when the other does.
-    """
-    PR = PolyRing(A)
-    coords = [PR.embed(embed_scalar(A, x)) for x in point]
-    coords.append(PR.embed(gen))
-    coords.extend((A.zero, w) if not A.is_zero(w) else PR.zero for w in params)
-    out = []
-    for expansion in evaluate(slp, coords, PR, n_out=count):
-        acc = A.zero
-        power = A.one
-        for k in range(len(expansion) - 1, -1, -1):
-            acc = A.add(acc, A.mul(expansion[k], power))
-            if k:
-                power = A.mul(power, qp)
-        out.append(acc)
-    return out
+def _pack(p, bits):
+    return sum(c << (i * bits) for i, c in enumerate(p))
 
 
-def _exact_kronecker_residuals(slp, rep):
-    """Division-free and fraction-free residuals of a rational Kronecker rep.
+def _unpack(x, bits):
+    """P from X = P(2^bits), every |coefficient| of P below 2^(bits - 1):
+    with 2^(bits-1) added to each digit, X's binary string splits into them."""
+    count = x.bit_length() // bits + 2
+    half = 1 << (bits - 1)
+    digits = format(x + int(format(half, "b") * count, 2), "b")
+    top = len(digits)
+    coeffs = [
+        int(digits[top - (i + 1) * bits : top - i * bits], 2) - half
+        for i in range(count)
+    ]
+    return normalize(coeffs, ZZ)
 
-    Rescales the primitive variable T = S/c (c clearing the denominators of
-    Q) so the modulus becomes integer and monic, then runs the W_j*U
-    substitution of ``contract_u_expansion`` over the scaled integer
-    quotient.
-    """
-    q = rep.min_poly
-    delta = degree(q)
-    c = 1
-    for coeff in q:
-        c = lcm(c, Fraction(coeff).denominator)
-    scaled_modulus = tuple(
-        int(Fraction(q[i]) * c ** (delta - i)) for i in range(delta + 1)
-    )
-    A = _ScaledQuotient(scaled_modulus)
 
-    def convert(coeffs):
-        # f(T) with T = S/c: sum a_i S^i / c^i as one (numerator, den) pair
-        items = [Fraction(a) / c**i for i, a in enumerate(coeffs)]
-        den = 1
-        for a in items:
-            den = lcm(den, a.denominator)
-        num = divmod_monic(
-            tuple(int(a * den) for a in items), scaled_modulus, ZZ
-        )[1]
-        return A._reduce(num, den)
+def _divides(q, p):
+    """Whether the integer polynomial q divides p in Z[T]; the long division
+    stops at the first quotient coefficient that is not an integer."""
+    p = list(p)
+    d = len(q) - 1
+    for i in range(len(p) - 1, d - 1, -1):
+        c, r = divmod(p[i], q[-1])
+        if r:
+            return False
+        for k in range(d):
+            p[i - d + k] -= c * q[k]
+    return not any(p[:d])
 
-    point = rep.point[: rep.prim_var]
-    params = [convert(rep.params[j]) for j in range(rep.prim_var + 1, slp.n_vars)]
-    qp = convert(poly_deriv(rep.min_poly, rep.ring))
-    vals = contract_u_expansion(slp, A, point, convert((0, 1)), params, qp, rep.stage)
-    return [v[0] for v in vals]
+
+def _packed_outputs(slp, rep, bits):
+    """X of each residual F_i(point, T, W_j/Q') of a rational Kronecker
+    representation over ``_Packed``: P(2^bits), or ‖P‖₁ bounds when ``bits``
+    is None.  H = L·Q' and W_j/Q' = L·W_j/H, L clearing the denominators."""
+    qp = poly_deriv(rep.min_poly, rep.ring)
+    ws = [rep.params[j] for j in range(rep.prim_var + 1, slp.n_vars)]
+    scale = lcm(*(Fraction(c).denominator for w in (qp, *ws) for c in w))
+
+    def pack(p):
+        p = [int(c * scale) for c in p]
+        return sum(map(abs, p)) if bits is None else _pack(p, bits)
+
+    coords = list(rep.point[: rep.prim_var])
+    coords.append((1 if bits is None else 1 << bits, 0, 1))
+    coords.extend((x, 1 if x else 0, 1) for x in map(pack, ws))
+    R = _Packed(pack(qp), bits is None)
+    return [x for x, _, _ in evaluate(slp, coords, R, n_out=rep.stage)]
+
+
+def _exact_residuals_vanish(slp, rep):
+    """Whether Q divides each residual of a rational Kronecker
+    representation: B is fixed by the bound pass, and each P, unpacked from
+    P(2^B), is divided by the primitive part of Q.  By Gauss's lemma that
+    division is exact over Z exactly when Q divides P over Q, and H and den
+    are units mod a squarefree Q."""
+    bits = max(_packed_outputs(slp, rep, None)).bit_length() + 2
+    clear = lcm(*(Fraction(c).denominator for c in rep.min_poly))
+    q = [int(c * clear) for c in rep.min_poly]
+    content = gcd(*q)
+    q = [c // content for c in q]
+    return [_divides(q, _unpack(x, bits)) for x in _packed_outputs(slp, rep, bits)]
 
 
 def _residual_clauses(rep, slp, clauses):
     if rep.form == "kronecker" and isinstance(rep.ring, Rationals):
-        vals = _exact_kronecker_residuals(slp, rep)
+        vanish = _exact_residuals_vanish(slp, rep)
     else:
         try:
-            vals = residuals(slp, rep)
+            vanish = [not v for v in residuals(slp, rep)]
         except NotInvertibleError:
             clauses.append(
                 ("residual", False, "cannot convert to univariate form")
             )
             return
-    for i, v in enumerate(vals):
-        ok = len(v) == 0
+    for i, ok in enumerate(vanish):
         clauses.append(
             (
                 f"residual F_{i + 1}",
@@ -255,9 +223,11 @@ def check_representation(rep, slp, *, exact=False):
     """Structural and membership checks for a fiber representation.
 
     Prime-field and residue-ring representations are checked directly.  A
-    rational representation gets its structural clauses, and its residual
-    checked exactly over Q when ``exact`` (provable mode's acceptance
-    check); ``fresh_prime_checks`` checks it modulo verify primes.
+    rational representation gets its structural clauses, and, when
+    ``exact`` (provable mode's acceptance check), the clause ``exact
+    residual over Q``: each residual's numerator, evaluated over Z at
+    T = 2^B, divides exactly by Q (see ``_exact_residuals_vanish``).
+    ``fresh_prime_checks`` checks it modulo verify primes.
     """
     R = rep.ring
     clauses = []

@@ -1,7 +1,7 @@
 """Coverage for paths the mainline tests only touch indirectly: a second
 change of variables, residue-ring representations, stage-2 curves with
-parametrizations, provable-mode CLI, pinned primes, and the fraction-free
-exact checker's edge shapes."""
+parametrizations, provable-mode CLI, pinned primes, and the exact
+division check over Q on its edge shapes."""
 
 import json
 import random
@@ -138,8 +138,9 @@ def test_rational_solve_with_pinned_prime():
 
 
 def test_exact_residual_degree_one_fiber():
-    # Exercises the fraction-free checker on a linear minimal polynomial
-    # with a genuine denominator, in provable mode's gate and on its own.
+    # Exercises the exact division check on a linear minimal polynomial
+    # (Q' = 1) with a genuine denominator, in provable mode's gate and on
+    # its own.
     slp = parse_system("vars x; 3*x - 1;")
     cfg = SolveConfiguration(mode="provable", seed=0, lambda_matrix=((1,),))
     rep, cert = solve_over_rationals(slp, cfg)

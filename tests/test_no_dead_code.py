@@ -4,6 +4,9 @@ A definition counts as used when its name appears as a ``Name``, as the
 attribute of an ``Attribute`` or in an import, in the package, the tests or
 the benchmark, outside its own definition.  Names in strings and docstrings
 do not count.
+
+Every name a module of the package imports is referenced in that module,
+as a ``Name`` or in its ``__all__``.
 """
 
 import ast
@@ -58,3 +61,40 @@ def test_every_module_level_definition_is_referenced():
     assert not unused, "no reference outside their own definition: " + ", ".join(
         unused
     )
+
+
+def _imported_names(tree):
+    """(line, name) of every name a module binds by an import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".", 1)[0]
+                yield node.lineno, name
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+
+
+def _exported_names(tree):
+    """The strings listed in the module's ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {
+            node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+        } | _exported_names(tree)
+        unused.extend(
+            f"{path.name}:{line} {name}"
+            for line, name in _imported_names(tree)
+            if name not in used
+        )
+    assert not unused, "imported but never referenced: " + ", ".join(unused)

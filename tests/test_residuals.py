@@ -1,10 +1,11 @@
 """The one residual evaluator on fields and local rings.
 
 ``solver.residuals`` checks a Kronecker fiber through its univariate form.
-The reference is the division-free U-expansion ``verify.contract_u_expansion``
-(Y_j = W_j·U with U standing for 1/Q'), which the exact check over Q still
-uses: on fibers of random dense systems over F_p and over Z/p^4, clean and
-with one perturbed W_j, the two vanish together.
+The reference is the division-free U-expansion
+``reference.exact.contract_u_expansion`` (Y_j = W_j·U with U standing for
+1/Q'), the old exact check over Q: on fibers of random dense systems over
+F_p and over Z/p^4, clean and with one perturbed W_j, the two vanish
+together.
 """
 
 import random
@@ -26,10 +27,8 @@ from kronecker.solver import (
     to_kronecker,
     to_univariate,
 )
-from kronecker.verify import (
-    contract_u_expansion,
-    fresh_prime_checks,
-)
+from kronecker.verify import fresh_prime_checks
+from reference.exact import contract_u_expansion
 from test_acceptance import _random_dense_system
 
 F = PrimeField(1000003)

@@ -86,6 +86,39 @@ def test_rational_representation_checks_exactly():
     assert report.passed
 
 
+def _shift_w(rep):
+    j = max(rep.params)
+    w = rep.params[j]
+    return replace(rep, params={**rep.params, j: (w[0] + Fraction(1, 7), *w[1:])})
+
+
+def _shift_q(rep):
+    q = rep.min_poly
+    return replace(rep, min_poly=(q[0] + Fraction(1, 7), *q[1:]))
+
+
+def _shift_point(rep):
+    return replace(rep, point=(rep.point[0] + 1, *rep.point[1:]))
+
+
+@pytest.mark.parametrize(
+    "text, perturb",
+    [
+        ("vars x,y; x^2 + y^2 - 5; x*y - 2;", _shift_w),
+        ("vars x,y; x^2 + y^2 - 5; x*y - 2;", _shift_q),
+        # two equations in three variables: the point fixes y_0
+        ("vars x,y,z; x^2 + y^2 + z - 5; x*y - z - 2;", _shift_point),
+    ],
+)
+def test_exact_check_refuses_a_wrong_rational_rep(text, perturb):
+    slp = parse_system(text)
+    rep, cert = solve_over_rationals(slp, SolveConfiguration(seed=3))
+    composed = compose_affine(slp, AffineChange.from_matrix(cert.lam))
+    assert check_representation(rep, composed, exact=True).passed
+    report = check_representation(perturb(rep), composed, exact=True)
+    assert report.failed_clauses() == [("exact residual over Q", "checked exactly")]
+
+
 def _rational_rep_with_roots(roots):
     q = (Fraction(1),)
     for r in roots:
