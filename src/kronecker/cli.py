@@ -183,9 +183,8 @@ def run(argv):
     }
     try:
         if args.mod_p_only:
-            fiber, state, report, attempts = solve_modular(slp, config)
+            rep, state, report, attempts = solve_modular(slp, config)
             prime = state.field.p
-            uni = to_univariate(fiber) if args.emit_univariate else None
             doc.update(
                 {
                     "coefficients": "modular",
@@ -193,21 +192,18 @@ def run(argv):
                     "prime": str(prime),
                     "lambda": [c for row in state.change.matrix for c in row],
                     "stage_degrees": state.stage_degrees,
-                    "representation": _rep_payload(fiber, uni),
                     "verification": report.to_dict(),
                     "attempts": attempts,
                 }
             )
         else:
             rep, cert = solve_over_rationals(slp, config)
-            uni = to_univariate(rep) if args.emit_univariate else None
             doc.update(
                 {
                     "coefficients": "rational",
                     "lambda": [c for row in cert.lam for c in row],
                     "stage_degrees": list(cert.stage_degrees),
                     "prime": str(cert.prime),
-                    "representation": _rep_payload(rep, uni),
                     "verification": cert.verification,
                     "certificate": cert.to_dict(),
                 }
@@ -215,6 +211,8 @@ def run(argv):
     except (RetryExhaustedError, InputNotRegularError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    uni = to_univariate(rep) if args.emit_univariate else None
+    doc["representation"] = _rep_payload(rep, uni)
     text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     if not args.out:
         sys.stdout.write(text)

@@ -72,7 +72,7 @@ class ZeroResultantError(UnluckyError):
 
 class ResidualNonzeroError(KroneckerError):
     """A fiber has a nonzero residual, seen by the value pass of the Newton
-    step that leaves it: the one residual check of a rung, on every ladder."""
+    step that leaves it, or by the report ``solve_modular`` checks."""
 
 
 class EmptyIntersectionError(KroneckerError):

@@ -3,32 +3,25 @@
 The fiber over F_p climbs the precision ladder of ``solver.rungs`` over
 Z/p, Z/p^2, Z/p^4, ..., one Newton step per rung, the same ladder the
 lifting curve climbs over F_p[t]/(t^k), and its Kronecker coefficients are
-rationally reconstructed at each rung from the first one the mode names.
-The reconstruction is by maximal quotient (``polys.rational_reconstruct``):
-a coefficient num/den comes back once p^k has about bits(num) + bits(den)
-bits, plus at most 32 + log2(bits(p^k)) for the guard, where a bound of
-sqrt(p^k/2) on both |num| and den would need 2·max of the two.  The
-Kronecker form's numerators are large and its denominators small
-(Dahan-Schost), so heuristic mode often stops a rung below where such a
-bound would.  Both modes stop at the first rung whose reconstruction passes
-the acceptance check, as Giusti-Lecerf-Salvy's lift may: the fresh-prime
-verification, and in provable mode the exact check over Q as well.  That
-check makes provable output sound: Q is monic and squarefree of the modular
-degree δ, and every point of V(Q) satisfies every F_i over Q.  Completeness,
-that the fiber has no point beyond those δ, holds with the paper's
-probability through the prime budget.  Heuristic mode climbs from Z/p to
-p^(2^16) at the latest; provable mode from the rung the height budget asks
-for to 2^7 times that exponent, so the budget only picks the first rung.  A
-candidate that fails the check and equals the previous rung's candidate is
-a fixed point of the lift that does not verify, so the attempt is restarted
-instead of climbing to the cap.  The step out of Z/p is the one check of the
-fiber's residual and Jacobian mod (p, Q), which the stage gate leaves to
-it.  The rung the ladder stops at gets no residual check of its own: from a
-checked rung with an invertible Jacobian a Newton step is exact to the
-doubled precision (Giusti-Lecerf-Salvy), so that check could only find a
-defect in the code, and the lifted fiber is not what the solve returns; the
-acceptance check verifies the returned candidate over Q in both modes.  The
-curve lift keeps the same rule (see ``solver.lift_curve``).
+rationally reconstructed at each rung from the first one the mode names, by
+maximal quotient (``polys.rational_reconstruct``): a coefficient num/den
+needs about bits(num) + bits(den) bits of p^k, not 2·max of the two, and
+the Kronecker form's denominators are small (Dahan-Schost).  Both modes
+stop at the first rung whose reconstruction passes the acceptance check, as
+Giusti-Lecerf-Salvy's lift may: the fresh-prime verification, and in
+provable mode the exact check over Q as well.  That check makes provable
+output sound: Q is monic and squarefree of the modular degree δ, and every
+point of V(Q) satisfies every F_i over Q.  Completeness, that the fiber has
+no point beyond those δ, holds with the paper's probability through the
+prime budget.  Heuristic mode climbs from Z/p to p^(2^16) at the latest;
+provable mode from the rung the height budget asks for to 2^7 times that
+exponent, so the budget only picks the first rung.  A candidate that fails
+the check and equals the previous rung's candidate is a fixed point of the
+lift that does not verify, so the attempt is restarted instead of climbing
+to the cap.  The step out of Z/p checks the fiber's residual and Jacobian
+mod (p, Q); the acceptance check covers the rung the ladder stops at (see
+``solver.rungs``).  ``solve_modular`` lifts nothing, so
+``verify.check_representation`` checks its fiber.
 
 The attempt driver behind ``solve_over_rationals`` and ``solve_modular``
 draws λ, the lifting point and the prime of each attempt, restarts unlucky
@@ -45,6 +38,7 @@ from .errors import (
     InputNotRegularError,
     KroneckerError,
     NoReconstructionError,
+    ResidualNonzeroError,
     RetryExhaustedError,
     SingularMatrixError,
     UnluckyError,
@@ -59,14 +53,7 @@ from .primes import (
 )
 from .rings import QQ, ResidueRing
 from .slp import AffineChange, compose_affine
-from .solver import (
-    SolveState,
-    newton_step,
-    rungs,
-    solve_mod_p,
-    to_kronecker,
-    to_univariate,
-)
+from .solver import SolveState, rungs, solve_mod_p, to_kronecker, to_univariate
 
 HEURISTIC_PRIME_LOW = WORD_PRIME_LOW  # kept for perfbench/systems.py
 
@@ -75,7 +62,8 @@ _MAX_PRECISION_EXPONENT = 2**16
 
 @dataclass
 class SolveConfiguration:
-    """Knobs for a rational solve; all randomness flows from ``seed``."""
+    """Knobs for a rational solve and for ``solve_modular``, which uses all
+    but ``verify_primes``; all randomness flows from ``seed``."""
 
     mode: str = "heuristic"
     seed: int = 0
@@ -292,14 +280,16 @@ def _run_attempts(slp, config, finish):
 def solve_modular(slp, config=None):
     """The modular solve alone, with the attempt driver of
     ``solve_over_rationals``.  Returns (fiber over F_p, solve state, check
-    report, attempt number) of the first attempt whose fiber gets through
-    ``solve_mod_p`` and the Newton step to Z/p^2.  Nothing lifts this fiber,
-    so that one step is taken for its checks alone, the residual and the
-    Jacobian mod (p, Q), and its result is dropped."""
+    report, attempt number) of the first attempt whose fiber passes
+    ``verify.check_representation``: its one pass over F_p[T]/(Q) checks the
+    residual and the Jacobian, which no Newton step checks here."""
 
     def check(state, fiber, bounds, attempt):
-        newton_step(state.slp, to_univariate(fiber), fiber.ring.at_precision(2))
-        return fiber, state, verify.check_representation(fiber, state.slp), attempt
+        report = verify.check_representation(fiber, state.slp)
+        if not report.passed:
+            failed = ", ".join(name for name, _ in report.failed_clauses())
+            raise ResidualNonzeroError(f"stage {fiber.stage} residual nonzero: {failed}")
+        return fiber, state, report, attempt
 
     return _run_attempts(slp, config or SolveConfiguration(), check)
 
@@ -326,10 +316,10 @@ def solve_over_rationals(slp, config=None):
             fresh = verify.fresh_prime_checks(
                 candidate, composed, config.verify_primes, state.rng
             )
+            if not all(ok for _, ok in fresh):
+                return None
             report = verify.check_representation(candidate, composed, exact=exact)
-            if all(ok for _, ok in fresh) and report.passed:
-                return fresh, report
-            return None
+            return (fresh, report) if report.passed else None
 
         rep_q, exponent, history, (fresh, report) = _lift_and_reconstruct(
             uni_p, composed, first, last, accept

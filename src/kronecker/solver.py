@@ -138,6 +138,23 @@ def residuals(slp, rep):
     return evaluate(slp, coords, A, n_out=uni.stage)
 
 
+def checked_residuals(slp, rep):
+    """``residuals``, from the one pass that also gives the Jacobian J in
+    the fiber's coordinates: when they vanish and det J is not a unit mod
+    Q, raises JacobianNotInvertibleError."""
+    uni = to_univariate(rep)
+    A = PolyQuotient(uni.ring, uni.min_poly)
+    prim, n = uni.prim_var, slp.n_vars
+    coords = fiber_coordinates(n, prim, uni.point, uni.params, A)
+    vals, jac = evaluate_jacobian(slp, coords, A, range(prim, n), n_out=uni.stage)
+    if not any(vals):
+        try:
+            A.inv(charpoly_division_free(jac, A)[-1])
+        except NotInvertibleError:
+            raise JacobianNotInvertibleError(uni.stage) from None
+    return vals
+
+
 def first_stage(state):
     """Stage-1 fiber: the first polynomial specialized at the lifting point,
     made monic in the last variable.  A nonzero constant first polynomial
@@ -263,25 +280,22 @@ def newton_step(slp, rep, R):
     return replace(rep, min_poly=q_new, params=new_params, ring=R)
 
 
-def rungs(rep, slp, last=None):
+def rungs(rep, slp, last):
     """The precision ladder of a univariate fiber over a local ring at
     precision 1: yields (precision, fiber) for precisions 1, 2, 4, ...,
     each doubling capped at ``last``, where the ladder stops.  Each further
     rung costs one ``newton_step``, taken only when it is asked for.
 
-    A yielded rung is residual-checked only by the step that leaves it.
-    Once the first step has passed, a step from a checked rung with an
-    invertible Jacobian is exact to the doubled precision
-    (Giusti-Lecerf-Salvy), so a later rung's residual could only reveal a
-    defect in the code.  The rung the ladder stops at is checked downstream
-    of the caller: by the next fiber's step, or the acceptance check."""
+    A rung is residual-checked only by the step that leaves it: a step from
+    a checked rung with an invertible Jacobian is exact to the doubled
+    precision (Giusti-Lecerf-Salvy).  The rung the ladder stops at is
+    checked downstream: by the next fiber's step, or the acceptance check."""
     while True:
         k = rep.ring.nilpotency
         yield k, rep
         if k == last:
             return
-        m = 2 * k if last is None else min(2 * k, last)
-        rep = newton_step(slp, rep, rep.ring.at_precision(m))
+        rep = newton_step(slp, rep, rep.ring.at_precision(min(2 * k, last)))
 
 
 # -- curve lifting ------------------------------------------------------------
@@ -300,9 +314,8 @@ def lift_curve(fiber, slp):
     element correction; ``iterations`` counts the steps.  The returned
     Kronecker curve is exact: its coefficients have t-degree at most δ,
     which the guard coefficient t^(δ+1) checks.  The first step checks the
-    fiber itself, its residual and its Jacobian mod (p, Q).  The last rung
-    gets no residual pass: the curve's only use is the next fiber, cut from
-    it, and whatever takes that fiber checks F_1..F_(s+1) on it.
+    fiber itself, its residual and its Jacobian mod (p, Q); the last rung is
+    checked through the next fiber, cut from the curve (see ``rungs``).
     """
     fiber = to_univariate(fiber)
     F = fiber.ring
@@ -540,7 +553,8 @@ def solve_mod_p(state):
     nodes, so δ_(s+1) <= d_1···d_(s+1).  The residual and Jacobian of a
     fiber below the last stage are checked by the first step of its
     ``lift_curve``, and the curve's last rung through the next fiber; those
-    of the returned fiber are left to the step its caller takes on it.
+    of the returned fiber are left to its caller: the first p-adic step, or
+    ``solve_modular``'s check.
     """
     from . import verify
 

@@ -2,28 +2,22 @@
 
 Every "lucky prime" condition the solver relies on is checked once, on the
 computed objects.  The stage gate checks the one the construction leaves
-open on each fiber over F_p: Q squarefree.  (Q is monic and of degree at
-most the Bezout number by construction: stage 1 keeps the first
-polynomial's degree or raises DegreeDropError, and a later Q is the monic
-interpolant through d·δ + 1 nodes.)  The Newton step that takes the fiber
-checks the others, the residual identity F_i(point, T, V(T)) = 0 mod
-(p, Q(T)) and the Jacobian's invertibility mod (p, Q): the first step of
-the curve lift below the last stage, the first rung of the p-adic ladder at
-the last, and, for the fiber ``solve_modular`` returns, one step taken for
-the check alone.  (A rational solve whose ladder stops at p^1 takes no
-step; its output is verified over Q.)  A ladder's rungs are checked the
-same way, the last through the next fiber or the output over Q.
+open on each fiber over F_p: Q squarefree (``solver.solve_mod_p`` says why
+Q is monic of degree at most the Bezout number).  The Newton step that
+takes the fiber checks the others, the residual F_i(point, T, V(T)) = 0
+mod (p, Q(T)) and the Jacobian's invertibility mod (p, Q), and a ladder's
+last rung is checked downstream (see ``solver.rungs``); a rational solve
+whose ladder stops at p^1 takes no step, and its output is verified over
+Q.  Nothing lifts the fiber ``solve_modular`` returns, so
+``check_representation`` checks both on it, in one pass over F_p[T]/(Q).
 
-Over a field or a local ring the residual of a representation is
-``solver.residuals`` of its univariate form.  A rational representation is
-checked modulo fresh primes by ``fresh_prime_checks`` (Monte Carlo), where
-it is a fiber over a field, and, in provable mode, exactly over Q in its own
-form, since inverting Q' over Q blows up the coefficients.  The exact check
-evaluates the program at Y_j = W_j/Q' over Z, with T = 2^B (Kronecker
-substitution applied to the whole program) and Q' cleared by a tracked
-power of an integer multiple H of it, and then tests each residual's
-numerator for exact division by Q.  With Q squarefree, that check passing
-means every point of V(Q) satisfies every F_i over Q.
+Over a field or a local ring a residual is evaluated on the univariate
+form (``solver.residuals``; ``solver.checked_residuals`` also checks the
+Jacobian in the same pass).  A rational representation is checked modulo
+fresh primes by ``fresh_prime_checks`` (Monte Carlo) and, in provable mode,
+exactly over Q in its own form (``_exact_residuals_vanish``), since
+inverting Q' over Q blows up the coefficients.  With Q squarefree, the
+exact check passing means every point of V(Q) satisfies every F_i over Q.
 """
 
 from dataclasses import dataclass, replace
@@ -35,7 +29,7 @@ from .polys import degree, is_monic, is_squarefree, normalize, poly_deriv
 from .primes import WORD_PRIME_HIGH, WORD_PRIME_LOW, random_prime_in_range
 from .rings import QQ, ZZ, Rationals, ResidueRing
 from .slp import evaluate
-from .solver import residuals
+from .solver import checked_residuals, residuals
 
 # Verify primes drawn for one reduction before giving up on a prime that
 # divides neither a denominator of the fiber nor det λ.
@@ -184,7 +178,7 @@ def _residual_clauses(rep, slp, clauses):
         vanish = _exact_residuals_vanish(slp, rep)
     else:
         try:
-            vanish = [not v for v in residuals(slp, rep)]
+            vanish = [not v for v in checked_residuals(slp, rep)]
         except NotInvertibleError:
             clauses.append(
                 ("residual", False, "cannot convert to univariate form")
@@ -222,8 +216,10 @@ def _is_squarefree_over_q(q):
 def check_representation(rep, slp, *, exact=False):
     """Structural and membership checks for a fiber representation.
 
-    Prime-field and residue-ring representations are checked directly.  A
-    rational representation gets its structural clauses, and, when
+    Prime-field and residue-ring representations are checked directly, in
+    one pass that also gives the Jacobian J: when the residuals vanish and
+    det J is not a unit mod (p, Q), this raises JacobianNotInvertibleError.
+    A rational representation gets its structural clauses, and, when
     ``exact`` (provable mode's acceptance check), the clause ``exact
     residual over Q``: each residual's numerator, evaluated over Z at
     T = 2^B, divides exactly by Q (see ``_exact_residuals_vanish``).
@@ -299,12 +295,13 @@ def reduce_rational_rep(rep, field):
 
 def fresh_prime_checks(rep, slp, count, rng):
     """[(p, passed)] for ``count`` verify primes p drawn from ``rng``, where
-    ``passed`` is whether ``check_representation`` passes on the rational
-    ``rep`` reduced mod p."""
+    ``passed`` is whether the rational ``rep`` reduced mod p has a
+    squarefree Q and vanishing residuals."""
     checks = []
     for _ in range(count):
         p, rep_p = _reduce_with_fresh_prime(rep, slp, rng)
-        checks.append((p, check_representation(rep_p, slp).passed))
+        passed = is_squarefree(rep_p.min_poly, rep_p.ring)
+        checks.append((p, passed and not any(residuals(slp, rep_p))))
     return checks
 
 

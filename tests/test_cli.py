@@ -1,11 +1,14 @@
 import hashlib
 import json
+import sys
 import time
 
 import pytest
 
 import kronecker.cli as cli
 from kronecker.cli import load_representation, run
+from kronecker.polys import poly_deriv
+from kronecker.rings import PolyQuotient
 from kronecker.slp import AffineChange, compose_affine, parse_system
 from kronecker.verify import check_representation
 
@@ -383,3 +386,38 @@ def test_unwritable_out_is_refused_before_solving(
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {out}: ")
     assert err.count("\n") == 1
+
+
+def test_mod_p_only_emits_the_univariate_form(tmp_path):
+    # Q'·V_j ≡ W_j mod (p, Q) for each emitted V_j, and the bytes repeat.
+    src = _write(tmp_path, THREE_QUADRICS)
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in outs:
+        flags = ["--mod-p-only", "--emit-univariate", "--seed", "1"]
+        assert run([src, *flags, "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    doc = json.loads(outs[0].read_bytes())
+    rep = load_representation(doc)
+    A = PolyQuotient(rep.ring, rep.min_poly)
+    q_prime = poly_deriv(rep.min_poly, rep.ring)
+    univariate = doc["representation"]["univariate"]
+    assert sorted(univariate) == sorted(str(j) for j in rep.params) != []
+    for j, w in rep.params.items():
+        v = tuple(int(c) for c in univariate[str(j)])
+        assert A.mul(q_prime, v) == w
+
+
+@pytest.mark.parametrize(
+    "text, code",
+    [(TWO_QUADRICS, 0), ("vars x, y;\nx^2;\nx;\n", 2), ("vars x; x + ;", 3)],
+    ids=["solved", "exhausted", "malformed"],
+)
+def test_console_script_exits_with_the_code_of_run(
+    tmp_path, monkeypatch, text, code
+):
+    src = _write(tmp_path, text)
+    argv = ["kronecker-solve", src, "--seed", "0", "--retries", "2"]
+    monkeypatch.setattr(sys, "argv", argv)
+    with pytest.raises(SystemExit) as info:
+        cli.main()
+    assert info.value.code == code

@@ -147,9 +147,9 @@ def test_rungs_cap_at_last_and_stop():
     assert top.min_poly == ((P - 1, P - 1), (), (1,))
     assert not any(residuals(slp, top))
 
-    # Without a cap the p-adic ladder climbs for as long as it is asked.
+    # The p-adic ladder climbs by doubling up to its cap.
     start = replace(fiber, ring=ResidueRing(P, 1))
-    ladder = list(itertools.islice(rungs(start, slp), 4))
+    ladder = list(itertools.islice(rungs(start, slp, last=8), 4))
     assert [k for k, _ in ladder] == [1, 2, 4, 8]
     assert [rep.min_poly for _, rep in ladder] == [
         (P**k - 1, 0, 1) for k in (1, 2, 4, 8)
@@ -159,7 +159,7 @@ def test_rungs_cap_at_last_and_stop():
 def test_a_modular_fiber_is_the_foot_of_its_p_adic_ladder():
     slp = parse_system("vars x, y; y^2 - x;")
     fiber = _parabola_fiber(PrimeField(P))
-    ladder = rungs(fiber, slp)
+    ladder = rungs(fiber, slp, last=2)
     k, foot = next(ladder)
     assert k == 1 and foot is fiber
     k, second = next(ladder)

@@ -410,6 +410,32 @@ def test_provable_gate_refuses_what_only_the_exact_residual_sees(monkeypatch):
     ] * 2
 
 
+def test_provable_exact_check_waits_for_the_fresh_primes(monkeypatch):
+    # The first candidate fails its fresh prime: it is refused without the
+    # exact check over Q, which runs only for the accepted candidate.
+    judged = []
+    exact_for = []
+    fresh, exact = verify.fresh_prime_checks, verify._exact_residuals_vanish
+
+    def failing_first(rep, slp, count, rng):
+        judged.append(rep)
+        checks = fresh(rep, slp, count, rng)
+        return [(p, False) for p, _ in checks] if len(judged) == 1 else checks
+
+    def spy(slp, rep):
+        exact_for.append(len(judged))
+        return exact(slp, rep)
+
+    monkeypatch.setattr(verify, "fresh_prime_checks", failing_first)
+    monkeypatch.setattr(verify, "_exact_residuals_vanish", spy)
+    config = SolveConfiguration(
+        mode="provable", seed=42, lambda_matrix=((1, 0), (0, 1))
+    )
+    rep, cert = solve_over_rationals(parse_system(TWO_QUADRICS), config)
+    assert cert.exact_checked and cert.verification["passed"]
+    assert exact_for == [len(judged)] and len(judged) > 1
+
+
 def _pinned_change(n, rng):
     while True:
         lam = tuple(

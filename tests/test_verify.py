@@ -5,7 +5,7 @@ from itertools import islice
 
 import pytest
 
-from kronecker import padic, verify
+from kronecker import padic, solver, verify
 from kronecker.errors import (
     NoPrimeFoundError,
     ResidualNonzeroError,
@@ -212,7 +212,7 @@ def test_first_step_rejects_a_final_fiber_with_a_nonzero_residual(monkeypatch):
     bad = replace(fiber, params={1: tuple(w)})
     gate_stage(bad)  # the gate checks no residual
     with pytest.raises(ResidualNonzeroError):
-        next(islice(rungs(to_univariate(bad), slp), 1, None))
+        next(islice(rungs(to_univariate(bad), slp, last=2), 1, None))
     with pytest.raises(RetryExhaustedError) as info:
         _modular_solve_returning(
             monkeypatch, "vars x,y; x^2 + y^2 - 5; x*y - 2;", lambda state: bad
@@ -240,6 +240,50 @@ def test_modular_solve_rejects_a_final_fiber_with_a_singular_jacobian(
     with pytest.raises(RetryExhaustedError) as info:
         _modular_solve_returning(monkeypatch, "vars x, y; y^2; x - 1;", fiber_of)
     assert all("jacobian" in cause for _, _, cause in info.value.causes)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "vars x,y; x^2 + y^2 - 5; x*y - 2;",
+        "vars x, y, z; x^2 + 2*y*z - 3*x + 1; y^2 - x*z + 5*y - 2;"
+        " z^2 + 3*x*y - z + 4;",
+    ],
+    ids=["n2", "n3"],
+)
+def test_modular_solve_checks_its_fiber_in_one_pass(monkeypatch, text):
+    # After solve_mod_p returns, one program pass over F_p[T]/(Q) gives the
+    # residual and the Jacobian: no Newton step, no second residual pass.
+    after = []
+    passes = []
+    original = padic.solve_mod_p
+
+    def solved(state):
+        after.clear()
+        fiber = original(state)
+        after.append(fiber)
+        return fiber
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            if after:
+                passes.append(name)
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(padic, "solve_mod_p", solved)
+    for module in (solver, verify):
+        for name in ("evaluate", "evaluate_jacobian"):
+            if hasattr(module, name):
+                monkeypatch.setattr(
+                    module, name, counted(name, getattr(module, name))
+                )
+    fiber, _, report, attempts = solve_modular(
+        parse_system(text), SolveConfiguration(seed=1)
+    )
+    assert report.passed and after == [fiber] and attempts == 1
+    assert passes == ["evaluate_jacobian"]
 
 
 def test_reduce_rational_rep_rejects_bad_prime():
