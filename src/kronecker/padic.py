@@ -62,8 +62,9 @@ _MAX_PRECISION_EXPONENT = 2**16
 
 @dataclass
 class SolveConfiguration:
-    """Knobs for a rational solve and for ``solve_modular``, which uses all
-    but ``verify_primes``; all randomness flows from ``seed``."""
+    """Knobs for a rational solve and for ``solve_modular``, which draws no
+    verify prime but still refuses ``verify_primes`` below 1, as every solve
+    does; all randomness flows from ``seed``."""
 
     mode: str = "heuristic"
     seed: int = 0
@@ -205,26 +206,15 @@ def check_configuration(config, n_vars):
         raise ValueError("lifting point must have n-1 coordinates")
 
 
-def _sample_change(n, a_bound, rng):
-    for _ in range(64):
-        rows = [
-            [rng.randrange(a_bound + 1) for _ in range(n)] for _ in range(n)
-        ]
-        try:
-            return AffineChange.from_matrix(rows)
-        except SingularMatrixError:
-            continue
-    raise SingularMatrixError("no invertible change of variables in 64 draws")
-
-
 def _draw_attempt(slp, config, bounds, rng):
     """The solve state of one attempt: λ, lifting point and prime are drawn
-    in that order, each unless ``config`` pins it."""
+    in that order, each unless ``config`` pins it, and each once.  A singular
+    λ (SingularMatrixError) or a prime dividing det λ ends the attempt."""
     n = slp.n_vars
-    if config.lambda_matrix is not None:
-        change = AffineChange.from_matrix(config.lambda_matrix)
-    else:
-        change = _sample_change(n, bounds.a, rng)
+    rows = config.lambda_matrix or [
+        [rng.randrange(bounds.a + 1) for _ in range(n)] for _ in range(n)
+    ]
+    change = AffineChange.from_matrix(rows)
     if config.lifting_point is not None:
         point = tuple(int(x) for x in config.lifting_point)
     else:
@@ -252,9 +242,10 @@ def _run_attempts(slp, config, finish):
 
     An attempt solves modulo its prime and returns ``finish(state, fiber,
     bounds, attempt)``.  EmptyIntersectionError discards it as structural,
-    any other KroneckerError as unlucky.  When no
-    attempt is left this raises InputNotRegularError if every cause was
-    structural, and RetryExhaustedError otherwise.
+    any other KroneckerError as unlucky: this is the one loop that draws
+    again after a failed draw, of λ, of the prime or of a verify prime.
+    When no attempt is left this raises InputNotRegularError if every cause
+    was structural, and RetryExhaustedError otherwise.
     """
     check_configuration(config, slp.n_vars)
     rng = random.Random(config.seed)

@@ -43,7 +43,9 @@ def _miller_rabin_round(n, a):
 
 def is_probable_prime(n, rng=None):
     """Primality test: deterministic below 2**64, Miller-Rabin with
-    ``MILLER_RABIN_ROUNDS`` random bases above."""
+    ``MILLER_RABIN_ROUNDS`` random bases above, drawn from ``rng`` or, with
+    none, from a generator seeded by n, so that the verdict on n is
+    reproducible."""
     if n < 2:
         return False
     for q in _SMALL_PRIMES:
@@ -54,7 +56,7 @@ def is_probable_prime(n, rng=None):
     if n < 2**64:
         bases = _DETERMINISTIC_BASES
     else:
-        rng = rng or random.Random()
+        rng = rng or random.Random(n)
         bases = [rng.randrange(2, n - 1) for _ in range(MILLER_RABIN_ROUNDS)]
     return all(_miller_rabin_round(n, a) for a in bases)
 

@@ -464,6 +464,9 @@ def intersect_minimal_poly(curve, slp, out_index, next_degree, rng):
 
     A node where q_a is not squarefree (ramified) or g is not a unit (R(a)
     = 0) is skipped; dδ + 1 zero resultants mean R vanishes identically.
+    These skips stay local rather than restarting the attempt: at a small
+    pinned prime such as 10007 a few of the dδ + 1 nodes are expected to be
+    bad, and any unused node will do in their place.
     """
     F = curve.field
     delta = curve.fiber_degree

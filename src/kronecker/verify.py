@@ -24,16 +24,12 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import NoPrimeFoundError, NotInvertibleError, UnluckyError
+from .errors import NotInvertibleError, UnluckyError
 from .polys import degree, is_monic, is_squarefree, normalize, poly_deriv
 from .primes import WORD_PRIME_HIGH, WORD_PRIME_LOW, random_prime_in_range
 from .rings import QQ, ZZ, Rationals, ResidueRing
 from .slp import evaluate
 from .solver import checked_residuals, residuals
-
-# Verify primes drawn for one reduction before giving up on a prime that
-# divides neither a denominator of the fiber nor det λ.
-FRESH_PRIME_DRAWS = 16
 
 # The Mersenne prime 2^61 - 1: the fixed modulus of the squarefree shortcut.
 SQUAREFREE_PRIME = 2**61 - 1
@@ -281,8 +277,7 @@ def _reduce_coefficients(coeffs, field):
 def reduce_rational_rep(rep, field):
     """Reduce a rational representation modulo a prime field.
 
-    Raises ValueError when any denominator vanishes mod p, in which case the
-    caller should draw a different prime.
+    Raises ValueError when any denominator vanishes mod p.
     """
     return replace(
         rep,
@@ -296,29 +291,21 @@ def reduce_rational_rep(rep, field):
 def fresh_prime_checks(rep, slp, count, rng):
     """[(p, passed)] for ``count`` verify primes p drawn from ``rng``, where
     ``passed`` is whether the rational ``rep`` reduced mod p has a
-    squarefree Q and vanishing residuals."""
+    squarefree Q and vanishing residuals.  A verify prime that divides the
+    determinant of ``slp``'s change of variables or a denominator of ``rep``
+    raises UnluckyError, which ends the attempt."""
+    det = slp.transform.det if slp.transform is not None else 1
     checks = []
     for _ in range(count):
-        p, rep_p = _reduce_with_fresh_prime(rep, slp, rng)
+        p = random_prime_in_range(WORD_PRIME_LOW, WORD_PRIME_HIGH, rng)
+        if det % p == 0:
+            raise UnluckyError(rep.stage, "determinant vanishes mod a verify prime")
+        try:
+            rep_p = reduce_rational_rep(rep, ResidueRing(p, 1))
+        except ValueError:
+            raise UnluckyError(
+                rep.stage, "a denominator vanishes mod a verify prime"
+            ) from None
         passed = is_squarefree(rep_p.min_poly, rep_p.ring)
         checks.append((p, passed and not any(residuals(slp, rep_p))))
     return checks
-
-
-def _reduce_with_fresh_prime(rep, slp, rng):
-    """A verify prime and ``rep`` reduced modulo it.  Primes that divide a
-    denominator of ``rep`` or the determinant of ``slp``'s change of
-    variables are skipped."""
-    det = slp.transform.det if slp.transform is not None else 1
-    for _ in range(FRESH_PRIME_DRAWS):
-        p = random_prime_in_range(WORD_PRIME_LOW, WORD_PRIME_HIGH, rng)
-        if det % p == 0:
-            continue
-        try:
-            return p, reduce_rational_rep(rep, ResidueRing(p, 1))
-        except ValueError:
-            continue
-    raise NoPrimeFoundError(
-        f"no reduction prime in {FRESH_PRIME_DRAWS} draws avoids the "
-        "denominators and det"
-    )

@@ -182,6 +182,21 @@ def test_solve_linear_system_trivial_lift():
     assert cert.verification["passed"]
 
 
+def test_a_singular_lambda_draw_ends_its_attempt():
+    # At seed 139 the first draw of λ from [0, 120] is (0), singular.  The
+    # attempt ends there, and the next one reads the generator exactly as a
+    # redraw of λ would: the same λ, prime and fiber, one attempt later.
+    slp = parse_system("vars x; x - 3;")
+    assert random.Random(139).randrange(121) == 0
+    rep, cert = solve_over_rationals(slp, SolveConfiguration(seed=139))
+    assert cert.attempts == 2
+    assert cert.lam == ((88,),) and cert.prime == 3099847694329173881
+    assert rep.min_poly == (Fraction(-264), Fraction(1))
+    with pytest.raises(RetryExhaustedError) as info:
+        solve_over_rationals(slp, SolveConfiguration(seed=139, retries=1))
+    assert info.value.causes == [(1, None, "change of variables has determinant 0")]
+
+
 def test_solve_non_radical_input_is_rejected():
     slp = parse_system("vars x,y; x^2; x;")
     with pytest.raises(RetryExhaustedError):

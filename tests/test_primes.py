@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from kronecker import primes
 from kronecker.errors import NoPrimeFoundError
 from kronecker.primes import (
+    MILLER_RABIN_ROUNDS,
     WORD_PRIME_HIGH,
     WORD_PRIME_LOW,
     is_probable_prime,
@@ -60,6 +62,22 @@ def test_probable_prime_large():
     # 2^89 - 1 is a Mersenne prime beyond the deterministic window.
     assert is_probable_prime(2**89 - 1, random.Random(0))
     assert not is_probable_prime((2**89 - 1) * 3, random.Random(0))
+
+
+def test_bases_without_a_generator_are_seeded_by_n(monkeypatch):
+    # A pinned prime above 2^64 is tested outside the solve's generator; its
+    # Miller-Rabin bases must be the same in every call and every process.
+    bases = []
+    real = primes._miller_rabin_round
+
+    def spy(n, a):
+        bases.append(a)
+        return real(n, a)
+
+    monkeypatch.setattr(primes, "_miller_rabin_round", spy)
+    assert is_probable_prime(2**89 - 1) and is_probable_prime(2**89 - 1)
+    assert len(bases) == 2 * MILLER_RABIN_ROUNDS
+    assert bases[:MILLER_RABIN_ROUNDS] == bases[MILLER_RABIN_ROUNDS:]
 
 
 def test_range_sampler_respects_bounds():

@@ -7,7 +7,6 @@ import pytest
 
 from kronecker import padic, solver, verify
 from kronecker.errors import (
-    NoPrimeFoundError,
     ResidualNonzeroError,
     RetryExhaustedError,
     UnluckyError,
@@ -301,8 +300,8 @@ def test_reduce_rational_rep_rejects_bad_prime():
 
 
 # A verify prime P that divides det λ: the composed program cannot be
-# evaluated modulo P, so P must be skipped like a prime dividing a
-# denominator.
+# evaluated modulo P, so P ends the attempt, as a prime dividing a
+# denominator of the candidate does.
 P = 10007
 
 
@@ -320,17 +319,17 @@ def _pin_verify_prime(monkeypatch, times):
     return calls
 
 
-def test_verify_prime_dividing_det_lambda_is_skipped(monkeypatch):
+def test_verify_prime_dividing_det_lambda_ends_the_attempt(monkeypatch):
     calls = _pin_verify_prime(monkeypatch, times=1)
     slp = parse_system("vars x,y; x^2 + y^2 - 5; x*y - 2;")
     cfg = SolveConfiguration(seed=42, lambda_matrix=((P, 1), (0, 1)))
     rep, cert = solve_over_rationals(slp, cfg)
-    assert len(calls) == 2
+    assert len(calls) == 2 and cert.attempts == 2
     assert cert.verification["passed"]
     assert P not in cert.verify_primes and len(cert.verify_primes) == 1
 
 
-def test_no_verify_prime_raises_no_prime_found(monkeypatch):
+def test_unusable_verify_prime_restarts_every_attempt(monkeypatch):
     _pin_verify_prime(monkeypatch, times=10**6)
     slp = parse_system("vars x,y; x^2 + y^2 - 5; x*y - 2;")
     change = AffineChange.from_matrix(((P, 1), (0, 1)))
@@ -344,9 +343,14 @@ def test_no_verify_prime_raises_no_prime_found(monkeypatch):
         form="kronecker",
         ring=QQ,
     )
-    with pytest.raises(NoPrimeFoundError):
+    with pytest.raises(UnluckyError, match="determinant vanishes mod a verify"):
         verify.fresh_prime_checks(rep, composed, 1, random.Random(0))
+    over_p = replace(rep, params={1: (Fraction(1, P),)})
+    with pytest.raises(UnluckyError, match="a denominator vanishes mod a verify"):
+        verify.fresh_prime_checks(over_p, slp, 1, random.Random(0))
     cfg = SolveConfiguration(seed=42, retries=2, lambda_matrix=((P, 1), (0, 1)))
     with pytest.raises(RetryExhaustedError) as info:
         solve_over_rationals(slp, cfg)
-    assert all("reduction prime" in cause for _, _, cause in info.value.causes)
+    assert [cause for _, _, cause in info.value.causes] == [
+        "determinant vanishes mod a verify prime"
+    ] * 2
