@@ -24,8 +24,7 @@ as it is, divided by π^j and multiplied by π^j.
 The base ring of a quotient R[T]/(q) owns its product and its sum of
 products: ``PolyQuotient`` binds them to q once, from the base's
 ``quotient_kernel(q)``, which returns the pair (mul, dot).  Each product
-is reduced mod q once, and so is each sum of products but over
-``SeriesRing``:
+is reduced mod q once, and so is each sum of products:
 
 * over ``ResidueRing`` the products are convolved and summed over Z
   (``polys.int_convolve``), then divided by q with ``polys.rem_monic``,
@@ -43,8 +42,11 @@ is reduced mod q once, and so is each sum of products but over
   division steps, a slot collects fewer than k·(len a + len b) products of
   two residues below p, so w = 2·bits(p) + bits(k·(len a + len b)), rounded
   up to whole bytes, keeps every slot below 2^w and no slot carries into
-  its neighbour.  A sum of products adds the reduced products: packing
-  the sum measured no faster;
+  its neighbour.  A sum of products adds over Z: a pair whose one factor
+  is a scalar (T-degree 0 and t-degree 0, as the coefficients of a
+  program's linear combinations are) against one no longer than q adds
+  coefficient by coefficient, any other pair adds its reduced product,
+  and the sum takes one reduction mod p per coefficient;
 * any other base (the rationals, an extension field) multiplies with
   ``polys.poly_mul``, sums the products unreduced and takes one
   ``polys.rem_monic``.
@@ -357,10 +359,24 @@ class SeriesRing:
             return polys.normalize([polys.normalize(s, self.field) for s in rem], self)
 
         def dot(us, vs):
-            acc = ()
+            # Sums over Z, one reduction mod p per (T, t) coefficient.
+            acc = [[0] * k for _ in range(d)]
             for a, b in zip(us, vs):
-                acc = polys.poly_add(acc, mul(a, b), self)
-            return acc
+                if len(a) > len(b):
+                    a, b = b, a
+                if len(a) == 1 and len(a[0]) == 1 and len(b) <= d:
+                    c = a[0][0]
+                    for row, s in zip(acc, b):
+                        for j, x in enumerate(s[:k]):
+                            row[j] += c * x
+                elif a:
+                    for row, s in zip(acc, mul(a, b)):
+                        for j, x in enumerate(s):
+                            row[j] += x
+            return polys.normalize(
+                [polys.normalize([x % p for x in row], self.field) for row in acc],
+                self,
+            )
 
         return mul, dot
 

@@ -10,12 +10,17 @@ per statement::
 Integer constants are arbitrary precision; ``^`` takes a nonnegative integer
 exponent and is expanded by repeated squaring at parse time, so programs stay
 division-free.  The parser makes one pass over the tokens, with no expression
-tree: each subexpression yields the instruction computing it and its dense
-expansion, whose degree is checked against the cap before a product or a
-power is multiplied out.  Instructions are hash-consed: an operation on the
-same operands (in either order for ``+`` and ``*``) is emitted once and
-shared, so ``x^2`` appearing in several monomials or outputs costs one
-multiplication, and ``length`` counts the distinct ring operations.
+tree: each subexpression yields an integer coefficient times the instruction
+computing the rest, and its dense expansion, whose degree is checked against
+the cap before a product or a power is multiplied out.  A term folds its
+numeric factors into its coefficient and multiplies only the others, and a
+sum of terms is one ``lin`` instruction, c0 + Σ cᵢ·vᵢ, which an evaluation
+reduces once.  Products and powers of sums stay as written: ``(x - 2*y)^8``
+is three squarings of one ``lin``, never expanded.
+Instructions are hash-consed: a product of the same operands (in either
+order) is emitted once and shared, so the monomial ``x^2*y`` appearing in
+several terms or outputs costs its multiplications once, and ``length``
+counts the ring operations of one evaluation.
 
 A program can carry an affine change of variables (an integer matrix with its
 adjugate and determinant).  Evaluation then maps the supplied point y to
@@ -108,8 +113,10 @@ class StraightLineProgram:
     """Division-free arithmetic circuit for the input polynomials.
 
     ``instructions`` is an acyclic sequence of ('var', i), ('const', c),
-    ('add', a, b), ('sub', a, b), ('mul', a, b) entries referencing earlier
-    indices; ``outputs`` names the instruction computing each polynomial.
+    ('mul', a, b) and ('lin', c0, coeffs, operands) entries referencing
+    earlier indices; a ``lin`` is the linear combination c0 + Σ cᵢ·vᵢ of
+    the operands' values with integer coefficients.  ``outputs`` names the
+    instruction computing each polynomial.
     ``degrees`` and ``height`` come from the dense expansion made at parse
     time (total degree per output, bit length of the largest coefficient).
     """
@@ -141,21 +148,31 @@ class StraightLineProgram:
                 need[self.outputs[k]] = True
             for i in range(len(need) - 1, -1, -1):
                 ins = self.instructions[i]
-                if need[i] and ins[0] in ("add", "sub", "mul"):
+                if need[i] and ins[0] == "mul":
                     need[ins[1]] = need[ins[2]] = True
+                elif need[i] and ins[0] == "lin":
+                    for j in ins[3]:
+                        need[j] = True
             order = tuple(i for i, used in enumerate(need) if used)
             self._slices[outs] = order
         return order
 
     @property
     def length(self):
-        """Ring operations of one evaluation: the add/sub/mul of the slice
-        of all outputs, plus 2n^2 for a non-identity change of variables."""
-        ops = sum(
-            1
-            for i in self.slice(tuple(range(self.n_outputs)))
-            if self.instructions[i][0] in ("add", "sub", "mul")
-        )
+        """Ring operations of one evaluation, over the slice of all
+        outputs: one per ``mul``; per ``lin``, one addition per term after
+        the first, one more when c0 is not 0, and one product per
+        coefficient other than ±1; plus 2n^2 for a non-identity change of
+        variables."""
+        ops = 0
+        for i in self.slice(tuple(range(self.n_outputs))):
+            ins = self.instructions[i]
+            if ins[0] == "mul":
+                ops += 1
+            elif ins[0] == "lin":
+                _, c0, coeffs, _ = ins
+                ops += len(coeffs) - (c0 == 0)
+                ops += sum(abs(c) != 1 for c in coeffs)
         if self.transform is not None and not self.transform.is_identity():
             n = self.n_vars
             ops += 2 * n * n
@@ -187,9 +204,11 @@ def _tokenize(text):
 
 class _Parser:
     """Recursive descent that builds the program as it reads.  Each
-    production returns (index, dense, degree): the hash-consed instruction
-    computing its value, its dense map {exponents: nonzero integer}, which
-    the caller owns, and that map's total degree (-1 for 0)."""
+    production returns a node (c, v, dense, degree) whose value is the
+    integer c times the value of the hash-consed instruction v, or c alone
+    when v is None, which it is exactly when the degree is at most 0; then
+    its dense map {exponents: nonzero integer}, which the caller owns, and
+    that map's total degree (-1 for 0)."""
 
     def __init__(self, text):
         self.tokens = _tokenize(text)
@@ -221,9 +240,10 @@ class _Parser:
 
     def emit(self, *ins):
         """Index of the instruction ``ins``, appended unless an identical
-        one exists; commutative operands are put in index order first."""
-        if ins[0] in ("add", "mul") and ins[2] < ins[1]:
-            ins = (ins[0], ins[2], ins[1])
+        one exists; the operands of a product are put in index order
+        first, and a ``lin`` comes with its operands in index order."""
+        if ins[0] == "mul" and ins[2] < ins[1]:
+            ins = ("mul", ins[2], ins[1])
         idx = self.index.get(ins)
         if idx is None:
             idx = self.index[ins] = len(self.instructions)
@@ -256,7 +276,12 @@ class _Parser:
         polys = []
         while self.peek()[0] != "end":
             self.k += 1
-            polys.append(self.expr())
+            c, v, dense, deg = self.expr()
+            if v is None:
+                v = self.emit("const", c)
+            elif c != 1:
+                v = self.emit("lin", 0, (c,), (v,))
+            polys.append((v, dense, deg))
             self.expect_op(";")
         if not polys:
             raise ParseError("no polynomials declared", self.peek()[2])
@@ -284,35 +309,65 @@ class _Parser:
             dense_forms=dense_forms,
         )
 
-    def signed(self, operand):
-        """``operand()`` after a '+' or '-', or None when there is neither;
-        a '-' emits the constant 0 before the operand's instructions."""
-        sign = self.accept("+-")
-        if sign is None:
-            return None
-        if sign == "+":
-            return operand()
-        zero = self.emit("const", 0)
-        idx, dense, deg = operand()
-        neg = {k: -v for k, v in dense.items()}
-        return self.emit("sub", zero, idx), neg, deg
-
     def expr(self):
-        node = self.signed(self.term) or self.term()
-        while sign := self.accept("+-"):
-            node = self.combine(sign, node, self.term())
-        return node
+        """A sum of terms: the constant terms add up to c0 and the others
+        merge by operand, so the sum is one ``lin``; its dense form is the
+        sum of theirs."""
+        sign = self.accept("+-") or "+"
+        c0, coeffs, dense = 0, {}, {}
+        while sign:
+            s = 1 if sign == "+" else -1
+            c, v, tdense, _ = self.term()
+            if v is None:
+                c0 += s * c
+            else:
+                coeffs[v] = coeffs.get(v, 0) + s * c
+            for k, x in tdense.items():
+                nx = dense.get(k, 0) + s * x
+                if nx:
+                    dense[k] = nx
+                else:
+                    del dense[k]
+            sign = self.accept("+-")
+        deg = max(map(sum, dense), default=-1)
+        if deg <= 0:
+            return dense.get(self.unit, 0), None, dense, deg
+        terms = sorted((v, c) for v, c in coeffs.items() if c)
+        if c0 == 0 and len(terms) == 1:
+            v, c = terms[0]
+            return c, v, dense, deg
+        operands, cs = zip(*terms)
+        return 1, self.emit("lin", c0, cs, operands), dense, deg
 
     def term(self):
-        node = self.factor()
+        """A product of factors: the coefficients multiply into one integer
+        and the operands multiply left to right through hash-consed
+        ``mul``s, so a monomial is one operand wherever it appears."""
+        c, v, dense, deg = self.factor()
+        operands = [] if v is None else [v]
         while self.accept("*"):
-            node = self.product(node, self.factor())
-        return node
+            fc, fv, fdense, fdeg = self.factor()
+            deg += fdeg
+            self.check_degree(deg)
+            dense = _dense_mul(dense, fdense)
+            deg = deg if dense else -1
+            c *= fc
+            if fv is not None:
+                operands.append(fv)
+        if not dense:
+            return 0, None, dense, -1
+        v = operands[0] if operands else None
+        for w in operands[1:]:
+            v = self.emit("mul", v, w)
+        return c, v, dense, deg
 
     def factor(self):
-        signed = self.signed(self.factor)
-        if signed:
-            return signed
+        sign = self.accept("+-")
+        if sign:
+            c, v, dense, deg = self.factor()
+            if sign == "+":
+                return c, v, dense, deg
+            return -c, v, {k: -x for k, x in dense.items()}, deg
         node = self.atom()
         if self.accept("^"):
             kind, exp, pos = self.next()
@@ -324,35 +379,17 @@ class _Parser:
     def atom(self):
         kind, val, pos = self.next()
         if kind == "num":
-            dense = {self.unit: val} if val else {}
-            return self.emit("const", val), dense, 0 if val else -1
+            return val, None, ({self.unit: val} if val else {}), 0 if val else -1
         if kind == "ident":
             if val not in self.var_index:
                 raise ParseError(f"unknown variable {val!r}", pos)
             idx, key = self.var_index[val]
-            return idx, {key: 1}, 1
+            return 1, idx, {key: 1}, 1
         if kind == "op" and val == "(":
             node = self.expr()
             self.expect_op(")")
             return node
         raise ParseError("expected a number, variable or '('", pos)
-
-    def combine(self, sign, a, b):
-        """a + b or a - b for the ``sign`` '+' or '-'; the degree is
-        rescanned only when terms of the top degree cancel."""
-        op, s = ("add", 1) if sign == "+" else ("sub", -1)
-        out, deg = a[1], max(a[2], b[2])
-        cancelled = False
-        for k, v in b[1].items():
-            nv = out.get(k, 0) + s * v
-            if nv:
-                out[k] = nv
-            else:
-                del out[k]
-                cancelled = cancelled or sum(k) == deg
-        if cancelled:
-            deg = max((sum(k) for k in out), default=-1)
-        return self.emit(op, a[0], b[0]), out, deg
 
     def check_degree(self, degree):
         if degree > _MAX_DEGREE:
@@ -360,38 +397,33 @@ class _Parser:
                 f"polynomial #{self.k}: degree bound above {_MAX_DEGREE}"
             )
 
-    def product(self, a, b):
-        deg = a[2] + b[2]
-        self.check_degree(deg)
-        dense = _dense_mul(a[1], b[1])
-        return self.emit("mul", a[0], b[0]), dense, deg if dense else -1
-
     def power(self, base, e):
-        idx, dense, deg = base
+        c, v, dense, deg = base
         self.check_degree(e * deg)
         if e == 0:
-            return self.emit("const", 1), {self.unit: 1}, 0
+            return 1, None, {self.unit: 1}, 0
         if len(dense) <= 1:
             # (c*x^a)^e = c^e*x^(e*a) in closed form: a monomial needs no e
             # multiplications, whatever the size of e.
-            if any(e * abs(c).bit_length() > _MAX_CONSTANT_BITS
-                   for c in dense.values() if abs(c) > 1):
+            if any(e * abs(x).bit_length() > _MAX_CONSTANT_BITS
+                   for x in dense.values() if abs(x) > 1):
                 raise ParseError("power of a constant too large to expand")
-            out = {tuple(e * a for a in k): c**e for k, c in dense.items()}
-            if deg <= 0:
-                # A power of a constant is a constant: one instruction.
-                return self.emit("const", out.get(self.unit, 0)), out, deg
+            out = {tuple(e * a for a in k): x**e for k, x in dense.items()}
+            if v is None:
+                # A power of a constant is a constant.
+                return out.get(self.unit, 0), None, out, deg
         else:
             out = {self.unit: 1}
             for _ in range(e):
                 out = _dense_mul(out, dense)
-        # Repeated squaring along the bits of e, high to low.
-        acc = idx
+        # (c·v)^e = c^e·v^e, v^e by repeated squaring along the bits of e,
+        # high to low.
+        acc = v
         for bit in bin(e)[3:]:
             acc = self.emit("mul", acc, acc)
             if bit == "1":
-                acc = self.emit("mul", acc, idx)
-        return acc, out, e * deg if out else -1
+                acc = self.emit("mul", acc, v)
+        return c**e, acc, out, e * deg
 
 
 def _dense_mul(a, b):
@@ -455,18 +487,12 @@ def _transformed_inputs(slp, point, R):
 
 
 def _apply_adjugate(tr, ys, det_inv, R):
-    """adj * ys / det over R, given 1/det."""
-    n = tr.n
-    xs = []
-    for i in range(n):
-        acc = R.zero
-        for j in range(n):
-            a = tr.adjugate[i][j]
-            if a == 0 or R.is_zero(ys[j]):
-                continue
-            acc = R.add(acc, R.mul(R.from_int(a), ys[j]))
-        xs.append(R.mul(acc, det_inv))
-    return xs
+    """adj * ys / det over R, given 1/det: per coordinate, one ``dot`` of
+    a row of adj with ys, times 1/det."""
+    return [
+        R.mul(R.dot([R.from_int(a) for a in row], ys), det_inv)
+        for row in tr.adjugate
+    ]
 
 
 def _selected(slp, n_out):
@@ -485,21 +511,23 @@ def _selected(slp, n_out):
 
 
 def _run(slp, order, xs, R):
-    """Values of the instructions in ``order``, indexed by instruction."""
+    """Values of the instructions in ``order``, indexed by instruction; a
+    ``lin`` is c0 plus one ``R.dot`` of its embedded coefficients and its
+    operands' values."""
     vals = [None] * len(slp.instructions)
     for i in order:
         ins = slp.instructions[i]
         op = ins[0]
-        if op == "var":
-            vals[i] = xs[ins[1]]
-        elif op == "const":
-            vals[i] = R.from_int(ins[1])
-        elif op == "add":
-            vals[i] = R.add(vals[ins[1]], vals[ins[2]])
-        elif op == "sub":
-            vals[i] = R.sub(vals[ins[1]], vals[ins[2]])
-        else:
+        if op == "mul":
             vals[i] = R.mul(vals[ins[1]], vals[ins[2]])
+        elif op == "lin":
+            _, c0, coeffs, operands = ins
+            v = R.dot([R.from_int(c) for c in coeffs], [vals[j] for j in operands])
+            vals[i] = R.add(R.from_int(c0), v) if c0 else v
+        elif op == "var":
+            vals[i] = xs[ins[1]]
+        else:
+            vals[i] = R.from_int(ins[1])
     return vals
 
 
@@ -531,7 +559,8 @@ def evaluate_jacobian(slp, point, R, wrt, n_out=None, tangent_ring=None):
     selected outputs.  Returns (values, rows) with rows[i][k] the
     derivative of the i-th selected output along ``wrt[k]``.  The tangent
     of a product, a·b' + a'·b, is one sum of products (the ring's ``dot``),
-    so over a ``PolyQuotient`` it is reduced mod q once.
+    so over a ``PolyQuotient`` it is reduced mod q once, and so is the
+    tangent Σ cᵢ·vᵢ' of a ``lin``.
 
     The value pass runs over R.  The tangent passes run over
     ``tangent_ring`` when one is given: a lower-precision quotient of the
@@ -555,6 +584,11 @@ def evaluate_jacobian(slp, point, R, wrt, n_out=None, tangent_ring=None):
             det_inv = T.reduce_precision(det_inv)
     rows = [[T.zero] * len(wrt) for _ in outs]
     tans = [None] * len(vals)
+    coeffs = {
+        i: [T.from_int(c) for c in slp.instructions[i][2]]
+        for i in order
+        if slp.instructions[i][0] == "lin"
+    }
     for col, direction in enumerate(wrt):
         if isinstance(direction, int):
             direction = [T.one if i == direction else T.zero for i in range(n)]
@@ -564,17 +598,15 @@ def evaluate_jacobian(slp, point, R, wrt, n_out=None, tangent_ring=None):
         for i in order:
             ins = slp.instructions[i]
             op = ins[0]
-            if op == "var":
-                tans[i] = seeds[ins[1]]
-            elif op == "const":
-                tans[i] = T.zero
-            elif op == "add":
-                tans[i] = T.add(tans[ins[1]], tans[ins[2]])
-            elif op == "sub":
-                tans[i] = T.sub(tans[ins[1]], tans[ins[2]])
-            else:
+            if op == "mul":
                 a, b = ins[1], ins[2]
                 tans[i] = T.dot((tvals[a], tans[a]), (tans[b], tvals[b]))
+            elif op == "lin":
+                tans[i] = T.dot(coeffs[i], [tans[j] for j in ins[3]])
+            elif op == "var":
+                tans[i] = seeds[ins[1]]
+            else:
+                tans[i] = T.zero
         for row, k in zip(rows, outs):
             row[col] = tans[slp.outputs[k]]
     values = [vals[slp.outputs[k]] for k in outs]

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import NotInvertibleError, UnluckyError
-from .polys import degree, is_monic, is_squarefree, normalize, poly_deriv
+from .polys import degree, dot, is_monic, is_squarefree, normalize, poly_deriv
 from .primes import WORD_PRIME_HIGH, WORD_PRIME_LOW, random_prime_in_range
 from .rings import QQ, ZZ, Rationals, ResidueRing
 from .slp import evaluate
@@ -91,6 +91,9 @@ class _Packed:
 
     def mul(self, a, b):
         return (a[0] * b[0], a[1] + b[1], a[2] * b[2])
+
+    def dot(self, us, vs):
+        return dot(us, vs, self)
 
     def from_int(self, n):
         return (abs(n) if self.norms else n, 0, 1)

@@ -48,10 +48,12 @@ def _eval_outputs_prime(slp, coords, p, count):
             vals.append(coords[ins[1]])
         elif op == "const":
             vals.append(np.full_like(coords[0], ins[1] % p))
-        elif op == "add":
-            vals.append((vals[ins[1]] + vals[ins[2]]) % p)
-        elif op == "sub":
-            vals.append((vals[ins[1]] - vals[ins[2]]) % p)
+        elif op == "lin":
+            _, c0, coeffs, operands = ins
+            acc = np.full_like(coords[0], c0 % p)
+            for c, j in zip(coeffs, operands):
+                acc = (acc + (c % p) * vals[j]) % p
+            vals.append(acc)
         else:
             vals.append((vals[ins[1]] * vals[ins[2]]) % p)
     return [vals[o] for o in slp.outputs[:count]]
@@ -120,14 +122,13 @@ def _eval_outputs_ext(slp, coords, modulus, p, count):
             planes = [np.full_like(shape, ins[1] % p)]
             planes += [np.zeros_like(shape) for _ in range(e - 1)]
             vals.append(planes)
-        elif op == "add":
-            vals.append(
-                [(x + y) % p for x, y in zip(vals[ins[1]], vals[ins[2]])]
-            )
-        elif op == "sub":
-            vals.append(
-                [(x - y) % p for x, y in zip(vals[ins[1]], vals[ins[2]])]
-            )
+        elif op == "lin":
+            _, c0, coeffs, operands = ins
+            planes = [np.full_like(shape, c0 % p)]
+            planes += [np.zeros_like(shape) for _ in range(e - 1)]
+            for c, j in zip(coeffs, operands):
+                planes = [(x + (c % p) * y) % p for x, y in zip(planes, vals[j])]
+            vals.append(planes)
         else:
             vals.append(_ext_mul(vals[ins[1]], vals[ins[2]], modulus, p))
     return [vals[o] for o in slp.outputs[:count]]

@@ -22,7 +22,11 @@ import pytest
 
 import kronecker
 from kronecker import cli, errors, padic
-from kronecker.padic import SolveConfiguration, solve_over_rationals
+from kronecker.padic import (
+    SolveConfiguration,
+    check_configuration,
+    solve_over_rationals,
+)
 from kronecker.slp import parse_system
 
 ROUTES = {
@@ -36,7 +40,7 @@ ROUTES = {
     "NoPrimeFoundError": "restart",
     "DuplicateNodeError": "restart",
     "EmptyIntersectionError": "structural",
-    "SingularMatrixError": "local",
+    "SingularMatrixError": "restart",
     "NotInvertibleError": "local",
     "NoReconstructionError": "local",
     "ParseError": "parse",
@@ -126,6 +130,21 @@ def test_attempt_driver_routes(name, monkeypatch, tmp_path):
 def test_local_errors_are_caught_in_the_package(name):
     sources = _sources()
     assert any(f"except {name}" in text for text in sources.values())
+
+
+def test_a_pinned_singular_change_is_refused_before_any_attempt(monkeypatch):
+    # A drawn singular λ ends its attempt (SingularMatrixError is a
+    # restart); a pinned one could never be used, so it is refused up front.
+    config = SolveConfiguration(lambda_matrix=((1, 2), (2, 4)))
+    with pytest.raises(ValueError, match="pinned change of variables is singular"):
+        check_configuration(config, 2)
+
+    def no_attempt(*args):
+        raise AssertionError("an attempt was drawn")
+
+    monkeypatch.setattr(padic, "_draw_attempt", no_attempt)
+    with pytest.raises(ValueError, match="pinned change of variables is singular"):
+        solve_over_rationals(parse_system(TEXT), config)
 
 
 @pytest.mark.parametrize("name", REFERENCE_ERRORS)

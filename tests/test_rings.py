@@ -17,6 +17,7 @@ from kronecker.rings import (
     SeriesRing,
 )
 
+from kronecker.verify import _Packed
 from reference.polys import from_int_coeffs
 from reference.rings import ExtField
 
@@ -193,27 +194,53 @@ def test_packed_quotient_product_worst_case_slots(p):
 L7 = ExtField(F7, from_int_coeffs([1, 0, 1], F7))  # F_49 = F_7[x]/(x^2 + 1)
 
 
-def test_every_ring_dot_is_the_sum_of_products():
-    cases = [
-        (ResidueRing(7, 2), [3, -4, 50], [12, 5, 49]),
-        (ZZ, [3, -4], [5, 6]),
-        (QQ, [Fraction(1, 2), Fraction(3)], [Fraction(2, 3), Fraction(-1, 3)]),
-        (SeriesRing(F7, 3), [(1, 2), (3,)], [(4, 5, 6), (6, 1)]),
-        (PolyRing(F7), [(1, 2), (3,)], [(4, 5), (6, 1)]),
-        # Quotients over bases with no kernel of their own.
-        (
-            PolyQuotient(QQ, (QQ.one, QQ.zero, QQ.one)),
-            [(Fraction(1, 2), QQ.one), (Fraction(3),)],
-            [(Fraction(2), Fraction(5)), (QQ.one, Fraction(-1, 7))],
-        ),
-        (
-            PolyQuotient(L7, (L7.one, L7.gen, L7.one)),
-            [(L7.gen, (3,)), (L7.one,)],
-            [((2, 5), L7.gen), ((4,), (1, 1))],
-        ),
+def _protocol_contexts(rng):
+    """(ring, draw) for every ring context: each base ring, the quotient
+    by a monic cubic over each of them, and the packed ring of the exact
+    check over Q in both of its modes.  ``draw()`` is a random element,
+    not always reduced."""
+    S = SeriesRing(F7, 3)
+    bases = [
+        (ResidueRing(7, 2), lambda: rng.randrange(-100, 100)),
+        (QQ, lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 5))),
+        (ZZ, lambda: rng.randint(-9, 9)),
+        (S, lambda: tuple(rng.randrange(7) for _ in range(rng.randint(0, 5)))),
+        (L7, lambda: polys.normalize([rng.randrange(7) for _ in range(2)], F7)),
     ]
-    for R, us, vs in cases:
-        assert R.dot(us, vs) == polys.dot(us, vs, R)
+    for R, draw in bases:
+        yield R, draw
+    yield PolyRing(F7), lambda: tuple(rng.randrange(-9, 9) for _ in range(3))
+    for R, draw in bases:
+        A = PolyQuotient(R, (draw(), draw(), draw(), R.one))
+        # Up to twice the length of q: longer than q, unreduced.
+        yield A, lambda draw=draw: tuple(
+            draw() for _ in range(rng.randint(0, 8))
+        )
+    for norms in (False, True):
+        packed = _Packed(rng.randint(1, 99), norms)
+        yield packed, lambda norms=norms: (
+            rng.randint(0 if norms else -99, 99),
+            rng.randint(0, 2),
+            rng.randint(1, 6),
+        )
+
+
+def test_every_ring_dot_is_the_sum_of_products():
+    # The SLP runs a ``lin`` as one ``dot`` of embedded coefficients and
+    # operand values: on every context, with a scalar factor, a zero
+    # operand and (over the quotients) a factor longer than q among the
+    # pairs, ``dot`` must equal the fold of ``mul`` and ``add``.
+    rng = random.Random(24)
+    for R, draw in _protocol_contexts(rng):
+        for _ in range(20):
+            count = rng.randint(1, 5)
+            us = [draw() for _ in range(count)]
+            vs = [draw() for _ in range(count)]
+            us[0] = R.from_int(rng.randint(-9, 9))
+            vs[-1] = R.zero
+            want = reduce(R.add, map(R.mul, us, vs), R.zero)
+            assert R.dot(us, vs) == want, R
+            assert R.dot(vs, us) == want, R
         assert R.dot([], []) == R.zero
 
 

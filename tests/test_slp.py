@@ -54,10 +54,17 @@ def test_parse_power_chain_counts():
 
 
 def test_length_counts_only_what_an_output_reaches():
-    # (0*x)^5 folds to the constant 0, so the mul of 0*x is left with no
-    # reader; an evaluation runs one operation, the add.
-    slp = parse_system("vars x; x + (0*x)^5;")
+    # The factor x*y*z - x*z*y + 3 expands to the constant 3, which folds
+    # into the term's coefficient; its four products are left with no
+    # reader, and an evaluation runs one operation, the product 3·x.
+    slp = parse_system("vars x, y, z; (x*y*z - x*z*y + 3)*x;")
+    assert sum(ins[0] == "mul" for ins in slp.instructions) == 4
     assert slp.length == 1
+    assert evaluate(slp, (5, 6, 7), PrimeField(10007)) == [15]
+    # (0*x)^5 is the constant 0, a zero term: the sum is x itself.
+    slp = parse_system("vars x; x + (0*x)^5;")
+    assert slp.instructions == (("var", 0),)
+    assert slp.length == 0
     assert evaluate(slp, (3,), PrimeField(10007)) == [3]
 
 
@@ -82,9 +89,10 @@ def _acceptance_dense_systems(count):
 
 def test_parsed_dense_systems_repeat_no_instruction():
     for slp in _acceptance_dense_systems(40):
-        ops = [ins for ins in slp.instructions if ins[0] in ("add", "sub", "mul")]
+        ops = [ins for ins in slp.instructions if ins[0] in ("mul", "lin")]
         assert len(set(ops)) == len(ops)
-        assert all(a <= b for op, a, b in ops if op != "sub")
+        assert all(ins[1] <= ins[2] for ins in ops if ins[0] == "mul")
+        assert all(list(ins[3]) == sorted(set(ins[3])) for ins in ops if ins[0] == "lin")
 
 
 def _dense_value(dense, point, modulus):
@@ -190,10 +198,16 @@ PARSE_CORPUS = (
     "vars x, y, z; x*y*z - x*z*y + (z - x)^2 - 3; -z; (x + y + z)^3;",
     "vars w, x, y, z; w*x - y*z; w^2 - 1; x - (y + z)^2; (w + x)^3 - z;",
 )
-# Re-pinned when a power of a constant became one constant: the corpus
-# without its two entries that hold one digests as before.
+# Re-pinned when a sum of terms became one ``lin`` with the numeric factors
+# of each term folded into its coefficient; PARSE_DENSE_SHA256, the digest
+# of what the programs compute, did not move.
 PARSE_GOLDEN_SHA256 = (
-    "48097df864b7f3357dcb934f42e61f4e30e508b79c9cdb67790f6c81e58a2a78"
+    "0bfc9ab2043a343744993e374120990740c7552f81d84f7d125f8d5c9f31480f"
+)
+# sha256 of the same corpus without the instructions: the output count,
+# degrees, height and dense forms.
+PARSE_DENSE_SHA256 = (
+    "079ca5f13f6dc217481c0f0a9b4fcb9dffe171806dedc2182b4bd3de3c7470a2"
 )
 
 
@@ -220,6 +234,17 @@ def test_parsed_programs_match_their_pinned_digest():
     assert digest.hexdigest() == PARSE_GOLDEN_SHA256
 
 
+def test_parsed_polynomials_match_their_pinned_digest():
+    digest = hashlib.sha256()
+    for text in PARSE_CORPUS + tuple(_acceptance_systems()):
+        slp = parse_system(text)
+        dense = tuple(sorted(d.items()) for d in slp.dense_forms)
+        digest.update(
+            repr((len(slp.outputs), slp.degrees, slp.height, dense)).encode()
+        )
+    assert digest.hexdigest() == PARSE_DENSE_SHA256
+
+
 def test_parse_caps_expanded_degrees_as_it_reads():
     # A power of the zero polynomial has expanded degree -1, whatever the
     # exponent; a size error is raised where it is read, before a syntax
@@ -232,8 +257,9 @@ def test_parse_caps_expanded_degrees_as_it_reads():
 def test_a_power_of_a_constant_is_one_constant():
     assert parse_system("vars x; x - 1^100000000;").length == 1
     assert parse_system("vars x; 7^1000*x - 2;").length == 2
+    # (-2)^3 is the one coefficient -8 of x; (3 - 3)^5 is a zero term.
     slp = parse_system("vars x; (-2)^3*x - (3 - 3)^5;")
-    assert ("const", -8) in slp.instructions
+    assert slp.instructions == (("var", 0), ("lin", 0, (-8,), (0,)))
     assert slp.dense_forms == ({(1,): -8},)
 
 
@@ -513,6 +539,12 @@ def _full_program_pass(slp, point, R, wrt, T):
             out.append(ring.mul(acc, det_inv))
         return out
 
+    def combination(ring, c0, coeffs, operands):
+        acc = ring.from_int(c0)
+        for c, v in zip(coeffs, operands):
+            acc = ring.add(acc, ring.mul(ring.from_int(c), v))
+        return acc
+
     xs = inputs([R.from_int(x) if isinstance(x, int) else x for x in point], R)
     vals = []
     for ins in slp.instructions:
@@ -520,8 +552,10 @@ def _full_program_pass(slp, point, R, wrt, T):
             vals.append(xs[ins[1]])
         elif ins[0] == "const":
             vals.append(R.from_int(ins[1]))
+        elif ins[0] == "lin":
+            vals.append(combination(R, ins[1], ins[2], [vals[j] for j in ins[3]]))
         else:
-            vals.append(getattr(R, ins[0])(vals[ins[1]], vals[ins[2]]))
+            vals.append(R.mul(vals[ins[1]], vals[ins[2]]))
     tvals = vals if T is R else [T.reduce_precision(v) for v in vals]
     rows = [[None] * len(wrt) for _ in slp.outputs]
     for col, direction in enumerate(wrt):
@@ -540,7 +574,7 @@ def _full_program_pass(slp, point, R, wrt, T):
                     T.add(T.mul(tvals[a], tans[b]), T.mul(tans[a], tvals[b]))
                 )
             else:
-                tans.append(getattr(T, ins[0])(tans[ins[1]], tans[ins[2]]))
+                tans.append(combination(T, 0, ins[2], [tans[j] for j in ins[3]]))
         for row, o in zip(rows, slp.outputs):
             row[col] = tans[o]
     return [vals[o] for o in slp.outputs], rows
@@ -629,6 +663,64 @@ def test_slice_of_one_output_is_shorter_than_the_program():
     assert len(slp.slice((0,))) < len(whole)
     assert slp.slice((0, 1, 2, 3)) == whole
     assert slp.slice((0,)) is slp.slice((0,))  # computed once, then kept
+
+
+def _dense_over(R, dense, xs):
+    """The dense polynomial at the point xs, term by term over R."""
+    total = R.zero
+    for mono, c in dense.items():
+        term = R.from_int(c)
+        for x, e in zip(xs, mono):
+            for _ in range(e):
+                term = R.mul(term, x)
+        total = R.add(total, term)
+    return total
+
+
+def _dense_partial(dense, k):
+    return {
+        mono[:k] + (mono[k] - 1,) + mono[k + 1 :]: c * mono[k]
+        for mono, c in dense.items()
+        if mono[k]
+    }
+
+
+# Nested sums, unary minus, a constant times a sum, a zero coefficient and
+# terms that cancel.
+LIN_TEXT = """vars x, y, z;
+3*(x - 2*y + (z + 1)*(x - y)) - -z^2 + 0*x*y - ((x + y) - (y - 7));
+-(x*y - 2*(z - x))^2 + 5 + x*z - z*x;
+x*(y + 0*z) - (-(x) + 4)*(2*(x + y*z) - 3) - -(-(3*y));
+"""
+
+
+def test_sums_evaluate_as_their_dense_forms_over_every_ring():
+    slp = parse_system(LIN_TEXT)
+    lins = {i: ins for i, ins in enumerate(slp.instructions) if ins[0] == "lin"}
+    assert any(set(lins) & set(ins[3]) for ins in lins.values())  # nested
+    assert all(0 not in ins[2] for ins in lins.values())  # zeros dropped
+    rng = random.Random(24)
+    for R, T, draw in _slice_test_rings(rng):
+        pt = [draw(R) for _ in range(3)]
+        direction = [draw(T) for _ in range(3)]
+        low = None if T is R else T
+        tpt = pt if T is R else [T.reduce_precision(x) for x in pt]
+        want = [_dense_over(R, d, pt) for d in slp.dense_forms]
+        assert evaluate(slp, pt, R) == want
+        vals, rows = evaluate_jacobian(
+            slp, pt, R, [0, 1, 2, direction], n_out=3, tangent_ring=low
+        )
+        assert vals == want
+        for dense, row in zip(slp.dense_forms, rows):
+            partials = [_dense_over(T, _dense_partial(dense, k), tpt) for k in range(3)]
+            assert row == partials + [T.dot(direction, partials)]
+
+
+def test_a_power_of_a_sum_is_not_expanded():
+    # The eighth power is three squarings of one lin: 3 + 3 + 1 + 1 + 2.
+    slp = parse_system("vars x, y; (x - 2*y + 1)^8 - y; y^2 - x - 1;")
+    assert slp.length == 10
+    assert sum(ins[0] == "mul" for ins in slp.instructions) == 4
 
 
 def test_evaluated_programs_are_not_kept_alive():
