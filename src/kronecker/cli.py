@@ -184,6 +184,7 @@ def run(argv):
     try:
         if args.mod_p_only:
             rep, state, report, attempts = solve_modular(slp, config)
+            checked = report.univariate  # the check's univariate fiber
             prime = state.field.p
             doc.update(
                 {
@@ -198,6 +199,7 @@ def run(argv):
             )
         else:
             rep, cert = solve_over_rationals(slp, config)
+            checked = rep
             doc.update(
                 {
                     "coefficients": "rational",
@@ -211,7 +213,7 @@ def run(argv):
     except (RetryExhaustedError, InputNotRegularError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    uni = to_univariate(rep) if args.emit_univariate else None
+    uni = to_univariate(checked) if args.emit_univariate else None
     doc["representation"] = _rep_payload(rep, uni)
     text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     if not args.out:

@@ -206,31 +206,21 @@ def poly_gcd(f, g, F):
     return monic(a, F)
 
 
-def poly_xgcd(f, g, F):
-    """Extended Euclid over a field: returns (d, u, v) with u*f + v*g = d monic."""
-    r0, r1 = f, g
-    s0, s1 = (F.one,), ZERO
-    t0, t1 = ZERO, (F.one,)
-    while r1:
-        q, r = poly_divmod(r0, r1, F)
-        r0, r1 = r1, r
-        s0, s1 = s1, poly_sub(s0, poly_mul(q, s1, F), F)
-        t0, t1 = t1, poly_sub(t0, poly_mul(q, t1, F), F)
-    if not r0:
-        return ZERO, ZERO, ZERO
-    c = F.inv(r0[-1])
-    return scalar_mul(c, r0, F), scalar_mul(c, s0, F), scalar_mul(c, t0, F)
-
-
 def poly_inverse_mod(f, q, F):
-    """Inverse of f modulo q over a field; raises NotInvertibleError."""
-    f = poly_rem(f, q, F)
-    d, u, _ = poly_xgcd(f, q, F)
-    if degree(d) != 0:
+    """Inverse of f modulo q over a field; raises NotInvertibleError.  One
+    Euclid on (q, f mod q) tracks only the cofactor s of f, s·f ≡ r mod q
+    for each remainder r; that of the last, the gcd, has degree < deg q."""
+    r0, r1 = q, poly_rem(f, q, F)
+    s0, s1 = ZERO, (F.one,)
+    while r1:
+        quo, r = poly_divmod(r0, r1, F)
+        r0, r1 = r1, r
+        s0, s1 = s1, poly_sub(s0, poly_mul(quo, s1, F), F)
+    if degree(r0) != 0:
         raise NotInvertibleError(
-            f"gcd with the modulus has degree {degree(d)}"
+            f"gcd with the modulus has degree {degree(r0)}"
         )
-    return poly_rem(u, q, F)
+    return scalar_mul(F.inv(r0[0]), s0, F)
 
 
 def resultant(f, g, F):

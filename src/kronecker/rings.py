@@ -26,21 +26,28 @@ products: ``PolyQuotient`` binds them to q once, from the base's
 ``quotient_kernel(q)``, which returns the pair (mul, dot).  Each product
 is reduced mod q once, and so is each sum of products:
 
-* over ``ResidueRing`` the products are convolved and summed over Z
-  (``polys.int_convolve``), then divided by q with ``polys.rem_monic``,
-  which over Z/p^k takes one reduction mod p^k per quotient coefficient
-  and per output coefficient; a factor of T-degree 0 costs one product per
-  coefficient of the other;
+* over ``ResidueRing`` a scalar against a factor no longer than q costs
+  one product per coefficient; the other products are summed over Z and
+  divided by q once.  From deg q = 7 on, while bits(p^k) <= 12·(deg q + 3)
+  (the measured crossover, README "Library"), they are packed: each
+  residue takes one slot of w bits, the sum is one big-int sum of
+  products, and the division runs along T, one packed multiplication by
+  the packed -q per quotient term.  A slot collects fewer than
+  (pairs + 1)·top products of two residues below p^k, for ``top`` the
+  longest product, so w = 2·bits(p^k) + bits((pairs + 1)·top), rounded up
+  to whole bytes, keeps every slot below 2^w.  Below the crossover the
+  products are convolved and divided by ``polys.rem_monic``;
 * over ``SeriesRing`` a factor of T-degree 0 multiplies coefficient by
   coefficient through the series ring when the other factor is shorter
-  than q; any other product is packed by Kronecker substitution: each
-  (T, t) coefficient takes one slot of w bits, a T-block takes 2k - 1 slots
-  so that products of two series never reach the next block, and the
-  product is one big-int multiplication; the division by q runs along T,
-  one packed multiplication by the packed -q per quotient term, and -q is
-  packed once per quotient and slot width.  Over the product and all
-  division steps, a slot collects fewer than k·(len a + len b) products of
-  two residues below p, so w = 2·bits(p) + bits(k·(len a + len b)), rounded
+  than q; any other product is packed by Kronecker substitution in the
+  slots of ``ResidueRing``: each (T, t) coefficient takes one slot of w
+  bits, a T-block takes 2k - 1 slots so that products of two series
+  never reach the next block, and the product is one big-int
+  multiplication; the division by q runs along T, one packed
+  multiplication by the packed -q per quotient term, and -q is packed
+  once per quotient and slot width.  Over the product and all division
+  steps, a slot collects fewer than k·(len a + len b) products of two
+  residues below p, so w = 2·bits(p) + bits(k·(len a + len b)), rounded
   up to whole bytes, keeps every slot below 2^w and no slot carries into
   its neighbour.  A sum of products adds over Z: a pair whose one factor
   is a scalar (T-degree 0 and t-degree 0, as the coefficients of a
@@ -150,23 +157,49 @@ class ResidueRing:
 
     def quotient_kernel(self, q):
         """(mul, dot) of R[T]/(q) for the monic q over this ring: products
-        convolved and summed over Z, then divided by q once (see the module
-        docstring)."""
+        summed over Z, packed from the crossover on and convolved below it,
+        then divided by q once (see the module docstring)."""
+        m, d = self.modulus, len(q) - 1
+        packs = d >= 7 and m.bit_length() <= 12 * (d + 3)
+        neg_q = {}  # packed -q by slot width; racing threads store equal values
 
-        def mul(a, b):
-            if not a or not b:
-                return ()
-            out = polys.int_convolve([0] * (len(a) + len(b) - 1), a, b)
-            return polys.rem_monic(out, q, self)
+        def pack(f, wb):
+            return int.from_bytes(_pack([c % m for c in f], wb), "little")
 
         def dot(us, vs):
-            pairs = [(a, b) for a, b in zip(us, vs) if a and b]
-            if not pairs:
-                return ()
-            out = [0] * max(len(a) + len(b) - 1 for a, b in pairs)
-            for a, b in pairs:
-                polys.int_convolve(out, a, b)
-            return polys.rem_monic(out, q, self)
+            out, pairs = [0] * d, []
+            for a, b in zip(us, vs):
+                if len(a) > len(b):
+                    a, b = b, a
+                if packs and len(a) == 1 and len(b) <= d:
+                    # Cheaper coefficient by coefficient than packed.
+                    c = a[0]
+                    for j, x in enumerate(b):
+                        out[j] += c * x
+                elif a:
+                    pairs.append((a, b))
+            top = max([len(a) + len(b) - 1 for a, b in pairs], default=d)
+            if not (packs and pairs):
+                out += [0] * (top - d)
+                for a, b in pairs:
+                    polys.int_convolve(out, a, b)
+                return polys.rem_monic(out, q, self)
+            # A slot collects fewer than (pairs + 1)·top products below m^2.
+            wb = (2 * m.bit_length() + ((len(pairs) + 1) * top).bit_length() + 7) // 8
+            acc = sum([pack(a, wb) * pack(b, wb) for a, b in pairs])
+            if top > d:
+                packed_q = neg_q.get(wb)
+                if packed_q is None:
+                    packed_q = neg_q[wb] = pack([-c for c in q[:d]], wb)
+                slot = (1 << 8 * wb) - 1
+                for i in range(top - 1, d - 1, -1):
+                    c = ((acc >> (8 * i * wb)) & slot) % m
+                    acc += (c * packed_q) << (8 * (i - d) * wb)
+            slots = _unpack(acc.to_bytes(max(top, d) * wb, "little")[: d * wb], wb, m)
+            return polys.normalize([(x + y) % m for x, y in zip(slots, out)], self)
+
+        def mul(a, b):
+            return dot((a,), (b,))
 
         return mul, dot
 
@@ -331,18 +364,8 @@ class SeriesRing:
             sb = (2 * k - 1) * wb  # bytes per T-block
 
             def pack(poly):
-                blocks = [
-                    b"".join([c.to_bytes(wb, "little") for c in s[:k]]).ljust(sb, b"\0")
-                    for s in poly
-                ]
+                blocks = [_pack(s[:k], wb).ljust(sb, b"\0") for s in poly]
                 return int.from_bytes(b"".join(blocks), "little")
-
-            def unpack(buf, count):
-                return [
-                    [int.from_bytes(buf[j : j + wb], "little") % p
-                     for j in range(o, o + k * wb, wb)]
-                    for o in range(0, count * sb, sb)
-                ]
 
             top = len(a) + len(b) - 1
             prod = pack(a) * pack(b)
@@ -352,10 +375,12 @@ class SeriesRing:
                     packed_q = neg_q[wb] = pack([[-c % p for c in s] for s in q[:d]])
                 series = (1 << (8 * k * wb)) - 1
                 for i in range(top - 1, d - 1, -1):
-                    head = (prod >> (8 * i * sb)) & series
-                    lead = unpack(head.to_bytes(sb, "little"), 1)
-                    prod += (pack(lead) * packed_q) << (8 * (i - d) * sb)
-            rem = unpack(prod.to_bytes(top * sb, "little"), min(d, top))
+                    head = ((prod >> (8 * i * sb)) & series).to_bytes(k * wb, "little")
+                    lead = int.from_bytes(_pack(_unpack(head, wb, p), wb), "little")
+                    prod += (lead * packed_q) << (8 * (i - d) * sb)
+            buf = prod.to_bytes(top * sb, "little")
+            blocks = range(0, min(d, top) * sb, sb)
+            rem = [_unpack(buf[o : o + k * wb], wb, p) for o in blocks]
             return polys.normalize([polys.normalize(s, self.field) for s in rem], self)
 
         def dot(us, vs):
@@ -604,6 +629,18 @@ def _by_parts(base, q):
         return polys.rem_monic(acc, q, base)
 
     return mul, dot
+
+
+def _pack(values, width):
+    """Nonnegative ints below 2^(8·width) in consecutive ``width``-byte
+    slots: read by ``int.from_bytes``, their Kronecker substitution."""
+    return b"".join([c.to_bytes(width, "little") for c in values])
+
+
+def _unpack(buf, width, modulus):
+    """The ``width``-byte slots of ``buf``, each reduced mod ``modulus``."""
+    slots = range(0, len(buf), width)
+    return [int.from_bytes(buf[j : j + width], "little") % modulus for j in slots]
 
 
 def coerce(R, x):

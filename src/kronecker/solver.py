@@ -139,9 +139,10 @@ def residuals(slp, rep):
 
 
 def checked_residuals(slp, rep):
-    """``residuals``, from the one pass that also gives the Jacobian J in
-    the fiber's coordinates: when they vanish and det J is not a unit mod
-    Q, raises JacobianNotInvertibleError."""
+    """``residuals`` and the univariate form they were evaluated on, from
+    the one pass that also gives the Jacobian J in the fiber's coordinates:
+    when they vanish and det J is not a unit mod Q, raises
+    JacobianNotInvertibleError."""
     uni = to_univariate(rep)
     A = PolyQuotient(uni.ring, uni.min_poly)
     prim, n = uni.prim_var, slp.n_vars
@@ -152,7 +153,7 @@ def checked_residuals(slp, rep):
             A.inv(charpoly_division_free(jac, A)[-1])
         except NotInvertibleError:
             raise JacobianNotInvertibleError(uni.stage) from None
-    return vals
+    return vals, uni
 
 
 def first_stage(state):

@@ -38,6 +38,7 @@ SQUAREFREE_PRIME = 2**61 - 1
 @dataclass
 class CheckReport:
     clauses: list
+    univariate: object = None  # the fiber the residuals were evaluated on
 
     @property
     def passed(self):
@@ -173,16 +174,18 @@ def _exact_residuals_vanish(slp, rep):
 
 
 def _residual_clauses(rep, slp, clauses):
+    """Append the residual clauses; returns ``CheckReport.univariate``."""
     if rep.form == "kronecker" and isinstance(rep.ring, Rationals):
-        vanish = _exact_residuals_vanish(slp, rep)
+        vanish, uni = _exact_residuals_vanish(slp, rep), None
     else:
         try:
-            vanish = [not v for v in checked_residuals(slp, rep)]
+            vals, uni = checked_residuals(slp, rep)
         except NotInvertibleError:
             clauses.append(
                 ("residual", False, "cannot convert to univariate form")
             )
-            return
+            return None
+        vanish = [not v for v in vals]
     for i, ok in enumerate(vanish):
         clauses.append(
             (
@@ -191,6 +194,7 @@ def _residual_clauses(rep, slp, clauses):
                 "vanishes mod Q" if ok else "nonzero residual",
             )
         )
+    return uni
 
 
 def _is_squarefree_over_q(q):
@@ -218,6 +222,7 @@ def check_representation(rep, slp, *, exact=False):
     Prime-field and residue-ring representations are checked directly, in
     one pass that also gives the Jacobian J: when the residuals vanish and
     det J is not a unit mod (p, Q), this raises JacobianNotInvertibleError.
+    The report keeps the univariate form that pass was evaluated on.
     A rational representation gets its structural clauses, and, when
     ``exact`` (provable mode's acceptance check), the clause ``exact
     residual over Q``: each residual's numerator, evaluated over Z at
@@ -243,13 +248,14 @@ def check_representation(rep, slp, *, exact=False):
         qbar = tuple(R.residue(c) for c in rep.min_poly)
         sqf = ("squarefree mod p", is_squarefree(qbar, R.residue_field()))
     clauses.append((*sqf, "gcd(Q, Q') = 1"))
+    uni = None
     if not isinstance(R, Rationals):
-        _residual_clauses(rep, slp, clauses)
+        uni = _residual_clauses(rep, slp, clauses)
     elif exact:
         sub = CheckReport([])
         _residual_clauses(rep, slp, sub.clauses)
         clauses.append(("exact residual over Q", sub.passed, "checked exactly"))
-    return CheckReport(clauses)
+    return CheckReport(clauses, uni)
 
 
 def gate_stage(rep):

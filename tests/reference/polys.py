@@ -1,6 +1,7 @@
 """Polynomial helpers over a prime field that only the tests use:
-coefficient lists from ints, squarefree parts, irreducibility and Chinese
-remaindering; and the textbook maximal-quotient rational reconstruction."""
+coefficient lists from ints, squarefree parts, irreducibility, the extended
+Euclidean algorithm and Chinese remaindering; and the textbook
+maximal-quotient rational reconstruction."""
 
 from math import gcd
 
@@ -19,7 +20,7 @@ from kronecker.polys import (
     poly_pow_mod,
     poly_rem,
     poly_sub,
-    poly_xgcd,
+    scalar_mul,
 )
 
 
@@ -89,6 +90,22 @@ def _prime_divisors(n):
     if n > 1:
         out.append(n)
     return out
+
+
+def poly_xgcd(f, g, F):
+    """Extended Euclid over a field: returns (d, u, v) with u*f + v*g = d monic."""
+    r0, r1 = f, g
+    s0, s1 = (F.one,), ZERO
+    t0, t1 = ZERO, (F.one,)
+    while r1:
+        q, r = poly_divmod(r0, r1, F)
+        r0, r1 = r1, r
+        s0, s1 = s1, poly_sub(s0, poly_mul(q, s1, F), F)
+        t0, t1 = t1, poly_sub(t0, poly_mul(q, t1, F), F)
+    if not r0:
+        return ZERO, ZERO, ZERO
+    c = F.inv(r0[-1])
+    return scalar_mul(c, r0, F), scalar_mul(c, s0, F), scalar_mul(c, t0, F)
 
 
 def crt_polys(residues, F):

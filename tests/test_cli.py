@@ -407,6 +407,26 @@ def test_mod_p_only_emits_the_univariate_form(tmp_path):
         assert A.mul(q_prime, v) == w
 
 
+def test_mod_p_only_inverts_q_prime_once(tmp_path, monkeypatch):
+    # The check's univariate fiber is the one emitted: Q' is inverted mod
+    # (p, Q) once per run, by the check, not again for the output.
+    inverted = []
+    inv = PolyQuotient.inv
+
+    def counting_inv(self, a):
+        inverted.append((self.modulus, a))
+        return inv(self, a)
+
+    monkeypatch.setattr(PolyQuotient, "inv", counting_inv)
+    src = _write(tmp_path, THREE_QUADRICS)
+    out = tmp_path / "rep.json"
+    flags = ["--mod-p-only", "--emit-univariate", "--seed", "1"]
+    assert run([src, *flags, "--out", str(out)]) == 0
+    rep = load_representation(json.loads(out.read_bytes()))
+    q_prime = poly_deriv(rep.min_poly, rep.ring)
+    assert inverted.count((rep.min_poly, q_prime)) == 1
+
+
 @pytest.mark.parametrize(
     "text, code",
     [(TWO_QUADRICS, 0), ("vars x, y;\nx^2;\nx;\n", 2), ("vars x; x + ;", 3)],

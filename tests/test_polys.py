@@ -95,6 +95,36 @@ def test_inverse_mod_property():
         assert poly_rem(poly_mul(inv, f, FBIG), q, FBIG) == (1,)
 
 
+@pytest.mark.parametrize("F", [F7, PrimeField(2**61 - 1)], ids=["F7", "F_2^61-1"])
+def test_inverse_mod_random_pairs(F):
+    # One Euclid tracking only the cofactor of f: u·f ≡ 1 mod q, u reduced,
+    # for every deg q from 1 to 30; a shared factor makes f a zero divisor.
+    rng = random.Random(F.p)
+
+    def draw(length):
+        return from_int_coeffs([rng.randrange(F.p) for _ in range(length)], F)
+
+    def monic_of_degree(degree):
+        return tuple(rng.randrange(F.p) for _ in range(degree)) + (1,)
+
+    for d in range(1, 31):
+        q = monic_of_degree(d)
+        found = 0
+        while found < 3:
+            f = draw(rng.randint(1, 2 * d))
+            if not f or degree(poly_gcd(f, q, F)) != 0:
+                continue
+            u = poly_inverse_mod(f, q, F)
+            assert degree(u) < d
+            assert poly_rem(poly_mul(u, f, F), q, F) == (1,)
+            found += 1
+        shared = monic_of_degree(rng.randint(1, d))
+        q2 = poly_mul(shared, monic_of_degree(rng.randint(0, d)), F)
+        f2 = poly_mul(shared, monic_of_degree(rng.randint(0, d)), F)
+        with pytest.raises(NotInvertibleError):
+            poly_inverse_mod(f2, q2, F)
+
+
 # -- resultants ---------------------------------------------------------------
 
 

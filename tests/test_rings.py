@@ -322,6 +322,64 @@ def test_series_quotient_kernel_matches_reference(p, k):
             assert A.dot(us, vs) == reduce(A.add, map(A.mul, us, vs), A.zero)
 
 
+# Primes for the packed kernels of R[T]/(q) over Z/p^k: small, word-size,
+# 61- and 62-bit.  Products are packed from deg q = 7 while p^k has at most
+# 120 bits, from one degree more per 12 bits above that (deg 8 at 122
+# bits, 18 at 244, 38 and 39 at k = 8 of the 61- and 62-bit primes), and
+# convolved below, so the degrees run across the crossover at every p and k.
+RESIDUE_PRIMES = (3, 7, 10007, 2**61 - 1, 2**62 - 57)
+RESIDUE_DEGREES = (0, 1, 2, 5, 6, 7, 8, 9, 12, 16, 17, 18, 24, 37, 38, 39)
+
+
+def _reference_sum(us, vs, q, R):
+    products = [polys.rem_monic(polys.poly_mul(a, b, R), q, R) for a, b in zip(us, vs)]
+    return reduce(lambda f, g: polys.poly_add(f, g, R), products, ())
+
+
+@pytest.mark.parametrize("p", RESIDUE_PRIMES)
+@pytest.mark.parametrize("k", (1, 2, 4, 8))
+def test_residue_quotient_kernel_matches_reference(p, k):
+    # Zero operands, scalars on either side and factors longer than q, in
+    # products and in sums of pairs of mixed lengths.
+    R = ResidueRing(p, k)
+    rng = random.Random(p * k)
+    for d in RESIDUE_DEGREES:
+        q = tuple(rng.randrange(R.modulus) for _ in range(d)) + (R.one,)
+        mul, dot = R.quotient_kernel(q)
+        lengths = sorted({0, 1, 2, d, d + 1, 2 * d + 1})
+        for la in lengths:
+            for lb in lengths:
+                a, b = _residues(rng, R, la), _residues(rng, R, lb)
+                assert mul(a, b) == _reference_sum([a], [b], q, R)
+        for pairs in range(6):
+            us = [_residues(rng, R, rng.choice(lengths)) for _ in range(pairs)]
+            vs = [_residues(rng, R, rng.choice(lengths)) for _ in range(pairs)]
+            assert dot(us, vs) == _reference_sum(us, vs, q, R)
+
+
+@pytest.mark.parametrize(
+    "p, k, d",
+    [(3, 8, 7), (10007, 2, 9), (2**61 - 1, 1, 7), (2**61 - 1, 2, 12),
+     (2**62 - 57, 4, 18), (2**62 - 57, 1, 25)],
+)
+def test_packed_slots_hold_the_largest_sums(p, k, d):
+    # Every coefficient m - 1, and -q ≡ m - 1 mod m: the division adds the
+    # largest products too.  The slot width grows with the number of
+    # pairs, so the sums run over every width up to 64 pairs, each at the
+    # most pairs it holds.
+    R = ResidueRing(p, k)
+    m = R.modulus
+    q = (1,) * (d + 1)
+    mul, dot = R.quotient_kernel(q)
+    for length in (d, 2 * d + 1):
+        a = (m - 1,) * length
+        prod = polys.rem_monic(polys.poly_mul(a, a, R), q, R)
+        assert mul(a, a) == prod
+        for pairs in range(1, 65):
+            want = polys.normalize([pairs * c % m for c in prod], R)
+            assert dot([a] * pairs, [a] * pairs) == want
+
+
 def test_zero_divisor_scalar_trims_the_top_coefficient():
     # In Z/p^2, p·(1 + p·T) = p: the product and the sum lose their top.
     p = 7
