@@ -21,39 +21,29 @@ ring at precision m, and ``truncate``, ``shift_down`` and ``shift_up`` take
 a whole coefficient list over the ring at another precision to this one,
 as it is, divided by π^j and multiplied by π^j.
 
-The base ring of a quotient R[T]/(q) owns its product and its sum of
-products: ``PolyQuotient`` binds them to q once, from the base's
-``quotient_kernel(q)``, which returns the pair (mul, dot).  Each product
-is reduced mod q once, and so is each sum of products:
+The base ring of a quotient R[T]/(q) owns its sum of products:
+``PolyQuotient`` binds it to q once, from the base's ``quotient_kernel(q)``,
+and a product is the sum of one.  Each sum is reduced mod q once:
 
-* over ``ResidueRing`` a scalar against a factor no longer than q costs
-  one product per coefficient; the other products are summed over Z and
-  divided by q once.  From deg q = 7 on, while bits(p^k) <= 12·(deg q + 3)
-  (the measured crossover, README "Library"), they are packed: each
-  residue takes one slot of w bits, the sum is one big-int sum of
-  products, and the division runs along T, one packed multiplication by
-  the packed -q per quotient term.  A slot collects fewer than
-  (pairs + 1)·top products of two residues below p^k, for ``top`` the
-  longest product, so w = 2·bits(p^k) + bits((pairs + 1)·top), rounded up
-  to whole bytes, keeps every slot below 2^w.  Below the crossover the
-  products are convolved and divided by ``polys.rem_monic``;
-* over ``SeriesRing`` a factor of T-degree 0 multiplies coefficient by
-  coefficient through the series ring when the other factor is shorter
-  than q; any other product is packed by Kronecker substitution in the
-  slots of ``ResidueRing``: each (T, t) coefficient takes one slot of w
-  bits, a T-block takes 2k - 1 slots so that products of two series
-  never reach the next block, and the product is one big-int
-  multiplication; the division by q runs along T, one packed
-  multiplication by the packed -q per quotient term, and -q is packed
-  once per quotient and slot width.  Over the product and all division
-  steps, a slot collects fewer than k·(len a + len b) products of two
-  residues below p, so w = 2·bits(p) + bits(k·(len a + len b)), rounded
-  up to whole bytes, keeps every slot below 2^w and no slot carries into
-  its neighbour.  A sum of products adds over Z: a pair whose one factor
-  is a scalar (T-degree 0 and t-degree 0, as the coefficients of a
-  program's linear combinations are) against one no longer than q adds
-  coefficient by coefficient, any other pair adds its reduced product,
-  and the sum takes one reduction mod p per coefficient;
+* over ``ResidueRing`` and ``SeriesRing`` one packed kernel sums by
+  Kronecker substitution.  A base coefficient is a run of s slots, each
+  taken mod r: a residue of Z/p^k is one slot (s = 1, r = p^k), a series
+  of F_p[t]/(t^k) its k coefficients (s = k, r = p).  A T-coefficient
+  takes a block of 2s - 1 slots, so that a product of two series never
+  reaches the next block.  A pair whose one factor is a scalar (one
+  T-coefficient, zero past its first slot, as the coefficients of a
+  program's linear combinations are) and whose other is no longer than q
+  adds slot by slot over Z.  The other pairs are packed into one Python
+  int per factor, their products are summed as one big integer, and the
+  sum is divided along T, one multiplication by the packed -q per
+  quotient term, with -q packed once per quotient and slot width.  Per
+  pair a slot collects fewer than s·top products below r^2, for ``top``
+  the longest product, and all division steps add fewer than s·top more,
+  so a slot of 2·bits(r) + bits((pairs + 1)·s·top) bits, rounded up to
+  whole bytes, never carries into its neighbour.  Over Z/p^k the kernel
+  packs from deg q = 7 on while bits(p^k) <= 12·(deg q + 3), the measured
+  crossover (README "Library"); below it the products are convolved over
+  Z and divided once by ``polys.rem_monic``;
 * any other base (the rationals, an extension field) multiplies with
   ``polys.poly_mul``, sums the products unreduced and takes one
   ``polys.rem_monic``.
@@ -156,52 +146,30 @@ class ResidueRing:
         return self.truncate([c * step for c in coeffs])
 
     def quotient_kernel(self, q):
-        """(mul, dot) of R[T]/(q) for the monic q over this ring: products
-        summed over Z, packed from the crossover on and convolved below it,
-        then divided by q once (see the module docstring)."""
+        """The sum of products of R[T]/(q) for the monic q over this ring:
+        packed from the crossover on, convolved and divided once below it
+        (see the module docstring)."""
         m, d = self.modulus, len(q) - 1
-        packs = d >= 7 and m.bit_length() <= 12 * (d + 3)
-        neg_q = {}  # packed -q by slot width; racing threads store equal values
-
-        def pack(f, wb):
-            return int.from_bytes(_pack([c % m for c in f], wb), "little")
+        if d >= 7 and m.bit_length() <= 12 * (d + 3):
+            return _packed_kernel(q, m, 1, self._slots, self._element)
 
         def dot(us, vs):
-            out, pairs = [0] * d, []
-            for a, b in zip(us, vs):
-                if len(a) > len(b):
-                    a, b = b, a
-                if packs and len(a) == 1 and len(b) <= d:
-                    # Cheaper coefficient by coefficient than packed.
-                    c = a[0]
-                    for j, x in enumerate(b):
-                        out[j] += c * x
-                elif a:
-                    pairs.append((a, b))
-            top = max([len(a) + len(b) - 1 for a, b in pairs], default=d)
-            if not (packs and pairs):
-                out += [0] * (top - d)
-                for a, b in pairs:
-                    polys.int_convolve(out, a, b)
-                return polys.rem_monic(out, q, self)
-            # A slot collects fewer than (pairs + 1)·top products below m^2.
-            wb = (2 * m.bit_length() + ((len(pairs) + 1) * top).bit_length() + 7) // 8
-            acc = sum([pack(a, wb) * pack(b, wb) for a, b in pairs])
-            if top > d:
-                packed_q = neg_q.get(wb)
-                if packed_q is None:
-                    packed_q = neg_q[wb] = pack([-c for c in q[:d]], wb)
-                slot = (1 << 8 * wb) - 1
-                for i in range(top - 1, d - 1, -1):
-                    c = ((acc >> (8 * i * wb)) & slot) % m
-                    acc += (c * packed_q) << (8 * (i - d) * wb)
-            slots = _unpack(acc.to_bytes(max(top, d) * wb, "little")[: d * wb], wb, m)
-            return polys.normalize([(x + y) % m for x, y in zip(slots, out)], self)
+            # The shorter factor outside: fewer passes of the inner loop.
+            pairs = [(a, b) if len(a) <= len(b) else (b, a) for a, b in zip(us, vs)]
+            pairs = [(a, b) for a, b in pairs if a]
+            out = [0] * max([len(a) + len(b) - 1 for a, b in pairs] + [d])
+            for a, b in pairs:
+                polys.int_convolve(out, a, b)
+            return polys.rem_monic(out, q, self)
 
-        def mul(a, b):
-            return dot((a,), (b,))
+        return dot
 
-        return mul, dot
+    def _slots(self, f):
+        """The packed kernel's layout: one slot per coefficient."""
+        return f
+
+    def _element(self, slots):
+        return polys.normalize(slots, self)
 
     def __eq__(self, other):
         same = isinstance(other, ResidueRing)
@@ -342,68 +310,24 @@ class SeriesRing:
         return polys.normalize([c % self.field.p for c in out], self.field)
 
     def quotient_kernel(self, q):
-        """(mul, dot) of R[T]/(q) for the monic q over this ring: packed
-        products by Kronecker substitution (see the module docstring)."""
-        d = len(q) - 1
-        p, k = self.field.p, self.prec
-        # Packed -q by slot width, filled on first use; racing threads
-        # store equal values.
-        neg_q = {}
+        """The sum of products of R[T]/(q) for the monic q over this ring,
+        packed (see the module docstring)."""
+        return _packed_kernel(q, self.field.p, self.prec, self._slots, self._element)
 
-        def mul(a, b):
-            if not a or not b or d < 1:
-                return ()
-            if len(a) > len(b):
-                a, b = b, a
-            if len(a) == 1 and len(b) <= d:
-                # A constant times a reduced element, the commonest product
-                # of the curve lift: series by series beats packing it.
-                c = a[0]
-                return polys.normalize([self.mul(c, s) for s in b], self)
-            wb = (2 * p.bit_length() + (k * (len(a) + len(b))).bit_length() + 7) // 8
-            sb = (2 * k - 1) * wb  # bytes per T-block
+    def _slots(self, f):
+        """The packed kernel's layout: k slots per coefficient, the series
+        cut or padded to precision k."""
+        k, flat = self.prec, []
+        pad = (0,) * k
+        for s in f:
+            flat += s[:k]
+            flat += pad[len(s) :]
+        return flat
 
-            def pack(poly):
-                blocks = [_pack(s[:k], wb).ljust(sb, b"\0") for s in poly]
-                return int.from_bytes(b"".join(blocks), "little")
-
-            top = len(a) + len(b) - 1
-            prod = pack(a) * pack(b)
-            if top > d:
-                packed_q = neg_q.get(wb)
-                if packed_q is None:
-                    packed_q = neg_q[wb] = pack([[-c % p for c in s] for s in q[:d]])
-                series = (1 << (8 * k * wb)) - 1
-                for i in range(top - 1, d - 1, -1):
-                    head = ((prod >> (8 * i * sb)) & series).to_bytes(k * wb, "little")
-                    lead = int.from_bytes(_pack(_unpack(head, wb, p), wb), "little")
-                    prod += (lead * packed_q) << (8 * (i - d) * sb)
-            buf = prod.to_bytes(top * sb, "little")
-            blocks = range(0, min(d, top) * sb, sb)
-            rem = [_unpack(buf[o : o + k * wb], wb, p) for o in blocks]
-            return polys.normalize([polys.normalize(s, self.field) for s in rem], self)
-
-        def dot(us, vs):
-            # Sums over Z, one reduction mod p per (T, t) coefficient.
-            acc = [[0] * k for _ in range(d)]
-            for a, b in zip(us, vs):
-                if len(a) > len(b):
-                    a, b = b, a
-                if len(a) == 1 and len(a[0]) == 1 and len(b) <= d:
-                    c = a[0][0]
-                    for row, s in zip(acc, b):
-                        for j, x in enumerate(s[:k]):
-                            row[j] += c * x
-                elif a:
-                    for row, s in zip(acc, mul(a, b)):
-                        for j, x in enumerate(s):
-                            row[j] += x
-            return polys.normalize(
-                [polys.normalize([x % p for x in row], self.field) for row in acc],
-                self,
-            )
-
-        return mul, dot
+    def _element(self, slots):
+        k, F = self.prec, self.field
+        series = [polys.normalize(slots[i : i + k], F) for i in range(0, len(slots), k)]
+        return polys.normalize(series, self)
 
     def neg(self, a):
         return polys.poly_neg(a, self.field)
@@ -527,10 +451,7 @@ class PolyQuotient:
         self.gen = polys.rem_monic((base.zero, base.one), self.modulus, base)
         kernel = getattr(base, "quotient_kernel", None)
         q = self.modulus
-        self._mul, self._dot = kernel(q) if kernel else _by_parts(base, q)
-
-    def reduce(self, f):
-        return polys.rem_monic(polys.normalize(f, self.base), self.modulus, self.base)
+        self._dot = kernel(q) if kernel else _by_parts(base, q)
 
     def add(self, a, b):
         return polys.poly_add(a, b, self.base)
@@ -539,7 +460,7 @@ class PolyQuotient:
         return polys.poly_sub(a, b, self.base)
 
     def mul(self, a, b):
-        return self._mul(a, b)
+        return self._dot((a,), (b,))
 
     def dot(self, us, vs):
         return self._dot(us, vs)
@@ -617,10 +538,8 @@ class PolyQuotient:
 
 
 def _by_parts(base, q):
-    """(mul, dot) of R[T]/(q) for a base ring with no ``quotient_kernel``."""
-
-    def mul(a, b):
-        return polys.rem_monic(polys.poly_mul(a, b, base), q, base)
+    """The sum of products of R[T]/(q) for a base ring with no
+    ``quotient_kernel``."""
 
     def dot(us, vs):
         acc = ()
@@ -628,19 +547,77 @@ def _by_parts(base, q):
             acc = polys.poly_add(acc, polys.poly_mul(a, b, base), base)
         return polys.rem_monic(acc, q, base)
 
-    return mul, dot
+    return dot
 
 
-def _pack(values, width):
-    """Nonnegative ints below 2^(8·width) in consecutive ``width``-byte
+def _packed_kernel(q, r, s, slots, element):
+    """The sum of products of R[T]/(q), packed (see the module docstring),
+    over a base ring whose coefficients ``slots`` lays out as s slots
+    each, taken mod r; ``element`` reads s·deg q reduced slots back."""
+    d = len(q) - 1
+    bw = 2 * s - 1  # slots per T-block: a product of two series fits
+    neg_q = {}  # packed -q by slot width; racing threads store equal values
+
+    def pack(flat, wb):
+        buf = _pack(flat, wb, r)
+        if s > 1:  # s slots of each T-block
+            step = s * wb
+            blocks = [buf[i : i + step] for i in range(0, len(buf), step)]
+            buf = bytes((bw - s) * wb).join(blocks)
+        return int.from_bytes(buf, "little")
+
+    def dot(us, vs):
+        out, pairs = [0] * (s * d), []
+        for a, b in zip(us, vs):
+            if len(a) > len(b):
+                a, b = b, a
+            if len(a) == 1 and len(b) <= d:
+                c = slots(a)
+                if not any(c[1:]):
+                    # A scalar: cheaper slot by slot than packed.
+                    for j, x in enumerate(slots(b)):
+                        out[j] += c[0] * x
+                    continue
+            if a:
+                pairs.append((a, b))
+        if not pairs:
+            return element([x % r for x in out])
+        top = max([len(a) + len(b) - 1 for a, b in pairs])
+        # A slot collects fewer than (pairs + 1)·s·top products below r^2.
+        wb = (2 * r.bit_length() + ((len(pairs) + 1) * s * top).bit_length() + 7) // 8
+        acc = sum([pack(slots(a), wb) * pack(slots(b), wb) for a, b in pairs])
+        shift, head = 8 * bw * wb, s * wb  # bits per T-block, bytes per lead
+        if top > d:
+            packed_q = neg_q.get(wb)
+            if packed_q is None:
+                packed_q = neg_q[wb] = pack([-c for c in slots(q[:d])], wb)
+            mask = (1 << (8 * head)) - 1
+            for i in range(top - 1, d - 1, -1):
+                lead = (acc >> (i * shift)) & mask
+                if s == 1:
+                    lead %= r
+                else:  # each of its s slots mod r
+                    lead = _unpack(lead.to_bytes(head, "little"), wb)
+                    lead = int.from_bytes(_pack(lead, wb, r), "little")
+                acc += (lead * packed_q) << ((i - d) * shift)
+        buf = acc.to_bytes(max(top, d) * bw * wb, "little")[: d * bw * wb]
+        if s > 1:
+            buf = b"".join([buf[i : i + head] for i in range(0, len(buf), bw * wb)])
+        return element([(x + y) % r for x, y in zip(_unpack(buf, wb), out)])
+
+    return dot
+
+
+def _pack(values, width, r):
+    """The ints ``values`` reduced mod r, in consecutive ``width``-byte
     slots: read by ``int.from_bytes``, their Kronecker substitution."""
-    return b"".join([c.to_bytes(width, "little") for c in values])
+    return b"".join([(c % r).to_bytes(width, "little") for c in values])
 
 
-def _unpack(buf, width, modulus):
-    """The ``width``-byte slots of ``buf``, each reduced mod ``modulus``."""
+def _unpack(buf, width):
+    """The ``width``-byte slots of ``buf``."""
     slots = range(0, len(buf), width)
-    return [int.from_bytes(buf[j : j + width], "little") % modulus for j in slots]
+    return [int.from_bytes(buf[j : j + width], "little") for j in slots]
 
 
 def coerce(R, x):

@@ -1,5 +1,6 @@
 """Extension fields of a prime field, for the tests' references."""
 
+from kronecker import polys
 from kronecker.rings import PolyQuotient
 
 
@@ -15,3 +16,9 @@ class ExtField(PolyQuotient):
             raise ValueError("modulus must be monic of positive degree")
         self.p = base.p
         self.size = base.p**self.deg
+
+
+def reduced(A, f):
+    """The element f of R[T], trimmed and reduced mod the modulus of the
+    quotient A = R[T]/(q)."""
+    return polys.rem_monic(polys.normalize(f, A.base), A.modulus, A.base)

@@ -19,7 +19,7 @@ from kronecker.rings import (
 
 from kronecker.verify import _Packed
 from reference.polys import from_int_coeffs
-from reference.rings import ExtField
+from reference.rings import ExtField, reduced
 
 F7 = PrimeField(7)
 
@@ -76,7 +76,8 @@ def test_quotient_inverse_over_ext_field():
     rng = random.Random(2)
     inverted = 0
     for _ in range(10):
-        u = A.reduce([L.reduce((rng.randrange(7), rng.randrange(7))) for _ in range(3)])
+        coeffs = [reduced(L, (rng.randrange(7), rng.randrange(7))) for _ in range(3)]
+        u = reduced(A, coeffs)
         try:
             v = A.inv(u)
         except NotInvertibleError:
@@ -135,7 +136,7 @@ def test_quotient_inverse_over_series_ring():
         u = tuple(
             tuple(rng.randrange(7) for _ in range(3)) for _ in range(2)
         )
-        u = A.reduce(u)
+        u = reduced(A, u)
         try:
             v = A.inv(u)
         except NotInvertibleError:
@@ -161,6 +162,13 @@ def _series_poly(rng, S, length):
 
 def _schoolbook(a, b, q, S):
     return polys.rem_monic(polys.poly_mul(a, b, S), q, S)
+
+
+def _reference_sum(us, vs, q, R):
+    """Σ us[i]·vs[i] mod q by ``polys``, one reduced product at a time: a
+    reference that shares no line with the packed kernel."""
+    products = [_schoolbook(a, b, q, R) for a, b in zip(us, vs)]
+    return reduce(lambda f, g: polys.poly_add(f, g, R), products, ())
 
 
 @pytest.mark.parametrize("p", PACKED_PRIMES)
@@ -299,13 +307,15 @@ def test_residue_quotient_dot_matches_sum_of_products(R):
         for pairs in range(5):
             us = [_residues(rng, R, rng.choice(lengths)) for _ in range(pairs)]
             vs = [_residues(rng, R, rng.choice(lengths)) for _ in range(pairs)]
-            assert A.dot(us, vs) == reduce(A.add, map(A.mul, us, vs), A.zero)
+            assert A.dot(us, vs) == _reference_sum(us, vs, A.modulus, R)
 
 
 @pytest.mark.parametrize("p", (3, 7, 2**61 - 1))
 @pytest.mark.parametrize("k", (1, 2, 8))
 def test_series_quotient_kernel_matches_reference(p, k):
     # A scalar operand against one longer than q must still be reduced.
+    # Products and sums share every line of the kernel, so both are
+    # checked against schoolbook products.
     S = SeriesRing(ResidueRing(p, 1), k)
     rng = random.Random(p * k)
     for d in range(21):
@@ -319,7 +329,7 @@ def test_series_quotient_kernel_matches_reference(p, k):
         for pairs in range(4):
             us = [_series_poly(rng, S, rng.choice(lengths)) for _ in range(pairs)]
             vs = [_series_poly(rng, S, rng.choice(lengths)) for _ in range(pairs)]
-            assert A.dot(us, vs) == reduce(A.add, map(A.mul, us, vs), A.zero)
+            assert A.dot(us, vs) == _reference_sum(us, vs, q, S)
 
 
 # Primes for the packed kernels of R[T]/(q) over Z/p^k: small, word-size,
@@ -331,11 +341,6 @@ RESIDUE_PRIMES = (3, 7, 10007, 2**61 - 1, 2**62 - 57)
 RESIDUE_DEGREES = (0, 1, 2, 5, 6, 7, 8, 9, 12, 16, 17, 18, 24, 37, 38, 39)
 
 
-def _reference_sum(us, vs, q, R):
-    products = [polys.rem_monic(polys.poly_mul(a, b, R), q, R) for a, b in zip(us, vs)]
-    return reduce(lambda f, g: polys.poly_add(f, g, R), products, ())
-
-
 @pytest.mark.parametrize("p", RESIDUE_PRIMES)
 @pytest.mark.parametrize("k", (1, 2, 4, 8))
 def test_residue_quotient_kernel_matches_reference(p, k):
@@ -345,12 +350,12 @@ def test_residue_quotient_kernel_matches_reference(p, k):
     rng = random.Random(p * k)
     for d in RESIDUE_DEGREES:
         q = tuple(rng.randrange(R.modulus) for _ in range(d)) + (R.one,)
-        mul, dot = R.quotient_kernel(q)
+        dot = R.quotient_kernel(q)
         lengths = sorted({0, 1, 2, d, d + 1, 2 * d + 1})
         for la in lengths:
             for lb in lengths:
                 a, b = _residues(rng, R, la), _residues(rng, R, lb)
-                assert mul(a, b) == _reference_sum([a], [b], q, R)
+                assert dot([a], [b]) == _reference_sum([a], [b], q, R)
         for pairs in range(6):
             us = [_residues(rng, R, rng.choice(lengths)) for _ in range(pairs)]
             vs = [_residues(rng, R, rng.choice(lengths)) for _ in range(pairs)]
@@ -370,14 +375,34 @@ def test_packed_slots_hold_the_largest_sums(p, k, d):
     R = ResidueRing(p, k)
     m = R.modulus
     q = (1,) * (d + 1)
-    mul, dot = R.quotient_kernel(q)
+    dot = R.quotient_kernel(q)
     for length in (d, 2 * d + 1):
         a = (m - 1,) * length
         prod = polys.rem_monic(polys.poly_mul(a, a, R), q, R)
-        assert mul(a, a) == prod
+        assert dot([a], [a]) == prod
         for pairs in range(1, 65):
             want = polys.normalize([pairs * c % m for c in prod], R)
             assert dot([a] * pairs, [a] * pairs) == want
+
+
+@pytest.mark.parametrize(
+    "p, k, d",
+    [(3, 40, 1), (7, 9, 3), (2**61 - 1, 3, 5), (2**62 - 57, 2, 4),
+     (2**62 - 57, 1, 8), (10007, 40, 2), (2**62 - 57, 16, 2)],
+)
+def test_packed_series_slots_hold_the_largest_sums(p, k, d):
+    # The test above over F_p[t]/(t^k): every coefficient of every series
+    # p - 1, and -q ≡ p - 1 in every slot, summed over 1 to 64 pairs.
+    S = SeriesRing(ResidueRing(p, 1), k)
+    full = (p - 1,) * k
+    q = ((1,) * k,) * d + (S.one,)
+    dot = S.quotient_kernel(q)
+    for length in (d, 2 * d + 1):
+        a = (full,) * length
+        prod = _schoolbook(a, a, q, S)
+        for pairs in range(1, 65):
+            want = [polys.normalize([pairs * c % p for c in s], S.field) for s in prod]
+            assert dot([a] * pairs, [a] * pairs) == polys.normalize(want, S)
 
 
 def test_zero_divisor_scalar_trims_the_top_coefficient():

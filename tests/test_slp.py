@@ -25,6 +25,7 @@ from kronecker.slp import (
     parse_system,
 )
 
+from reference.rings import reduced
 from test_acceptance import _random_dense_system
 
 
@@ -425,7 +426,7 @@ def test_jacobian_direction_vector_is_combination_of_partials():
             def draw():
                 if R is F:
                     return rng.randrange(F.p)
-                return A.reduce([rng.randrange(F.p) for _ in range(3)])
+                return reduced(A, [rng.randrange(F.p) for _ in range(3)])
 
             pt = [draw() for _ in range(3)]
             v = [draw() for _ in range(3)]
@@ -602,15 +603,15 @@ def _slice_test_rings(rng):
         (
             A_res,
             low_res,
-            lambda ring: ring.reduce(
-                [rng.randrange(ring.base.modulus) for _ in range(2)]
+            lambda ring: reduced(
+                ring, [rng.randrange(ring.base.modulus) for _ in range(2)]
             ),
         ),
         (
             A_ser,
             low_ser,
             lambda ring: ring.reduce_precision(
-                A_ser.reduce([series() for _ in range(2)])
+                reduced(A_ser, [series() for _ in range(2)])
             ),
         ),
         (S, S, lambda ring: series()),
