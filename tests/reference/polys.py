@@ -1,7 +1,8 @@
 """Polynomial helpers over a prime field that only the tests use:
 coefficient lists from ints, squarefree parts, irreducibility, the extended
-Euclidean algorithm and Chinese remaindering; and the textbook
-maximal-quotient rational reconstruction."""
+Euclidean algorithm and Chinese remaindering; the textbook
+maximal-quotient rational reconstruction; and products in (Z/m)[T]/(q) by
+``%`` alone."""
 
 from math import gcd
 
@@ -34,6 +35,22 @@ class ModuliNotCoprimeError(KroneckerError):
 
 def from_int_coeffs(coeffs, R):
     return normalize([R.from_int(c) for c in coeffs], R)
+
+
+def mul_rem_mod(a, b, q, R):
+    """a·b mod the monic q over Z/m, for m = ``R.modulus`` as a plain int:
+    a schoolbook product and long division, reduced by CPython's ``%``
+    alone, so that it shares no line with ``polys`` or the ring."""
+    m, d = int(R.modulus), len(q) - 1
+    rem = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            rem[i + j] += x * y
+    for i in range(len(rem) - 1, d - 1, -1):
+        c = rem[i] % m
+        for j in range(d):
+            rem[i - d + j] -= c * q[j]
+    return normalize([c % m for c in rem[:d]], R)
 
 
 def squarefree_part(f, F):

@@ -12,8 +12,11 @@ from kronecker.errors import (
     NotInvertibleError,
 )
 from kronecker.polys import (
+    Barrett,
     degree,
     factor_squarefree,
+    int_convolve,
+    int_karatsuba,
     interpolate,
     monic,
     poly_eval,
@@ -506,3 +509,59 @@ def test_rational_reconstruct_stops_early_as_the_full_sequence_would(case):
     except NoReconstructionError:
         got = None
     assert got == maximal_quotient_reconstruct(a, m)
+
+
+# Moduli one bit below Barrett's crossover, at it and one bit above, each
+# at the bottom and the top of its size, where the truncated quotient errs
+# most; and a deep rung.
+BARRETT_MODULI = {
+    name: m
+    for b in (Barrett.BITS - 1, Barrett.BITS, Barrett.BITS + 1)
+    for name, m in ((f"2^{b - 1}+1", 2 ** (b - 1) + 1), (f"2^{b}-1", 2**b - 1))
+}
+BARRETT_MODULI["(2^61-1)^64"] = (2**61 - 1) ** 64
+
+
+@pytest.mark.parametrize("m", BARRETT_MODULI.values(), ids=BARRETT_MODULI.keys())
+def test_barrett_reduces_every_integer(m):
+    # The reduction is exact at any size; the package uses it from the
+    # crossover on.  The values: the residues' edges, the negative
+    # unreduced sums ``divmod_monic`` leaves (up to 64 subtracted products
+    # below m^2), the bound 2^s (s = 2·bits(m) + 64) from either side, and
+    # past it, where it falls back to ``%``.
+    n = m.bit_length()
+    modulus = Barrett(m)
+    assert modulus == m
+    bound = 1 << (2 * n + 64)
+    top = (m - 1) ** 2
+    values = [0, 1, -1, m, -m, m - 1, 1 - m, m + 1, 2 * m, -2 * m, 3 * m - 1]
+    values += [j * top for j in (-64, -63, -1, 1, 2, 64)]
+    values += [m * m, -m * m]
+    values += [bound - 1, 1 - bound, bound - m, m - bound, bound, -bound]
+    values += [bound + 1, -bound - 1, bound * m, -(bound**2) - 5]
+    values += [(bound // m) * m + r for r in (-1, 0, 1, m - 1)]
+    rng = random.Random(n)
+    values += [rng.randrange(-bound, bound) for _ in range(300)]
+    values += [rng.randrange(-64 * top, top) for _ in range(300)]
+    for x in values:
+        assert x % modulus == x % m, x
+
+
+@pytest.mark.parametrize("cut", (0, 2, 3, 5))
+def test_karatsuba_matches_schoolbook(cut):
+    # Odd, even and unequal lengths, a factor of length 1, zero
+    # coefficients and a factor that is all zeros, added into a list that
+    # is not zero and longer than the product.
+    rng = random.Random(cut)
+    lengths = (0, 1, 2, 3, 4, 5, 7, 8, 11, 16, 17)
+
+    def draw(n):
+        f = [rng.choice((0, rng.randrange(-(2**200), 2**200))) for _ in range(n)]
+        return tuple(f) if rng.random() < 0.5 else f
+
+    for la in lengths:
+        for lb in lengths:
+            for f, g in ((draw(la), draw(lb)), ([0] * la, draw(lb))):
+                out = [rng.randrange(-9, 9) for _ in range(la + lb + 1)]
+                want = int_convolve(list(out), f, g)
+                assert int_karatsuba(list(out), f, g, cut) == want, (la, lb)

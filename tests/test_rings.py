@@ -6,7 +6,7 @@ import pytest
 
 from kronecker import polys
 from kronecker.errors import NotInvertibleError
-from kronecker.polys import poly_eval
+from kronecker.polys import Barrett, poly_eval
 from kronecker.rings import (
     QQ,
     ZZ,
@@ -18,7 +18,7 @@ from kronecker.rings import (
 )
 
 from kronecker.verify import _Packed
-from reference.polys import from_int_coeffs
+from reference.polys import from_int_coeffs, mul_rem_mod
 from reference.rings import ExtField, reduced
 
 F7 = PrimeField(7)
@@ -161,12 +161,16 @@ def _series_poly(rng, S, length):
 
 
 def _schoolbook(a, b, q, S):
+    """a·b mod q by ``polys``, or over Z/p^k by CPython's ``%`` alone, so
+    that the reference shares no reduction with the kernels."""
+    if isinstance(S, ResidueRing):
+        return mul_rem_mod(a, b, q, S)
     return polys.rem_monic(polys.poly_mul(a, b, S), q, S)
 
 
 def _reference_sum(us, vs, q, R):
-    """Σ us[i]·vs[i] mod q by ``polys``, one reduced product at a time: a
-    reference that shares no line with the packed kernel."""
+    """Σ us[i]·vs[i] mod q, one ``_schoolbook`` product at a time: a
+    reference that shares no line with the quotient kernels."""
     products = [_schoolbook(a, b, q, R) for a, b in zip(us, vs)]
     return reduce(lambda f, g: polys.poly_add(f, g, R), products, ())
 
@@ -253,8 +257,14 @@ def test_every_ring_dot_is_the_sum_of_products():
 
 
 # The integer kernels of R[T]/(q) over Z/p^k: a small, a word-size and a
-# 61-bit Mersenne prime, at exponents 1, 2 and 8.
-KERNEL_BASES = [ResidueRing(p, k) for p in (3, 7, 2**61 - 1) for k in (1, 2, 8)]
+# 61-bit Mersenne prime, at exponents 1, 2 and 8; and two deep rungs past
+# the Barrett crossover of 2,500 bits and past Karatsuba's rule, length ·
+# bits(p^k) > 8000: the Mersenne prime at k = 64 (3,904 bits) and a 30-bit
+# prime at k = 512 (15,360 bits), as provable mode climbs to.
+DEEP_BASES = [ResidueRing(2**61 - 1, 64), ResidueRing(2**30 - 35, 512)]
+KERNEL_BASES = [
+    ResidueRing(p, k) for p in (3, 7, 2**61 - 1) for k in (1, 2, 8)
+] + DEEP_BASES
 
 
 def _residues(rng, R, length):
@@ -265,10 +275,11 @@ def _residues(rng, R, length):
 
 
 def _kernel_cases(R, seed):
-    """(quotient, rng, operand lengths) for deg q = 0, ..., 20; the lengths
-    run from the empty element past twice the degree, scalars included."""
+    """(quotient, rng, operand lengths) for deg q = 0, ..., 20, or 1, ..., 8
+    over the deep rungs; the lengths run from the empty element past twice
+    the degree, scalars included."""
     rng = random.Random(seed)
-    for d in range(21):
+    for d in range(1, 9) if R in DEEP_BASES else range(21):
         q = tuple(rng.randrange(R.modulus) for _ in range(d)) + (R.one,)
         lengths = sorted({0, 1, 2, d, d + 1, 2 * d + 1})
         yield PolyQuotient(R, q), rng, lengths
@@ -296,7 +307,9 @@ def test_residue_quotient_product_matches_reference(R):
         for la in lengths:
             for lb in lengths:
                 a, b = _residues(rng, R, la), _residues(rng, R, lb)
-                want = _by_ring_protocol(a, b, q, R)
+                # A deep ring's own ``%`` is Barrett's, which is under test.
+                ref = _schoolbook if R in DEEP_BASES else _by_ring_protocol
+                want = ref(a, b, q, R)
                 assert A.mul(a, b) == want
                 assert polys.rem_monic(polys.poly_mul(a, b, R), q, R) == want
 
@@ -474,3 +487,14 @@ def test_ext_field_element_evaluation_consistency():
     L = ExtField(F7, from_int_coeffs([3, 0, 1], F7))  # x^2 = -3 = 4
     f = tuple(L.from_int(c) for c in [2, 0, 1])  # T^2 + 2
     assert poly_eval(f, L.gen, L) == L.add(L.mul(L.gen, L.gen), L.from_int(2))
+
+
+@pytest.mark.parametrize("k", (Barrett.BITS - 2, Barrett.BITS - 1))
+def test_deep_rings_reduce_by_barrett(k):
+    # 2^k has k + 1 bits: one ring below the crossover, one at it.
+    R = ResidueRing(2, k)
+    assert R.modulus is R.int_modulus and R.modulus == 2**k
+    deep = k + 1 >= Barrett.BITS
+    assert isinstance(R.modulus, Barrett) == deep
+    if deep:  # one reciprocal per modulus, however often the ring is rebuilt
+        assert R.at_precision(k).modulus is R.modulus
