@@ -4,7 +4,9 @@ The degree budget D and the sample sizes (a, b) = (8D, 9D) are exact
 formulas.  The height and prime budgets instantiate asymptotic bounds with
 the frozen constants C_HEIGHT and C_PRIME and integer ceiling-log2 polylog
 factors; any over-estimate is safe, it only costs lifting precision or prime
-size.
+size.  So is an over-estimate of the input height h they take,
+``StraightLineProgram.height``: the bits of the largest coefficient for an
+input written as a sum of monomials, and of a 1-norm bound otherwise.
 """
 
 from dataclasses import dataclass

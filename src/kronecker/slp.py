@@ -10,13 +10,17 @@ per statement::
 Integer constants are arbitrary precision; ``^`` takes a nonnegative integer
 exponent and is expanded by repeated squaring at parse time, so programs stay
 division-free.  The parser makes one pass over the tokens, with no expression
-tree: each subexpression yields an integer coefficient times the instruction
-computing the rest, and its dense expansion, whose degree is checked against
-the cap before a product or a power is multiplied out.  A term folds its
-numeric factors into its coefficient and multiplies only the others, and a
-sum of terms is one ``lin`` instruction, c0 + Σ cᵢ·vᵢ, which an evaluation
-reduces once.  Products and powers of sums stay as written: ``(x - 2*y)^8``
-is three squarings of one ``lin``, never expanded.
+tree and no expanded polynomial: each subexpression yields an integer
+coefficient times the instruction computing the rest, with bounds on its
+degree and its 1-norm, and the degree bound is checked against the cap before
+a product or a power is emitted.  A term folds its numeric factors into its
+coefficient and multiplies only the others, and a sum of terms is one
+``lin`` instruction, c0 + Σ cᵢ·vᵢ, which an evaluation reduces once; its
+terms merge by monomial when they are monomials, so ``x*y*z - z*y*x``
+cancels.  Products and powers of sums stay as written: ``(x - 2*y)^8`` is
+three squarings of one ``lin``, never expanded, and the parse takes time
+linear in the tokens.  The degrees and the "identically zero" verdict come
+from one evaluation of the finished program on a line over F_p[t].
 Instructions are hash-consed: a product of the same operands (in either
 order) is emitted once and shared, so the monomial ``x^2*y`` appearing in
 several terms or outputs costs its multiplications once, and ``length``
@@ -37,25 +41,28 @@ is a function of the program and the selection alone, so threads that race
 on it store equal tuples, and the slices are freed with the program.
 """
 
+import random
 import re
 from dataclasses import dataclass, field, replace
+from operator import add
 
 from .errors import NotInvertibleError, ParseError, SingularMatrixError
 from .polys import charpoly_division_free, charpoly_horner
-from .rings import ZZ, coerce
+from .rings import ZZ, PolyRing, PrimeField, coerce
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^();,]))"
 )
 
-_MAX_DENSE_TERMS = 200_000
-
-# Caps of ``parse_system``: the expanded degree of each product and power,
-# checked before it is multiplied out, and the Bezout number, four times the
-# fiber degree 64 the solver is meant for; and the bits of a power of a
-# constant, which is expanded in closed form.
+# Caps of ``parse_system``: the degree bound of each product and power,
+# checked before its instructions are emitted, and the Bezout number, four
+# times the fiber degree 64 the solver is meant for; and the bits of a power
+# of a constant, which is computed in closed form.
 _MAX_DEGREE = 256
 _MAX_CONSTANT_BITS = 1 << 16
+
+# F_p[t], p = 2^61 - 1: the ring of the evaluation that gives the degrees.
+_LINE = PolyRing(PrimeField(2**61 - 1))
 
 
 @dataclass(frozen=True)
@@ -117,8 +124,10 @@ class StraightLineProgram:
     earlier indices; a ``lin`` is the linear combination c0 + Σ cᵢ·vᵢ of
     the operands' values with integer coefficients.  ``outputs`` names the
     instruction computing each polynomial.
-    ``degrees`` and ``height`` come from the dense expansion made at parse
-    time (total degree per output, bit length of the largest coefficient).
+    ``degrees`` holds each output's total degree, read off one evaluation
+    on a line over F_p[t] at parse time.  ``height`` bounds the bit length
+    of the largest coefficient: exactly for an output written as a sum of
+    monomials, and by the bits of a 1-norm bound otherwise.
     """
 
     n_vars: int
@@ -127,7 +136,6 @@ class StraightLineProgram:
     outputs: tuple
     degrees: tuple
     height: int
-    dense_forms: tuple = field(repr=False, default=())
     transform: AffineChange | None = None
     _slices: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -204,17 +212,21 @@ def _tokenize(text):
 
 class _Parser:
     """Recursive descent that builds the program as it reads.  Each
-    production returns a node (c, v, dense, degree) whose value is the
+    production returns a node (c, v, degree, norm) whose value is the
     integer c times the value of the hash-consed instruction v, or c alone
-    when v is None, which it is exactly when the degree is at most 0; then
-    its dense map {exponents: nonzero integer}, which the caller owns, and
-    that map's total degree (-1 for 0)."""
+    when v is None, together with a bound on that value's total degree (-1
+    for 0, 0 for another constant) and one on the 1-norm of v's polynomial,
+    the sum of its coefficients' absolute values (1 when v is None).
+    ``monomials`` maps each instruction that computes a monomial, a
+    variable or a product of two monomials, to its exponent vector."""
 
     def __init__(self, text):
+        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.instructions = []
         self.index = {}
+        self.monomials = {}
         self.k = 0  # 1-based number of the polynomial being read
 
     def peek(self):
@@ -248,6 +260,9 @@ class _Parser:
         if idx is None:
             idx = self.index[ins] = len(self.instructions)
             self.instructions.append(ins)
+            mono = self.monomials
+            if ins[0] == "mul" and ins[1] in mono and ins[2] in mono:
+                mono[idx] = tuple(map(add, mono[ins[1]], mono[ins[2]]))
         return idx
 
     def program(self):
@@ -268,106 +283,109 @@ class _Parser:
             pos = self.peek()[2]
             raise ParseError("expected ',' or ';' in the vars line", pos)
         n = len(names)
-        self.var_index = {
-            name: (self.emit("var", i), tuple(int(j == i) for j in range(n)))
-            for i, name in enumerate(names)
-        }
-        self.unit = (0,) * n
-        polys = []
+        self.var_index = {name: self.emit("var", i) for i, name in enumerate(names)}
+        for i in range(n):  # the ``var`` instructions are 0, ..., n - 1
+            self.monomials[i] = tuple(int(j == i) for j in range(n))
+        outputs = []
+        height = 0
         while self.peek()[0] != "end":
             self.k += 1
-            c, v, dense, deg = self.expr()
+            c, v, _, norm = self.expr()
+            ins = () if v is None else self.instructions[v]
+            if ins[:1] == ("lin",) and all(j in self.monomials for j in ins[3]):
+                # A sum of monomials, merged: its largest coefficient.
+                norm = max(abs(ins[1]), *map(abs, ins[2]))
+            height = max(height, (abs(c) * norm).bit_length())
             if v is None:
                 v = self.emit("const", c)
             elif c != 1:
                 v = self.emit("lin", 0, (c,), (v,))
-            polys.append((v, dense, deg))
+            outputs.append(v)
             self.expect_op(";")
-        if not polys:
+        if not outputs:
             raise ParseError("no polynomials declared", self.peek()[2])
-        if len(polys) > n:
+        if len(outputs) > n:
             raise ParseError(
-                f"{len(polys)} polynomials in {n} variables is overdetermined"
+                f"{len(outputs)} polynomials in {n} variables is overdetermined"
             )
-        outputs, dense_forms, degrees = zip(*polys)
-        height = 0
-        bezout = 1
-        for k, (dense, deg) in enumerate(zip(dense_forms, degrees), 1):
-            if not dense:
-                raise ParseError(f"polynomial #{k} is identically zero")
-            bezout *= deg
-            if bezout > _MAX_DEGREE:
-                raise ParseError(f"Bezout number above {_MAX_DEGREE}")
-            height = max(height, max(map(abs, dense.values())).bit_length())
-        return StraightLineProgram(
+        slp = StraightLineProgram(
             n_vars=n,
             var_names=tuple(names),
             instructions=tuple(self.instructions),
-            outputs=outputs,
-            degrees=degrees,
+            outputs=tuple(outputs),
+            degrees=(),
             height=height,
-            dense_forms=dense_forms,
         )
+        # Each output restricted to a line x = a + b·t over F_p[t]: it is 0
+        # only if the polynomial is, and has its total degree unless b is a
+        # root of the top-degree form, each with probability <= deg / p.
+        rng = random.Random(self.text)
+        p = _LINE.base.p
+        line = [(rng.randrange(p), rng.randrange(1, p)) for _ in range(n)]
+        degrees = []
+        bezout = 1
+        values = _run(slp, slp.slice(tuple(range(len(outputs)))), line, _LINE)
+        for k, out in enumerate(outputs, 1):
+            if not values[out]:
+                raise ParseError(f"polynomial #{k} is identically zero")
+            degrees.append(len(values[out]) - 1)
+            bezout *= degrees[-1]
+            if bezout > _MAX_DEGREE:
+                raise ParseError(f"Bezout number above {_MAX_DEGREE}")
+        return replace(slp, degrees=tuple(degrees))
 
     def expr(self):
         """A sum of terms: the constant terms add up to c0 and the others
-        merge by operand, so the sum is one ``lin``; its dense form is the
-        sum of theirs."""
+        merge, by monomial if they are monomials and by operand otherwise,
+        so the sum is one ``lin``."""
         sign = self.accept("+-") or "+"
-        c0, coeffs, dense = 0, {}, {}
+        c0, terms = 0, {}
         while sign:
-            s = 1 if sign == "+" else -1
-            c, v, tdense, _ = self.term()
+            c, v, deg, norm = self.term()
+            c = c if sign == "+" else -c
             if v is None:
-                c0 += s * c
+                c0 += c
             else:
-                coeffs[v] = coeffs.get(v, 0) + s * c
-            for k, x in tdense.items():
-                nx = dense.get(k, 0) + s * x
-                if nx:
-                    dense[k] = nx
-                else:
-                    del dense[k]
+                key = self.monomials.get(v, v)
+                terms.setdefault(key, [v, 0, deg, norm])[1] += c
             sign = self.accept("+-")
-        deg = max(map(sum, dense), default=-1)
-        if deg <= 0:
-            return dense.get(self.unit, 0), None, dense, deg
-        terms = sorted((v, c) for v, c in coeffs.items() if c)
-        if c0 == 0 and len(terms) == 1:
-            v, c = terms[0]
-            return c, v, dense, deg
-        operands, cs = zip(*terms)
-        return 1, self.emit("lin", c0, cs, operands), dense, deg
+        kept = sorted(t for t in terms.values() if t[1])
+        if not kept:
+            return c0, None, 0 if c0 else -1, 1
+        if c0 == 0 and len(kept) == 1:
+            v, c, deg, norm = kept[0]
+            return c, v, deg, norm
+        operands, cs, degs, norms = zip(*kept)
+        norm = abs(c0) + sum(abs(c) * m for c, m in zip(cs, norms))
+        return 1, self.emit("lin", c0, cs, operands), max(degs), norm
 
     def term(self):
         """A product of factors: the coefficients multiply into one integer
         and the operands multiply left to right through hash-consed
         ``mul``s, so a monomial is one operand wherever it appears."""
-        c, v, dense, deg = self.factor()
+        c, v, deg, norm = self.factor()
         operands = [] if v is None else [v]
         while self.accept("*"):
-            fc, fv, fdense, fdeg = self.factor()
+            fc, fv, fdeg, fnorm = self.factor()
             deg += fdeg
             self.check_degree(deg)
-            dense = _dense_mul(dense, fdense)
-            deg = deg if dense else -1
             c *= fc
+            deg = deg if c else -1
+            norm *= fnorm
             if fv is not None:
                 operands.append(fv)
-        if not dense:
-            return 0, None, dense, -1
+        if not c:
+            return 0, None, -1, 1
         v = operands[0] if operands else None
         for w in operands[1:]:
             v = self.emit("mul", v, w)
-        return c, v, dense, deg
+        return c, v, deg, norm
 
     def factor(self):
         sign = self.accept("+-")
         if sign:
-            c, v, dense, deg = self.factor()
-            if sign == "+":
-                return c, v, dense, deg
-            return -c, v, {k: -x for k, x in dense.items()}, deg
+            c, v, deg, norm = self.factor()
+            return (c if sign == "+" else -c), v, deg, norm
         node = self.atom()
         if self.accept("^"):
             kind, exp, pos = self.next()
@@ -379,12 +397,11 @@ class _Parser:
     def atom(self):
         kind, val, pos = self.next()
         if kind == "num":
-            return val, None, ({self.unit: val} if val else {}), 0 if val else -1
+            return val, None, 0 if val else -1, 1
         if kind == "ident":
             if val not in self.var_index:
                 raise ParseError(f"unknown variable {val!r}", pos)
-            idx, key = self.var_index[val]
-            return 1, idx, {key: 1}, 1
+            return 1, self.var_index[val], 1, 1
         if kind == "op" and val == "(":
             node = self.expr()
             self.expect_op(")")
@@ -398,24 +415,14 @@ class _Parser:
             )
 
     def power(self, base, e):
-        c, v, dense, deg = base
+        c, v, deg, norm = base
         self.check_degree(e * deg)
         if e == 0:
-            return 1, None, {self.unit: 1}, 0
-        if len(dense) <= 1:
-            # (c*x^a)^e = c^e*x^(e*a) in closed form: a monomial needs no e
-            # multiplications, whatever the size of e.
-            if any(e * abs(x).bit_length() > _MAX_CONSTANT_BITS
-                   for x in dense.values() if abs(x) > 1):
-                raise ParseError("power of a constant too large to expand")
-            out = {tuple(e * a for a in k): x**e for k, x in dense.items()}
-            if v is None:
-                # A power of a constant is a constant.
-                return out.get(self.unit, 0), None, out, deg
-        else:
-            out = {self.unit: 1}
-            for _ in range(e):
-                out = _dense_mul(out, dense)
+            return 1, None, 0, 1
+        if abs(c) > 1 and e * abs(c).bit_length() > _MAX_CONSTANT_BITS:
+            raise ParseError("power of a constant too large to expand")
+        if v is None:
+            return c**e, None, deg, 1
         # (c·v)^e = c^e·v^e, v^e by repeated squaring along the bits of e,
         # high to low.
         acc = v
@@ -423,22 +430,7 @@ class _Parser:
             acc = self.emit("mul", acc, acc)
             if bit == "1":
                 acc = self.emit("mul", acc, v)
-        return c**e, acc, out, e * deg
-
-
-def _dense_mul(a, b):
-    out = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            k = tuple(x + y for x, y in zip(ka, kb))
-            nv = out.get(k, 0) + va * vb
-            if nv:
-                out[k] = nv
-            else:
-                out.pop(k, None)
-        if len(out) > _MAX_DENSE_TERMS:
-            raise ParseError("polynomial too large to expand")
-    return out
+        return c**e, acc, e * deg, norm**e
 
 
 def parse_system(source):
@@ -446,8 +438,10 @@ def parse_system(source):
 
     Rejects systems with more polynomials than variables, inputs that are
     identically zero and sizes past the caps above, and records per-output
-    total degrees plus the maximum coefficient bit length for the bounds
-    machinery.
+    total degrees plus a bound on the coefficient bit length for the bounds
+    machinery.  The degrees and the zero verdicts come from one evaluation
+    at a line drawn by a generator seeded with ``source``, so the same text
+    always parses the same way.
     """
     return _Parser(source).program()
 

@@ -263,9 +263,7 @@ def gate_stage(rep):
     is squarefree: the one lucky-prime condition of a stage that neither
     its construction nor the Newton step that takes it checks."""
     if not is_squarefree(rep.min_poly, rep.ring):
-        raise UnluckyError(
-            rep.stage, "stage check failed: squarefree (gcd(Q, Q') = 1)"
-        )
+        raise UnluckyError(rep.stage, "Q is not squarefree (gcd(Q, Q') != 1)")
 
 
 def _reduce_coefficients(coeffs, field):

@@ -46,6 +46,16 @@ def test_mod_p_only_with_pinned_prime(tmp_path):
     assert len(doc["representation"]["minimal_poly"]) == 5
 
 
+def test_a_deeply_nested_input_solves_mod_p(tmp_path):
+    from test_slp import DEEP_NESTING_TEXT
+
+    src = _write(tmp_path, DEEP_NESTING_TEXT)
+    out = str(tmp_path / "rep.json")
+    assert run([src, "--mod-p-only", "--seed", "1", "--out", out]) == 0
+    doc = json.loads(open(out).read())
+    assert len(doc["representation"]["minimal_poly"]) == 161
+
+
 def test_malformed_input_exits_3(tmp_path):
     src = _write(tmp_path, "vars x; x + ;")
     assert run([src]) == 3

@@ -17,7 +17,7 @@ from kronecker.errors import (
 )
 from kronecker.padic import SolveConfiguration, solve_over_rationals
 from kronecker.polys import interpolate, monic, resultant
-from kronecker.rings import PrimeField
+from kronecker.rings import PrimeField, ResidueRing
 from kronecker.slp import AffineChange, compose_affine, evaluate, parse_system
 from kronecker.solver import (
     SolveState,
@@ -29,6 +29,7 @@ from kronecker.solver import (
 )
 from kronecker.verify import check_representation
 
+from reference.expand import expand_system, height, total_degree, value_at
 from reference.oracle import mulmat_charpoly
 
 FBIG = PrimeField(10007)
@@ -129,8 +130,6 @@ def test_parser_handles_nested_parentheses_and_big_constants():
 # needs is put in parentheses, so the text means what was drawn; otherwise
 # parentheses appear only where drawn.  sympy reads the text on its own.
 
-_X, _Y = sympy.symbols("x y")
-
 
 def _wrap(node, level):
     text, own, _ = node
@@ -185,20 +184,23 @@ _EXPRESSIONS = (
 @example("((x + 1)^2*(y - 1))^2 - (2*x)^0 - --x", (3, 10006))
 @example("(x - x)^3 + 0*y", (1, 1))
 def test_parser_matches_sympy_expansion(text, point):
-    value = sympy.expand(sympy.sympify(text))  # sympy reads ^ as a power
+    # Degrees, the zero verdict and values over F_p and Z/p^k are sympy's;
+    # the height bounds sympy's from above, and is exact on a sum of
+    # monomials (a text with no parentheses).
     source = f"vars x, y; {text};"
-    if value == 0:
+    (dense,) = expand_system(source)
+    if not dense:
         with pytest.raises(ParseError, match="identically zero"):
             parse_system(source)
         return
     slp = parse_system(source)
-    poly = sympy.Poly(value, _X, _Y)
-    expected = {k: int(c) for k, c in poly.as_dict().items()}
-    assert slp.dense_forms == (expected,)
-    assert slp.degrees == (poly.total_degree(),)
-    assert slp.height == max(abs(c) for c in expected.values()).bit_length()
-    at_point = int(value.subs({_X: point[0], _Y: point[1]}))
-    assert evaluate(slp, point, FBIG) == [at_point % 10007]
+    assert slp.degrees == (total_degree(dense),)
+    assert slp.height >= height(dense)
+    if "(" not in text:
+        assert slp.height == height(dense)
+    for R in (FBIG, ResidueRing(7, 5)):
+        m = R.int_modulus
+        assert evaluate(slp, point, R) == [value_at(dense, point, m)]
 
 
 @settings(max_examples=40)
@@ -227,19 +229,21 @@ def test_affine_change_matches_sympy_det_and_adjugate(rows):
     assert sympy.Matrix(change.adjugate) == m.adjugate()
 
 
-def _sympy_eliminant(slp, lam):
-    """Monic eliminant in y_0 of the system in the variables y = lam * x:
-    the polynomial itself for n = 1, its resultant in y_1 for n = 2."""
-    ys = sympy.symbols(f"y0:{slp.n_vars}")
+def _sympy_eliminant(text, lam):
+    """Monic eliminant in y_0 of the system ``text`` in the variables
+    y = lam * x: the polynomial itself for n = 1, its resultant in y_1 for
+    n = 2."""
+    n = len(lam)
+    ys = sympy.symbols(f"y0:{n}")
     xs = sympy.Matrix(lam).inv() * sympy.Matrix(ys)
     polys = [
         sum(
             c * sympy.prod([x**e for x, e in zip(xs, mono)])
             for mono, c in dense.items()
         )
-        for dense in slp.dense_forms
+        for dense in expand_system(text)
     ]
-    elim = polys[0] if slp.n_vars == 1 else sympy.resultant(*polys, ys[1])
+    elim = polys[0] if n == 1 else sympy.resultant(*polys, ys[1])
     coeffs = sympy.Poly(sympy.expand(elim), ys[0]).monic().all_coeffs()
     return tuple(Fraction(int(c.p), int(c.q)) for c in reversed(coeffs))
 
@@ -253,7 +257,8 @@ def test_min_poly_matches_sympy_resultant(seed):
     rng = random.Random(seed)
     n = rng.choice([1, 2])
     degrees = [rng.choice([1, 2, 3]) for _ in range(n)]
-    slp = parse_system(_random_dense_system(n, degrees, rng))
+    text = _random_dense_system(n, degrees, rng)
+    slp = parse_system(text)
     while True:
         lam = tuple(
             tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n)
@@ -269,4 +274,4 @@ def test_min_poly_matches_sympy_resultant(seed):
         )
     except RetryExhaustedError:
         assume(False)  # λ does not separate the solutions: no fiber to check
-    assert rep.min_poly == _sympy_eliminant(slp, lam)
+    assert rep.min_poly == _sympy_eliminant(text, lam)

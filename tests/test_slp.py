@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import random
+import time
 import weakref
 
 import pytest
@@ -25,6 +26,7 @@ from kronecker.slp import (
     parse_system,
 )
 
+from reference.expand import expand_system, height, total_degree, value_at
 from reference.rings import reduced
 from test_acceptance import _random_dense_system
 
@@ -55,9 +57,9 @@ def test_parse_power_chain_counts():
 
 
 def test_length_counts_only_what_an_output_reaches():
-    # The factor x*y*z - x*z*y + 3 expands to the constant 3, which folds
-    # into the term's coefficient; its four products are left with no
-    # reader, and an evaluation runs one operation, the product 3·x.
+    # The factor x*y*z - x*z*y + 3 is the constant 3 once its terms merge
+    # by monomial, and folds into the term's coefficient; its four products
+    # are left with no reader, and an evaluation runs one operation, 3·x.
     slp = parse_system("vars x, y, z; (x*y*z - x*z*y + 3)*x;")
     assert sum(ins[0] == "mul" for ins in slp.instructions) == 4
     assert slp.length == 1
@@ -79,39 +81,32 @@ def test_parse_shares_powers_and_commuted_products():
 
 
 def _acceptance_dense_systems(count):
-    from test_acceptance import _random_dense_system
-
+    """Parsed random dense systems, each with sympy's expansion of it."""
     rng = random.Random(20260811)
     for _ in range(count):
         n = rng.choice([1, 2, 3])
         degrees = [rng.choice([1, 2, 3]) for _ in range(n)]
-        yield parse_system(_random_dense_system(n, degrees, rng))
+        text = _random_dense_system(n, degrees, rng)
+        yield parse_system(text), expand_system(text)
 
 
 def test_parsed_dense_systems_repeat_no_instruction():
-    for slp in _acceptance_dense_systems(40):
+    for slp, _ in _acceptance_dense_systems(40):
         ops = [ins for ins in slp.instructions if ins[0] in ("mul", "lin")]
         assert len(set(ops)) == len(ops)
         assert all(ins[1] <= ins[2] for ins in ops if ins[0] == "mul")
         assert all(list(ins[3]) == sorted(set(ins[3])) for ins in ops if ins[0] == "lin")
 
 
-def _dense_value(dense, point, modulus):
-    total = 0
-    for mono, coeff in dense.items():
-        term = coeff
-        for x, e in zip(point, mono):
-            term *= x**e
-        total += term
-    return total % modulus
-
-
 def test_evaluate_matches_dense_forms_on_dense_systems():
+    # A sum of monomials: degrees and height are sympy's exactly.
     rng = random.Random(11)
     for R in (PrimeField(10007), ResidueRing(7, 5)):
-        for slp in _acceptance_dense_systems(40):
+        for slp, forms in _acceptance_dense_systems(40):
+            assert slp.degrees == tuple(map(total_degree, forms))
+            assert slp.height == max(map(height, forms))
             pt = tuple(rng.randrange(R.int_modulus) for _ in range(slp.n_vars))
-            want = [_dense_value(d, pt, R.int_modulus) for d in slp.dense_forms]
+            want = [value_at(d, pt, R.int_modulus) for d in forms]
             assert evaluate(slp, pt, R) == want
 
 
@@ -124,19 +119,54 @@ def test_evaluate_matches_dense_forms_on_dense_systems():
 @example(c=0, a=1, b=0, e=0)
 @example(c=0, a=1, b=2, e=3)
 def test_power_of_a_monomial_expands_as_repeated_product(c, a, b, e):
-    # A base of at most one term is raised in closed form, 0^0 = 1; written
-    # out as a product, the same power goes through dense multiplication.
+    # A monomial's coefficient is raised in closed form, 0^0 = 1; written
+    # out as a product, the same power multiplies the coefficient e times.
     # The term z, absent from the base, keeps both sides nonzero.
     mono = f"({c}*x^{a}*y^{b})"
-    power = parse_system(f"vars x, y, z; {mono}^{e} + z;")
+    text = f"vars x, y, z; {mono}^{e} + z;"
+    power = parse_system(text)
     product = parse_system(f"vars x, y, z; {'*'.join([mono] * e) or '1'} + z;")
-    assert power.dense_forms == product.dense_forms
-    assert (power.degrees, power.height) == (product.degrees, product.height)
+    (dense,) = expand_system(text)
+    assert power.degrees == product.degrees == (total_degree(dense),)
+    assert power.height == product.height == height(dense)
+    F = PrimeField(10007)
+    for pt in ((2, 3, 5), (10006, 7, 0)):
+        want = [value_at(dense, pt, F.p)]
+        assert evaluate(power, pt, F) == evaluate(product, pt, F) == want
 
 
 def test_parse_height_from_dense_coefficients():
     slp = parse_system("vars x; 100*x - 7;")
     assert slp.height == 7  # |100| needs 7 bits
+
+
+# One line of depth 8 and degree 160 whose expansion has 97,321 terms:
+# multiplying it out took about 100 s.  The parser builds only the program.
+DEEP_NESTING_TEXT = (
+    "vars x, y, z; +z*y^1*((+(x*-2^1 - y^8)*12345678901234567890^1*-(x - "
+    "y^5*-x^129 - z*x*y) - +(x*+0 - y*-x) - 1^300*-z*-(z - y*-x^0 + "
+    "z*+3^1*y^3))*1*10 + 12345678901234567890 - x*-(y*1^2*-(+z^3) - 3*(z*y "
+    "- +z)*10 - -7*y^8)*z) + -(2^2 - 10^0*+(y + (-y*+3 + z + "
+    "-12345678901234567890*z)*z + +z*2^2*-(+x*y + +x*-z*2) - "
+    "y^3*-12345678901234567890^0*-x)^8 - z)^5 - y - -7^0*10^3*z;"
+)
+
+
+def test_a_deeply_nested_input_parses_in_time_linear_in_its_tokens():
+    started = time.perf_counter()
+    slp = parse_system(DEEP_NESTING_TEXT)
+    assert time.perf_counter() - started < 1.0
+    assert slp.degrees == (160,)
+    assert slp.length == 69
+
+
+def test_terms_merge_by_monomial_not_by_instruction():
+    # x*y*z and z*y*x are two instructions; their terms merge into 10*x*y*z,
+    # whose coefficient needs 4 bits, and a difference of them cancels.
+    slp = parse_system("vars x, y, z; 5*x*y*z + 5*z*y*x;")
+    assert (slp.degrees, slp.height, slp.length) == ((3,), 4, 3)
+    with pytest.raises(ParseError, match="identically zero"):
+        parse_system("vars x, y, z; x*y*z - z*y*x;")
 
 
 def test_parse_syntax_error_reports_position():
@@ -161,9 +191,10 @@ def test_parse_rejects_unknown_variable():
 
 
 def test_parse_caps_the_degree_bound_and_the_bezout_number():
-    # The cap is 256: on the expanded degree of each product and power,
-    # checked before it is multiplied out (deg a + deg b, e * deg base), and
-    # on the product of the outputs' degrees.
+    # The cap is 256: on the degree bound of each product and power,
+    # checked before it is emitted (deg a + deg b, e * deg base), and on the
+    # product of the outputs' degrees.  A sum that cancels only once
+    # multiplied out keeps its bound.
     assert parse_system("vars x; x^256 - 1;").degrees == (256,)
     assert parse_system("vars x; 7^1000*x - 2;").degrees == (1,)
     assert parse_system("vars x; (x+1)^200 - (x+1)^200 + x;").degrees == (1,)
@@ -173,6 +204,7 @@ def test_parse_caps_the_degree_bound_and_the_bezout_number():
         "vars x; (x^2)^129;",
         "vars x; (x+1)^200*(x+1)^57;",
         "vars x; (x+1)^257 - (x+1)^257 + x;",
+        "vars x; ((x+1)^2 - x^2 - 2*x - 1)^1000 + x;",
     ):
         with pytest.raises(ParseError, match="degree bound above 256"):
             parse_system(source)
@@ -182,8 +214,8 @@ def test_parse_caps_the_degree_bound_and_the_bezout_number():
 
 # sha256 of the parsed programs of a fixed corpus: the acceptance suite's
 # random dense systems and grammar examples with signs, nesting and powers.
-# Instructions (their order too), outputs, degrees, height and dense forms
-# are all pinned, so any change to what the parser builds shows here.
+# Instructions (their order too), outputs, degrees and height are all
+# pinned, so any change to what the parser builds shows here.
 PARSE_CORPUS = (
     "vars x; -x;",
     "vars x; x^0 + 0^0 - (0*x)^5 + 1^100000000;",
@@ -199,16 +231,19 @@ PARSE_CORPUS = (
     "vars x, y, z; x*y*z - x*z*y + (z - x)^2 - 3; -z; (x + y + z)^3;",
     "vars w, x, y, z; w*x - y*z; w^2 - 1; x - (y + z)^2; (w + x)^3 - z;",
 )
-# Re-pinned when a sum of terms became one ``lin`` with the numeric factors
-# of each term folded into its coefficient; PARSE_DENSE_SHA256, the digest
-# of what the programs compute, did not move.
+# Re-pinned when the dense expansion left the parser.  Of the corpus, the
+# 40 random systems did not move; "(x^2)^3 - x^6 + x" and "x*y*z - x*z*y
+# + ..." lost their cancelling terms from the sum, which now merges terms
+# by monomial; and the eight entries with a product or a power of a sum
+# have the height of their 1-norm bound, 2 bits above the largest
+# coefficient (5 -> 7 on "(x + y)^5 - (x - y)^5").
 PARSE_GOLDEN_SHA256 = (
-    "0bfc9ab2043a343744993e374120990740c7552f81d84f7d125f8d5c9f31480f"
+    "b9e9871ddf775ccdc16c7ed1ae2a8cd18a2ce1232fe46eeba4b80b2b808305ba"
 )
 # sha256 of the same corpus without the instructions: the output count,
-# degrees, height and dense forms.
-PARSE_DENSE_SHA256 = (
-    "079ca5f13f6dc217481c0f0a9b4fcb9dffe171806dedc2182b4bd3de3c7470a2"
+# degrees, height and each output's value at a fixed point over F_p.
+PARSE_VALUES_SHA256 = (
+    "2e171b52b88d85b39740d207fdde3aeb2cec1b816def002f8780f15d13e39289"
 )
 
 
@@ -226,28 +261,26 @@ def test_parsed_programs_match_their_pinned_digest():
     digest = hashlib.sha256()
     for text in PARSE_CORPUS + tuple(_acceptance_systems()):
         slp = parse_system(text)
-        dense = tuple(sorted(d.items()) for d in slp.dense_forms)
         digest.update(
-            repr(
-                (slp.instructions, slp.outputs, slp.degrees, slp.height, dense)
-            ).encode()
+            repr((slp.instructions, slp.outputs, slp.degrees, slp.height)).encode()
         )
     assert digest.hexdigest() == PARSE_GOLDEN_SHA256
 
 
 def test_parsed_polynomials_match_their_pinned_digest():
+    F = PrimeField(2**61 - 1)
     digest = hashlib.sha256()
     for text in PARSE_CORPUS + tuple(_acceptance_systems()):
         slp = parse_system(text)
-        dense = tuple(sorted(d.items()) for d in slp.dense_forms)
+        values = evaluate(slp, (3, 10**6, -7, 2**40)[: slp.n_vars], F)
         digest.update(
-            repr((len(slp.outputs), slp.degrees, slp.height, dense)).encode()
+            repr((len(slp.outputs), slp.degrees, slp.height, values)).encode()
         )
-    assert digest.hexdigest() == PARSE_DENSE_SHA256
+    assert digest.hexdigest() == PARSE_VALUES_SHA256
 
 
 def test_parse_caps_expanded_degrees_as_it_reads():
-    # A power of the zero polynomial has expanded degree -1, whatever the
+    # A power of the zero polynomial has degree bound -1, whatever the
     # exponent; a size error is raised where it is read, before a syntax
     # error further on.
     assert parse_system("vars x; (x-x)^1000 + x;").degrees == (1,)
@@ -261,7 +294,7 @@ def test_a_power_of_a_constant_is_one_constant():
     # (-2)^3 is the one coefficient -8 of x; (3 - 3)^5 is a zero term.
     slp = parse_system("vars x; (-2)^3*x - (3 - 3)^5;")
     assert slp.instructions == (("var", 0), ("lin", 0, (-8,), (0,)))
-    assert slp.dense_forms == ({(1,): -8},)
+    assert (slp.degrees, slp.height) == ((1,), 4)
 
 
 def test_parse_refuses_oversized_constants():
@@ -459,7 +492,9 @@ def test_jacobian_matches_central_differences_on_quadratics():
 
 
 def test_jacobian_matches_dense_symbolic_derivative():
-    slp = parse_system("vars x,y; x^4 - 2*x*y^3 + y - 1; x^2*y^2 + 5;")
+    text = "vars x,y; x^4 - 2*x*y^3 + y - 1; x^2*y^2 + 5;"
+    slp = parse_system(text)
+    forms = expand_system(text)
     F = PrimeField(101)
     rng = random.Random(3)
 
@@ -480,7 +515,7 @@ def test_jacobian_matches_dense_symbolic_derivative():
         _, rows = evaluate_jacobian(slp, pt, F, wrt=[0, 1], n_out=2)
         for i in range(2):
             for j in range(2):
-                assert rows[i][j] == dense_partial(slp.dense_forms[i], j, pt)
+                assert rows[i][j] == dense_partial(forms[i], j, pt)
 
 
 def test_jacobian_with_affine_change_chain_rule():
@@ -697,6 +732,7 @@ x*(y + 0*z) - (-(x) + 4)*(2*(x + y*z) - 3) - -(-(3*y));
 
 def test_sums_evaluate_as_their_dense_forms_over_every_ring():
     slp = parse_system(LIN_TEXT)
+    forms = expand_system(LIN_TEXT)
     lins = {i: ins for i, ins in enumerate(slp.instructions) if ins[0] == "lin"}
     assert any(set(lins) & set(ins[3]) for ins in lins.values())  # nested
     assert all(0 not in ins[2] for ins in lins.values())  # zeros dropped
@@ -706,13 +742,13 @@ def test_sums_evaluate_as_their_dense_forms_over_every_ring():
         direction = [draw(T) for _ in range(3)]
         low = None if T is R else T
         tpt = pt if T is R else [T.reduce_precision(x) for x in pt]
-        want = [_dense_over(R, d, pt) for d in slp.dense_forms]
+        want = [_dense_over(R, d, pt) for d in forms]
         assert evaluate(slp, pt, R) == want
         vals, rows = evaluate_jacobian(
             slp, pt, R, [0, 1, 2, direction], n_out=3, tangent_ring=low
         )
         assert vals == want
-        for dense, row in zip(slp.dense_forms, rows):
+        for dense, row in zip(forms, rows):
             partials = [_dense_over(T, _dense_partial(dense, k), tpt) for k in range(3)]
             assert row == partials + [T.dot(direction, partials)]
 

@@ -193,7 +193,7 @@ def test_gate_stage_flags_square_factor():
     with pytest.raises(UnluckyError) as info:
         gate_stage(bad)
     assert info.value.stage == 2
-    assert info.value.cause == "stage check failed: squarefree (gcd(Q, Q') = 1)"
+    assert info.value.cause == "Q is not squarefree (gcd(Q, Q') != 1)"
 
 
 def _modular_solve_returning(monkeypatch, text, fiber_of):
