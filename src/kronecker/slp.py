@@ -48,7 +48,8 @@ from operator import add
 
 from .errors import NotInvertibleError, ParseError, SingularMatrixError
 from .polys import charpoly_division_free, charpoly_horner
-from .rings import ZZ, PolyRing, PrimeField, coerce
+from .primes import WORD_PRIME_HIGH, WORD_PRIME_LOW, random_prime_in_range
+from .rings import ZZ, PolyRing, ResidueRing, coerce
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^();,]))"
@@ -56,13 +57,10 @@ _TOKEN_RE = re.compile(
 
 # Caps of ``parse_system``: the degree bound of each product and power,
 # checked before its instructions are emitted, and the Bezout number, four
-# times the fiber degree 64 the solver is meant for; and the bits of a power
-# of a constant, which is computed in closed form.
+# times the fiber degree 64 the solver is meant for; and the bits of the
+# coefficient of a power of a constant or a monomial, c^e in closed form.
 _MAX_DEGREE = 256
 _MAX_CONSTANT_BITS = 1 << 16
-
-# F_p[t], p = 2^61 - 1: the ring of the evaluation that gives the degrees.
-_LINE = PolyRing(PrimeField(2**61 - 1))
 
 
 @dataclass(frozen=True)
@@ -316,15 +314,18 @@ class _Parser:
             degrees=(),
             height=height,
         )
-        # Each output restricted to a line x = a + b·t over F_p[t]: it is 0
-        # only if the polynomial is, and has its total degree unless b is a
-        # root of the top-degree form, each with probability <= deg / p.
+        # Each output restricted to a line x = a + b·t over F_p[t], for a
+        # word-size prime p: it is 0 only if the polynomial is, and has its
+        # total degree, unless p divides every coefficient of a form or b is
+        # a root of the top-degree form.  p, a and b are drawn from the
+        # text, so no fixed coefficient is a multiple of p every time.
         rng = random.Random(self.text)
-        p = _LINE.base.p
+        p = random_prime_in_range(WORD_PRIME_LOW, WORD_PRIME_HIGH, rng)
         line = [(rng.randrange(p), rng.randrange(1, p)) for _ in range(n)]
         degrees = []
         bezout = 1
-        values = _run(slp, slp.slice(tuple(range(len(outputs)))), line, _LINE)
+        order = slp.slice(tuple(range(len(outputs))))
+        values = _run(slp, order, line, PolyRing(ResidueRing(p, 1)))
         for k, out in enumerate(outputs, 1):
             if not values[out]:
                 raise ParseError(f"polynomial #{k} is identically zero")
@@ -419,7 +420,10 @@ class _Parser:
         self.check_degree(e * deg)
         if e == 0:
             return 1, None, 0, 1
-        if abs(c) > 1 and e * abs(c).bit_length() > _MAX_CONSTANT_BITS:
+        if (v is None or v in self.monomials) and abs(c) > 1 and (
+            e * abs(c).bit_length() > _MAX_CONSTANT_BITS
+        ):
+            # A power of c·m, m a monomial or 1, has the one coefficient c^e.
             raise ParseError("power of a constant too large to expand")
         if v is None:
             return c**e, None, deg, 1
@@ -440,8 +444,8 @@ def parse_system(source):
     identically zero and sizes past the caps above, and records per-output
     total degrees plus a bound on the coefficient bit length for the bounds
     machinery.  The degrees and the zero verdicts come from one evaluation
-    at a line drawn by a generator seeded with ``source``, so the same text
-    always parses the same way.
+    over a word-size prime at a line, both drawn by a generator seeded with
+    ``source``, so the same text always parses the same way.
     """
     return _Parser(source).program()
 

@@ -56,6 +56,19 @@ def test_a_deeply_nested_input_solves_mod_p(tmp_path):
     assert len(doc["representation"]["minimal_poly"]) == 161
 
 
+def test_a_coefficient_of_2_61_minus_1_keeps_its_root(tmp_path):
+    # (2^61 - 1)·x - 1 has the one root 1/(2^61 - 1): Q(T) = T - λ/(2^61 - 1).
+    src = _write(tmp_path, "vars x;\n2305843009213693951*x - 1;\n")
+    out = str(tmp_path / "rep.json")
+    assert run([src, "--seed", "1", "--out", out]) == 0
+    doc = json.loads(open(out).read())
+    (lam,) = doc["lambda"]
+    assert doc["representation"]["minimal_poly"] == [
+        {"num": str(-lam), "den": "2305843009213693951"},
+        {"num": "1", "den": "1"},
+    ]
+
+
 def test_malformed_input_exits_3(tmp_path):
     src = _write(tmp_path, "vars x; x + ;")
     assert run([src]) == 3

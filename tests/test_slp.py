@@ -3,6 +3,7 @@ import hashlib
 import random
 import time
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -152,12 +153,21 @@ DEEP_NESTING_TEXT = (
 )
 
 
-def test_a_deeply_nested_input_parses_in_time_linear_in_its_tokens():
+def test_a_deeply_nested_input_parses_in_under_a_second():
     started = time.perf_counter()
     slp = parse_system(DEEP_NESTING_TEXT)
     assert time.perf_counter() - started < 1.0
     assert slp.degrees == (160,)
     assert slp.length == 69
+
+
+def test_sums_that_cancel_only_once_multiplied_out_keep_their_bound():
+    path = Path(__file__).parent / "reference" / "degree_bound_refusals.txt"
+    texts = [t for t in path.read_text().splitlines() if not t.startswith("#")]
+    assert len(texts) == 15
+    for text in texts:
+        with pytest.raises(ParseError, match="degree bound above 256"):
+            parse_system(text)
 
 
 def test_terms_merge_by_monomial_not_by_instruction():
@@ -167,6 +177,20 @@ def test_terms_merge_by_monomial_not_by_instruction():
     assert (slp.degrees, slp.height, slp.length) == ((3,), 4, 3)
     with pytest.raises(ParseError, match="identically zero"):
         parse_system("vars x, y, z; x*y*z - z*y*x;")
+
+
+MERSENNE_61 = 2**61 - 1
+
+
+def test_coefficients_divisible_by_a_word_prime_keep_their_degree():
+    # The prime of the line evaluation is drawn from the text, so a fixed
+    # multiple of a word-size prime such as 2^61 - 1 is no zero there.
+    slp = parse_system(f"vars x; {MERSENNE_61}*x - 1;")
+    assert slp.degrees == (1,)
+    assert evaluate(slp, (1,), PrimeField(10007)) == [(MERSENNE_61 - 1) % 10007]
+    assert parse_system(f"vars x; {MERSENNE_61}*x;").degrees == (1,)
+    slp = parse_system(f"vars x, y; x; x + {2 * MERSENNE_61}*y^2;")
+    assert slp.degrees == (1, 2)
 
 
 def test_parse_syntax_error_reports_position():
@@ -300,6 +324,11 @@ def test_a_power_of_a_constant_is_one_constant():
 def test_parse_refuses_oversized_constants():
     with pytest.raises(ParseError, match="power of a constant"):
         parse_system("vars x; 2^99999999999*x - 1;")
+    # c^e is capped where it is the one coefficient of a power, of a
+    # constant times a monomial; a sum's power is bounded by its degree.
+    with pytest.raises(ParseError, match="power of a constant"):
+        parse_system("vars x; (10^4000*x)^5;")
+    assert parse_system("vars x; (10^4000*(x + 1))^5;").degrees == (5,)
     with pytest.raises(ParseError, match="number too long"):
         parse_system("vars x; x - 1" + "0" * 5000 + ";")
 
