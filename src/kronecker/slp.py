@@ -26,11 +26,11 @@ order) is emitted once and shared, so the monomial ``x^2*y`` appearing in
 several terms or outputs costs its multiplications once, and ``length``
 counts the ring operations of one evaluation.
 
-A program can carry an affine change of variables (an integer matrix with its
-adjugate and determinant).  Evaluation then maps the supplied point y to
-x = adj(m) * y / det(m) inside the evaluation ring, which keeps the program
-itself integer-parameterized and defers the division to rings where det is a
-unit.
+A change of variables y = m·x is more instructions of the same program
+(``compose_affine``): an ``inv`` of the integer det(m), then per coordinate
+a ``lin`` over a row of adj(m) and a ``mul`` by 1/det(m), compute
+x = adj(m)·y/det(m) for the original instructions to read, so the one
+division happens in the evaluation ring, where det(m) must be a unit.
 
 Evaluation runs only what the requested outputs use.  The slice of a
 selection of outputs is the ascending list of the instructions they depend
@@ -65,11 +65,8 @@ _MAX_CONSTANT_BITS = 1 << 16
 
 @dataclass(frozen=True)
 class AffineChange:
-    """Invertible integer change of variables y = matrix * x.
-
-    Stores the adjugate and determinant so that x = adjugate * y / det can be
-    evaluated over any ring in which det is a unit.
-    """
+    """Invertible integer change of variables y = matrix * x, with the
+    adjugate and determinant that ``compose_affine`` computes x from."""
 
     matrix: tuple
     det: int
@@ -96,21 +93,12 @@ class AffineChange:
 
     @classmethod
     def identity(cls, n):
-        rows = tuple(
-            tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
-        )
+        rows = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         return cls(matrix=rows, det=1, adjugate=rows)
 
     @property
     def n(self):
         return len(self.matrix)
-
-    def is_identity(self):
-        return all(
-            self.matrix[i][j] == (1 if i == j else 0)
-            for i in range(self.n)
-            for j in range(self.n)
-        )
 
 
 @dataclass(frozen=True)
@@ -118,10 +106,11 @@ class StraightLineProgram:
     """Division-free arithmetic circuit for the input polynomials.
 
     ``instructions`` is an acyclic sequence of ('var', i), ('const', c),
-    ('mul', a, b) and ('lin', c0, coeffs, operands) entries referencing
-    earlier indices; a ``lin`` is the linear combination c0 + Σ cᵢ·vᵢ of
-    the operands' values with integer coefficients.  ``outputs`` names the
-    instruction computing each polynomial.
+    ('inv', c), ('mul', a, b) and ('lin', c0, coeffs, operands) entries
+    referencing earlier indices; an ``inv`` is 1/c for an integer c, and a
+    ``lin`` is the linear combination c0 + Σ cᵢ·vᵢ of the operands' values
+    with integer coefficients.  ``outputs`` names the instruction computing
+    each polynomial, and ``transform`` the change of variables composed in.
     ``degrees`` holds each output's total degree, read off one evaluation
     on a line over F_p[t] at parse time.  ``height`` bounds the bit length
     of the largest coefficient: exactly for an output written as a sum of
@@ -168,8 +157,8 @@ class StraightLineProgram:
         """Ring operations of one evaluation, over the slice of all
         outputs: one per ``mul``; per ``lin``, one addition per term after
         the first, one more when c0 is not 0, and one product per
-        coefficient other than ±1; plus 2n^2 for a non-identity change of
-        variables."""
+        coefficient other than ±1.  An ``inv``, of a constant, is free like
+        a ``const``, so a change of variables adds at most 2n^2."""
         ops = 0
         for i in self.slice(tuple(range(self.n_outputs))):
             ins = self.instructions[i]
@@ -179,9 +168,6 @@ class StraightLineProgram:
                 _, c0, coeffs, _ = ins
                 ops += len(coeffs) - (c0 == 0)
                 ops += sum(abs(c) != 1 for c in coeffs)
-        if self.transform is not None and not self.transform.is_identity():
-            n = self.n_vars
-            ops += 2 * n * n
         return ops
 
 
@@ -453,44 +439,43 @@ def parse_system(source):
 def compose_affine(slp, change):
     """Program computing the same polynomials in the variables y = change * x.
 
-    Evaluating the result at y equals evaluating ``slp`` at x = change⁻¹ y;
-    the inverse is carried as (adjugate, det) and applied inside the
-    evaluation ring.  Raises ValueError for a wrong size or a second change.
+    Its instructions read y, compute x = adj·y/det (an ``inv`` of det, then
+    per coordinate a ``lin`` over a row of the adjugate, zero entries
+    dropped, and a ``mul`` by 1/det) and run ``slp``'s instructions with
+    ``var`` i reading x_i, so evaluating it at y equals evaluating ``slp``
+    at change⁻¹ y in any ring where det is a unit.  Raises ValueError for a
+    wrong size or a second change.
     """
-    if change.n != slp.n_vars:
+    n = slp.n_vars
+    if change.n != n:
         raise ValueError("change of variables has the wrong dimension")
     if slp.transform is not None:
         raise ValueError("program already carries a change of variables")
-    return replace(slp, transform=change)
+    code = [("var", i) for i in range(n)] + [("inv", change.det)]
+    xs = []  # the instruction computing each x_i
+    for row in change.adjugate:
+        coeffs, operands = zip(*((a, j) for j, a in enumerate(row) if a))
+        code += [("lin", 0, coeffs, operands), ("mul", len(code), n)]
+        xs.append(len(code) - 1)
+    index = []  # the new index of each instruction of ``slp``
+    for ins in slp.instructions:
+        op = ins[0]
+        if op == "mul":
+            code.append(("mul", index[ins[1]], index[ins[2]]))
+        elif op == "lin":
+            code.append((*ins[:3], tuple(index[j] for j in ins[3])))
+        elif op != "var":
+            code.append(ins)
+        index.append(xs[ins[1]] if op == "var" else len(code) - 1)
+    outputs = tuple(index[o] for o in slp.outputs)
+    return replace(slp, instructions=tuple(code), outputs=outputs, transform=change)
 
 
-def _transformed_inputs(slp, point, R):
-    """The program's inputs x = adj * y / det at the point y, and 1/det in R
-    (None when the program has no change of variables).  Raises ValueError
-    for a point of the wrong length."""
+def _inputs(slp, point, R):
+    """The point in R; raises ValueError for a point of the wrong length."""
     if len(point) != slp.n_vars:
         raise ValueError("point has the wrong number of coordinates")
-    point = [coerce(R, x) for x in point]
-    tr = slp.transform
-    if tr is None or tr.is_identity():
-        return point, None
-    det = R.from_int(tr.det)
-    try:
-        det_inv = R.inv(det)
-    except NotInvertibleError:
-        raise NotInvertibleError(
-            "determinant of the change of variables is not a unit here"
-        ) from None
-    return _apply_adjugate(tr, point, det_inv, R), det_inv
-
-
-def _apply_adjugate(tr, ys, det_inv, R):
-    """adj * ys / det over R, given 1/det: per coordinate, one ``dot`` of
-    a row of adj with ys, times 1/det."""
-    return [
-        R.mul(R.dot([R.from_int(a) for a in row], ys), det_inv)
-        for row in tr.adjugate
-    ]
+    return [coerce(R, x) for x in point]
 
 
 def _selected(slp, n_out):
@@ -524,8 +509,15 @@ def _run(slp, order, xs, R):
             vals[i] = R.add(R.from_int(c0), v) if c0 else v
         elif op == "var":
             vals[i] = xs[ins[1]]
-        else:
+        elif op == "const":
             vals[i] = R.from_int(ins[1])
+        else:
+            try:
+                vals[i] = R.inv(R.from_int(ins[1]))
+            except NotInvertibleError:
+                raise NotInvertibleError(
+                    "determinant of the change of variables is not a unit here"
+                ) from None
     return vals
 
 
@@ -538,7 +530,7 @@ def evaluate(slp, point, R, n_out=None):
     Only the instructions those outputs depend on are run (see
     ``StraightLineProgram.slice``).
     """
-    xs, _ = _transformed_inputs(slp, point, R)
+    xs = _inputs(slp, point, R)
     outs = _selected(slp, slp.n_outputs if n_out is None else n_out)
     vals = _run(slp, slp.slice(outs), xs, R)
     return [vals[slp.outputs[k]] for k in outs]
@@ -548,38 +540,40 @@ def evaluate_jacobian(slp, point, R, wrt, n_out=None, tangent_ring=None):
     """Values and directional derivatives of the selected outputs.
 
     ``n_out`` selects the outputs as in ``evaluate``: a count n for the
-    first n (by default ``len(wrt)``), or a tuple of output positions.
-    Each entry of ``wrt`` is a direction in the post-change variables: a
-    variable index k (0-based) for the partial derivative d/dY_k, or a
-    vector of n_vars elements of the tangent ring for the derivative along
-    it.  Forward-mode: one value pass, then one tangent pass per direction;
-    exact over any ring.  Both kinds of pass run only the slice of the
-    selected outputs.  Returns (values, rows) with rows[i][k] the
-    derivative of the i-th selected output along ``wrt[k]``.  The tangent
-    of a product, a·b' + a'·b, is one sum of products (the ring's ``dot``),
-    so over a ``PolyQuotient`` it is reduced mod q once, and so is the
-    tangent Σ cᵢ·vᵢ' of a ``lin``.
+    first n (by default ``len(wrt)``), or a tuple of output positions.  Each
+    entry of ``wrt`` is a direction in the post-change variables: a variable
+    index k (0-based) for the partial derivative d/dY_k, or a vector of
+    n_vars elements of the tangent ring for the derivative along it;
+    anything else raises ValueError.  Forward-mode: one value pass, then one
+    tangent pass per direction; exact over any ring.  Both kinds of pass run
+    only the slice of the selected outputs.  Returns (values, rows) with
+    rows[i][k] the derivative of the i-th selected output along ``wrt[k]``.
+    The tangent of a product, a·b' + a'·b, is one sum of products (the
+    ring's ``dot``), so over a ``PolyQuotient`` it is reduced mod q once,
+    and so is the tangent Σ cᵢ·vᵢ' of a ``lin``.
 
     The value pass runs over R.  The tangent passes run over
     ``tangent_ring`` when one is given: a lower-precision quotient of the
     ``PolyQuotient`` R (from ``R.at_precision``), into which the program's
-    values and 1/det are reduced with its ``reduce_precision``; the rows are
-    then elements of ``tangent_ring``.  Without one they run over R.
+    values are reduced with its ``reduce_precision``; the rows are then
+    elements of ``tangent_ring``.  Without one they run over R.
     """
     n = slp.n_vars
-    xs, det_inv = _transformed_inputs(slp, point, R)
+    xs = _inputs(slp, point, R)
     outs = _selected(slp, len(wrt) if n_out is None else n_out)
+    T = R if tangent_ring is None else tangent_ring
+    seeds = []
+    for direction in wrt:
+        if isinstance(direction, int) and 0 <= direction < n:
+            direction = [T.one if i == direction else T.zero for i in range(n)]
+        elif isinstance(direction, int) or len(direction) != n:
+            raise ValueError(f"direction {direction!r} is not in {n} variables")
+        seeds.append(direction)
     order = slp.slice(outs)
     vals = _run(slp, order, xs, R)
-    T = R
     tvals = vals
-    if tangent_ring is not None:
-        T = tangent_ring
-        tvals = [None] * len(vals)
-        for i in order:
-            tvals[i] = T.reduce_precision(vals[i])
-        if det_inv is not None:
-            det_inv = T.reduce_precision(det_inv)
+    if T is not R:
+        tvals = [v if v is None else T.reduce_precision(v) for v in vals]
     rows = [[T.zero] * len(wrt) for _ in outs]
     tans = [None] * len(vals)
     coeffs = {
@@ -587,12 +581,7 @@ def evaluate_jacobian(slp, point, R, wrt, n_out=None, tangent_ring=None):
         for i in order
         if slp.instructions[i][0] == "lin"
     }
-    for col, direction in enumerate(wrt):
-        if isinstance(direction, int):
-            direction = [T.one if i == direction else T.zero for i in range(n)]
-        seeds = direction
-        if det_inv is not None:
-            seeds = _apply_adjugate(slp.transform, direction, det_inv, T)
+    for col, direction in enumerate(seeds):
         for i in order:
             ins = slp.instructions[i]
             op = ins[0]
@@ -602,7 +591,7 @@ def evaluate_jacobian(slp, point, R, wrt, n_out=None, tangent_ring=None):
             elif op == "lin":
                 tans[i] = T.dot(coeffs[i], [tans[j] for j in ins[3]])
             elif op == "var":
-                tans[i] = seeds[ins[1]]
+                tans[i] = direction[ins[1]]
             else:
                 tans[i] = T.zero
         for row, k in zip(rows, outs):

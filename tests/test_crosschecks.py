@@ -31,6 +31,7 @@ from kronecker.verify import check_representation
 
 from reference.expand import expand_system, height, total_degree, value_at
 from reference.oracle import mulmat_charpoly
+from test_acceptance import _random_dense_system
 
 FBIG = PrimeField(10007)
 
@@ -252,8 +253,6 @@ def _sympy_eliminant(text, lam):
 def test_min_poly_matches_sympy_resultant(seed):
     # With λ pinned, the rational minimal polynomial of a square system in
     # n <= 2 variables is its monic eliminant in the first new coordinate.
-    from test_acceptance import _random_dense_system
-
     rng = random.Random(seed)
     n = rng.choice([1, 2])
     degrees = [rng.choice([1, 2, 3]) for _ in range(n)]

@@ -5,10 +5,12 @@ division, against the U-expansion check it replaced.
 Z, with B fixed by a first pass on 1-norms, and divides each unpacked
 output by the primitive part of Q.  The oracle is
 ``reference.exact._exact_kronecker_residuals``.  Both are run on rational
-representations of the fuzz grammar's provable systems and of the
-benchmark's (d, d) systems, clean and with one W_j coefficient, Q's
-constant coefficient or one point coordinate perturbed.  Where Q stays
-squarefree the two must give the same verdict on every output.
+representations of the fuzz grammar's provable systems, of the
+benchmark's (d, d) systems and of one benchmark system under a change of
+variables whose adjugate has a zero entry, clean and with one W_j
+coefficient, Q's constant coefficient or one point coordinate perturbed.
+Where Q stays squarefree the two must give the same verdict on every
+output.
 """
 
 import importlib.util
@@ -38,15 +40,17 @@ def _make_system(seed, degrees):
 
 
 @lru_cache(maxsize=None)
-def _benchmark_candidate(degrees):
+def _benchmark_candidate(degrees, lam=None, mode="heuristic"):
     """The rational representation of the benchmark's system with these
-    degrees at seed 7, under its pinned λ and lifting point, with the
-    composed program it is checked against."""
+    degrees at seed 7, under its pinned lifting point and ``lam`` (by
+    default its pinned λ), solved in ``mode``, with the composed program it
+    is checked against."""
     system = _make_system(7, degrees)
     slp = parse_system(system.text)
     config = SolveConfiguration(
         seed=system.solve_seed,
-        lambda_matrix=system.lam,
+        mode=mode,
+        lambda_matrix=lam or system.lam,
         lifting_point=system.point,
     )
     rep, cert = solve_over_rationals(slp, config)
@@ -97,6 +101,17 @@ def test_division_check_agrees_with_the_u_expansion_on_fuzz_systems(text):
 @pytest.mark.parametrize("d", [3, 4, 5])
 def test_division_check_agrees_with_the_u_expansion_on_benchmark_systems(d):
     rep, slp = _benchmark_candidate((d, d))
+    assert _assert_agrees_with_the_oracle(rep, slp) == [True, False, False]
+
+
+@pytest.mark.parametrize("mode", ["heuristic", "provable"])
+def test_division_check_agrees_with_the_u_expansion_under_a_sparse_change(mode):
+    # adj [[2, 0], [1, 1]] = [[1, 0], [-1, 2]]: ``compose_affine`` drops the
+    # zero entry from its row, and det 2 is no unit of Z, so 1/2 is carried
+    # in the denominators of the check and of every Newton step's sliced
+    # tangent passes over Z/p^k.
+    rep, slp = _benchmark_candidate((2, 3), ((2, 0), (1, 1)), mode)
+    assert slp.transform.adjugate == ((1, 0), (-1, 2))
     assert _assert_agrees_with_the_oracle(rep, slp) == [True, False, False]
 
 

@@ -392,7 +392,7 @@ def test_compose_evaluation_needs_unit_determinant():
     with pytest.raises(NotInvertibleError, match=message):
         evaluate(comp, (1, 1), PrimeField(7))
     with pytest.raises(NotInvertibleError, match=message):
-        evaluate_jacobian(comp, (1, 1), PrimeField(7), wrt=[0, 1])
+        evaluate_jacobian(comp, (1, 1), PrimeField(7), wrt=[0, 1], n_out=1)
 
 
 def test_compose_inverse_identity_property():
@@ -571,6 +571,17 @@ def test_jacobian_rejects_outputs_the_program_lacks():
                 evaluate(slp, (1, 2), F, n_out=n_out)
 
 
+def test_jacobian_rejects_directions_outside_the_variables():
+    # Too short and too long a vector, and variable indices past either end.
+    slp = parse_system("vars x,y; x*y - 1;")
+    F = PrimeField(7)
+    for direction in ([1], [1, 2, 3], 5, 2, -1):
+        with pytest.raises(ValueError, match="direction"):
+            evaluate_jacobian(slp, (1, 2), F, wrt=[0, direction], n_out=1)
+    _, rows = evaluate_jacobian(slp, (1, 2), F, wrt=[1, [1, 2]], n_out=1)
+    assert rows == [[1, F.from_int(2 + 2)]]
+
+
 def test_both_passes_reject_a_point_of_the_wrong_length():
     slp = parse_system("vars x, y; x^2 + y - 5; x*y - 2;")
     F = PrimeField(101)
@@ -585,19 +596,21 @@ def test_both_passes_reject_a_point_of_the_wrong_length():
 # -- output slices ------------------------------------------------------------
 
 
-def _full_program_pass(slp, point, R, wrt, T):
-    """Values and tangent rows of every output, running every instruction:
-    the reference the sliced passes are compared against.  Tangents run
-    over T, into which the values are reduced when T is not R."""
+def _full_program_pass(slp, change, point, R, wrt, T):
+    """Values and tangent rows of every output, running every instruction
+    of the parsed program ``slp`` at x = adj·y/det for the point y and
+    each direction, by hand: the reference the sliced passes of
+    ``compose_affine(slp, change)`` are compared against (of ``slp`` itself
+    when ``change`` is None).  Tangents run over T, into which the values
+    are reduced when T is not R."""
     n = slp.n_vars
-    tr = slp.transform
 
     def inputs(ys, ring):
-        if tr is None or tr.is_identity():
+        if change is None:
             return list(ys)
-        det_inv = ring.inv(ring.from_int(tr.det))
+        det_inv = ring.inv(ring.from_int(change.det))
         out = []
-        for row in tr.adjugate:
+        for row in change.adjugate:
             acc = ring.zero
             for a, y in zip(row, ys):
                 acc = ring.add(acc, ring.mul(ring.from_int(a), y))
@@ -688,8 +701,6 @@ def test_sliced_passes_match_the_full_program(n, seed):
     # Every prefix and every single output, with and without a change of
     # variables, over each ring: values and tangent rows equal those of a
     # pass that runs every instruction.
-    from test_acceptance import _random_dense_system
-
     rng = random.Random(seed)
     degrees = [rng.choice([1, 2, 3] if n < 4 else [1, 2]) for _ in range(n)]
     base = parse_system(_random_dense_system(n, degrees, rng))
@@ -702,12 +713,18 @@ def test_sliced_passes_match_the_full_program(n, seed):
         if change.det % _P:
             break
     selections = list(range(1, n + 1)) + [(k,) for k in range(n)]
-    identity = compose_affine(base, AffineChange.identity(n))
-    for slp in (base, identity, compose_affine(base, change)):
+    # A change with det 2 whose adjugate has zero entries, which
+    # ``compose_affine`` drops: the identity with rows 0 and 1 made
+    # e_0 + e_1 and 2·e_1.
+    sparse = [[int(i == j) for j in range(n)] for i in range(n)]
+    sparse[0][1], sparse[1][1] = 1, 2
+    sparse = AffineChange.from_matrix(sparse)
+    for lam in (None, AffineChange.identity(n), change, sparse):
+        slp = base if lam is None else compose_affine(base, lam)
         for R, T, draw in _slice_test_rings(rng):
             pt = [draw(R) for _ in range(n)]
             wrt = list(range(n)) + [[draw(T) for _ in range(n)]]
-            want_vals, want_rows = _full_program_pass(slp, pt, R, wrt, T)
+            want_vals, want_rows = _full_program_pass(base, lam, pt, R, wrt, T)
             for sel in selections:
                 outs = range(sel) if isinstance(sel, int) else sel
                 low = None if T is R else T
