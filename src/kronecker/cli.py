@@ -191,7 +191,7 @@ def run(argv):
                     "coefficients": "modular",
                     "modulus": str(prime),
                     "prime": str(prime),
-                    "lambda": [c for row in state.change.matrix for c in row],
+                    "lambda": [c for row in state.slp.transform.matrix for c in row],
                     "stage_degrees": state.stage_degrees,
                     "verification": report.to_dict(),
                     "attempts": attempts,

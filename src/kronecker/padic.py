@@ -180,7 +180,8 @@ def _lift_and_reconstruct(uni_p, slp, first, last, gate):
 def check_configuration(config, n_vars):
     """Raise ValueError for a configuration that no attempt could use, or
     whose result no check would back: no attempts, a pinned prime, λ or
-    lifting point that does not fit, or no verification prime."""
+    lifting point that does not fit (a pinned prime dividing det of a pinned
+    λ among them), or no verification prime."""
     if config.mode not in ("heuristic", "provable"):
         raise ValueError(f"unknown mode {config.mode!r}")
     if config.retries < 1:
@@ -199,9 +200,11 @@ def check_configuration(config, n_vars):
                 f"pinned change of variables must be {n_vars} x {n_vars}"
             )
         try:
-            AffineChange.from_matrix(lam)
+            det = AffineChange.from_matrix(lam).det
         except SingularMatrixError:
             raise ValueError("pinned change of variables is singular") from None
+        if p is not None and det % p == 0:
+            raise ValueError(f"pinned prime {p} divides det of the pinned λ")
     if config.lifting_point is not None and len(config.lifting_point) != n_vars - 1:
         raise ValueError("lifting point must have n-1 coordinates")
 
@@ -209,7 +212,8 @@ def check_configuration(config, n_vars):
 def _draw_attempt(slp, config, bounds, rng):
     """The solve state of one attempt: λ, lifting point and prime are drawn
     in that order, each unless ``config`` pins it, and each once.  A singular
-    λ (SingularMatrixError) or a prime dividing det λ ends the attempt."""
+    λ (SingularMatrixError) ends the attempt, and so does a prime dividing
+    det λ, at the program's ``inv`` of det λ in ``solver.first_stage``."""
     n = slp.n_vars
     rows = config.lambda_matrix or [
         [rng.randrange(bounds.a + 1) for _ in range(n)] for _ in range(n)
@@ -225,11 +229,8 @@ def _draw_attempt(slp, config, bounds, rng):
         prime = random_prime_avoiding(bounds.prime_lower, 256, 1, rng)
     else:
         prime = random_prime_in_range(WORD_PRIME_LOW, WORD_PRIME_HIGH, rng)
-    if change.det % prime == 0:
-        raise UnluckyError(0, "determinant vanishes mod p")
     return SolveState(
         slp=compose_affine(slp, change),
-        change=change,
         field=ResidueRing(prime, 1),
         point=point,
         rng=rng,
@@ -319,7 +320,7 @@ def solve_over_rationals(slp, config=None):
             mode=config.mode,
             seed=config.seed,
             attempts=attempt,
-            lam=state.change.matrix,
+            lam=state.slp.transform.matrix,
             point=state.point,
             prime=state.field.p,
             precision_exponent=exponent,

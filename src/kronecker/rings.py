@@ -496,7 +496,7 @@ class PolyQuotient:
 
     def at_precision(self, prec):
         """This quotient over the local base ring at precision ``prec``
-        (p-adic exponent or t-adic order); ``reduce_precision`` maps
+        (p-adic exponent or t-adic order); its base's ``truncate`` maps
         elements there."""
         low = self.base.at_precision(prec)
         return PolyQuotient(low, low.truncate(self.modulus))
@@ -517,26 +517,11 @@ class PolyQuotient:
         while prec < full:
             prec = min(2 * prec, full)
             A = self if prec == full else self.at_precision(prec)
-            av = a if prec == full else A.reduce_precision(a)
-            vv = v if prec == full else A.reduce_precision(v)
+            av = a if prec == full else A.base.truncate(a)
+            vv = v if prec == full else A.base.truncate(v)
             two = A.from_int(2)
             v = A.mul(vv, A.sub(two, A.mul(av, vv)))
         return v
-
-    def reduce_precision(self, a):
-        return self.base.truncate(a)
-
-    def shift_down(self, a, k):
-        """a / π^k in this quotient, for an element ``a`` of a quotient of
-        the same modulus at a higher precision that π^k divides (π is p over
-        Z/p^m, t over F[t]/(t^m)); the division is exact, so only a that
-        vanishes at precision k may be passed."""
-        return self.base.shift_down(a, k)
-
-    def shift_up(self, a, k):
-        """π^k · a in this quotient, for an element ``a`` of a quotient of
-        the same modulus at a lower precision, trimmed to this precision."""
-        return self.base.shift_up(a, k)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.base!r}, deg={self.deg})"

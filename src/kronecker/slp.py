@@ -555,7 +555,7 @@ def evaluate_jacobian(slp, point, R, wrt, n_out=None, tangent_ring=None):
     The value pass runs over R.  The tangent passes run over
     ``tangent_ring`` when one is given: a lower-precision quotient of the
     ``PolyQuotient`` R (from ``R.at_precision``), into which the program's
-    values are reduced with its ``reduce_precision``; the rows are then
+    values are reduced with its base's ``truncate``; the rows are then
     elements of ``tangent_ring``.  Without one they run over R.
     """
     n = slp.n_vars
@@ -573,7 +573,7 @@ def evaluate_jacobian(slp, point, R, wrt, n_out=None, tangent_ring=None):
     vals = _run(slp, order, xs, R)
     tvals = vals
     if T is not R:
-        tvals = [v if v is None else T.reduce_precision(v) for v in vals]
+        tvals = [v if v is None else T.base.truncate(v) for v in vals]
     rows = [[T.zero] * len(wrt) for _ in outs]
     tans = [None] * len(vals)
     coeffs = {

@@ -93,22 +93,14 @@ class CurveRepresentation:
 
 @dataclass
 class SolveState:
-    """Mutable bookkeeping for one modular solve attempt."""
+    """Mutable bookkeeping for one modular solve attempt; ``slp`` is the
+    program composed with the attempt's λ, its ``transform``."""
 
     slp: object
-    change: object
     field: object
     point: tuple
     rng: random.Random
     stage_degrees: list = field(default_factory=list)
-
-    @property
-    def n(self):
-        return self.slp.n_vars
-
-    @property
-    def r(self):
-        return self.slp.n_outputs
 
 
 def embed_scalar(A, x):
@@ -166,7 +158,7 @@ def first_stage(state):
             "stage 1: the first polynomial is a nonzero constant"
         )
     F = state.field
-    n = state.n
+    n = slp.n_vars
     PR = PolyRing(F)
     coords = list(state.point[: n - 1]) + [PR.gen]
     q = evaluate(slp, coords, PR, n_out=1)[0]
@@ -262,7 +254,7 @@ def newton_step(slp, rep, R):
     Rk = R.at_precision(k)
     if any(Rk.truncate(v) for v in vals):
         raise ResidualNonzeroError(f"stage {stage} residual nonzero over {Rk!r}")
-    rhs = [low.shift_down(v, k) for v in vals]
+    rhs = [low.base.shift_down(v, k) for v in vals]
     try:
         corr = solve_linear(jac, rhs, low)
     except NotInvertibleError:
@@ -270,13 +262,13 @@ def newton_step(slp, rep, R):
     e_hat = low.neg(corr[0])
 
     def times_e(f):
-        df = low.reduce_precision(poly_deriv(f, R))
-        return A.shift_up(low.mul(df, e_hat), k)
+        df = low.base.truncate(poly_deriv(f, R))
+        return R.shift_up(low.mul(df, e_hat), k)
 
     q_new = A.sub(q, times_e(q))
     new_params = {}
     for j, v in rep.params.items():
-        nj = A.sub(v, A.shift_up(corr[j - prim], k))
+        nj = A.sub(v, R.shift_up(corr[j - prim], k))
         new_params[j] = A.sub(nj, times_e(nj))
     return replace(rep, min_poly=q_new, params=new_params, ring=R)
 
@@ -566,7 +558,7 @@ def solve_mod_p(state):
     fiber = first_stage(state)
     state.stage_degrees = [fiber.fiber_degree]
     verify.gate_stage(fiber)
-    for s in range(1, state.r):
+    for s in range(1, slp.n_outputs):
         curve = lift_curve(fiber, slp)
         q_next, samples = intersect_minimal_poly(
             curve, slp, s, slp.degrees[s], state.rng

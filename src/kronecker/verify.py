@@ -1,15 +1,18 @@
 """Runtime certification of fiber representations.
 
 Every "lucky prime" condition the solver relies on is checked once, on the
-computed objects.  The stage gate checks the one the construction leaves
-open on each fiber over F_p: Q squarefree (``solver.solve_mod_p`` says why
-Q is monic of degree at most the Bezout number).  The Newton step that
-takes the fiber checks the others, the residual F_i(point, T, V(T)) = 0
-mod (p, Q(T)) and the Jacobian's invertibility mod (p, Q), and a ladder's
-last rung is checked downstream (see ``solver.rungs``); a rational solve
-whose ladder stops at p^1 takes no step, and its output is verified over
-Q.  Nothing lifts the fiber ``solve_modular`` returns, so
-``check_representation`` checks both on it, in one pass over F_p[T]/(Q).
+computed objects.  det λ is a unit wherever the composed program is
+evaluated, or its ``inv`` of det λ raises NotInvertibleError (see
+``slp.compose_affine``).  The stage gate checks the one the construction
+leaves open on each fiber over F_p: Q squarefree (``solver.solve_mod_p``
+says why Q is monic of degree at most the Bezout number).  The Newton step
+that takes the fiber checks the others, the residual
+F_i(point, T, V(T)) = 0 mod (p, Q(T)) and the Jacobian's invertibility
+mod (p, Q), and a ladder's last rung is checked downstream (see
+``solver.rungs``); a rational solve whose ladder stops at p^1 takes no
+step, and its output is verified over Q.  Nothing lifts the fiber
+``solve_modular`` returns, so ``check_representation`` checks both on it,
+in one pass over F_p[T]/(Q).
 
 Over a field or a local ring a residual is evaluated on the univariate
 form (``solver.residuals``; ``solver.checked_residuals`` also checks the
@@ -29,7 +32,7 @@ from .polys import degree, dot, is_monic, is_squarefree, normalize, poly_deriv
 from .primes import WORD_PRIME_HIGH, WORD_PRIME_LOW, random_prime_in_range
 from .rings import QQ, ZZ, Rationals, ResidueRing
 from .slp import evaluate
-from .solver import checked_residuals, residuals
+from .solver import checked_residuals, residuals, to_kronecker
 
 # The Mersenne prime 2^61 - 1: the fixed modulus of the squarefree shortcut.
 SQUAREFREE_PRIME = 2**61 - 1
@@ -173,30 +176,6 @@ def _exact_residuals_vanish(slp, rep):
     return [_divides(q, _unpack(x, bits)) for x in _packed_outputs(slp, rep, bits)]
 
 
-def _residual_clauses(rep, slp, clauses):
-    """Append the residual clauses; returns ``CheckReport.univariate``."""
-    if rep.form == "kronecker" and isinstance(rep.ring, Rationals):
-        vanish, uni = _exact_residuals_vanish(slp, rep), None
-    else:
-        try:
-            vals, uni = checked_residuals(slp, rep)
-        except NotInvertibleError:
-            clauses.append(
-                ("residual", False, "cannot convert to univariate form")
-            )
-            return None
-        vanish = [not v for v in vals]
-    for i, ok in enumerate(vanish):
-        clauses.append(
-            (
-                f"residual F_{i + 1}",
-                ok,
-                "vanishes mod Q" if ok else "nonzero residual",
-            )
-        )
-    return uni
-
-
 def _is_squarefree_over_q(q):
     """Whether a polynomial over Q is squarefree, decided modulo
     ``SQUAREFREE_PRIME`` when that suffices.
@@ -225,8 +204,9 @@ def check_representation(rep, slp, *, exact=False):
     The report keeps the univariate form that pass was evaluated on.
     A rational representation gets its structural clauses, and, when
     ``exact`` (provable mode's acceptance check), the clause ``exact
-    residual over Q``: each residual's numerator, evaluated over Z at
-    T = 2^B, divides exactly by Q (see ``_exact_residuals_vanish``).
+    residual over Q``: each residual's numerator on the Kronecker form,
+    evaluated over Z at T = 2^B, divides exactly by Q (see
+    ``_exact_residuals_vanish``).
     ``fresh_prime_checks`` checks it modulo verify primes.
     """
     R = rep.ring
@@ -248,13 +228,19 @@ def check_representation(rep, slp, *, exact=False):
         qbar = tuple(R.residue(c) for c in rep.min_poly)
         sqf = ("squarefree mod p", is_squarefree(qbar, R.residue_field()))
     clauses.append((*sqf, "gcd(Q, Q') = 1"))
-    uni = None
-    if not isinstance(R, Rationals):
-        uni = _residual_clauses(rep, slp, clauses)
-    elif exact:
-        sub = CheckReport([])
-        _residual_clauses(rep, slp, sub.clauses)
-        clauses.append(("exact residual over Q", sub.passed, "checked exactly"))
+    if isinstance(R, Rationals):
+        if exact:
+            ok = all(_exact_residuals_vanish(slp, to_kronecker(rep)))
+            clauses.append(("exact residual over Q", ok, "checked exactly"))
+        return CheckReport(clauses)
+    try:
+        vals, uni = checked_residuals(slp, rep)
+    except NotInvertibleError:
+        clauses.append(("residual", False, "cannot convert to univariate form"))
+        return CheckReport(clauses)
+    for i, v in enumerate(vals):
+        detail = "nonzero residual" if v else "vanishes mod Q"
+        clauses.append((f"residual F_{i + 1}", not v, detail))
     return CheckReport(clauses, uni)
 
 
@@ -298,15 +284,14 @@ def reduce_rational_rep(rep, field):
 def fresh_prime_checks(rep, slp, count, rng):
     """[(p, passed)] for ``count`` verify primes p drawn from ``rng``, where
     ``passed`` is whether the rational ``rep`` reduced mod p has a
-    squarefree Q and vanishing residuals.  A verify prime that divides the
-    determinant of ``slp``'s change of variables or a denominator of ``rep``
-    raises UnluckyError, which ends the attempt."""
-    det = slp.transform.det if slp.transform is not None else 1
+    squarefree Q and vanishing residuals.  A verify prime that divides a
+    denominator of ``rep`` raises UnluckyError, and one that divides the
+    determinant of ``slp``'s change of variables NotInvertibleError, from
+    the residual pass's ``inv`` of it (unless Q mod p is not squarefree,
+    which fails the check first); either ends the attempt."""
     checks = []
     for _ in range(count):
         p = random_prime_in_range(WORD_PRIME_LOW, WORD_PRIME_HIGH, rng)
-        if det % p == 0:
-            raise UnluckyError(rep.stage, "determinant vanishes mod a verify prime")
         try:
             rep_p = reduce_rational_rep(rep, ResidueRing(p, 1))
         except ValueError:

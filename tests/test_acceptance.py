@@ -220,7 +220,6 @@ def test_criterion_4_newton_doubling():
     )
     state = SolveState(
         slp=slp,
-        change=AffineChange.identity(2),
         field=F,
         point=(1,),
         rng=random.Random(0),
@@ -299,7 +298,6 @@ def _solve_small_prime(slp, prime, rng, tries=12):
         point = tuple(rng.randrange(prime) for _ in range(n - 1))
         state = SolveState(
             slp=compose_affine(slp, change),
-            change=change,
             field=PrimeField(prime),
             point=point,
             rng=rng,

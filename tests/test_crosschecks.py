@@ -45,7 +45,6 @@ def test_intersection_matches_charpoly_oracle_on_real_curve():
     )
     state = SolveState(
         slp=slp,
-        change=AffineChange.identity(2),
         field=FBIG,
         point=(0,),
         rng=random.Random(0),

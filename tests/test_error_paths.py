@@ -31,7 +31,6 @@ def _state(source, n, prime, point, seed=0):
     slp = compose_affine(parse_system(source), AffineChange.identity(n))
     return SolveState(
         slp=slp,
-        change=AffineChange.identity(n),
         field=PrimeField(prime),
         point=point,
         rng=random.Random(seed),

@@ -138,7 +138,7 @@ def test_intersection_matches_factor_by_factor(
     # the reference reads coordinates off over extension fields.
     assert any(max(factors) > 1 for _, _, factors in compared)
     if pinned:
-        assert state.change.matrix == lam and state.point == point
+        assert state.slp.transform.matrix == lam and state.point == point
 
 
 def _raise(*args, **kwargs):

@@ -118,7 +118,7 @@ def test_solve_linear_over_the_newton_step_algebras(s):
             solved += 1
         # det M times a non-unit is not a unit: the maximal ideal's
         # generator (p or t), or T - 1, a zero divisor mod that ideal.
-        pi = A.shift_up(A.one, 1)
+        pi = A.base.shift_up(A.one, 1)
         for z in (pi, reduced(A, [A.base.from_int(-1), A.base.one])):
             bad = [[A.mul(z, e) for e in mat[0]]] + mat[1:]
             with pytest.raises(NotInvertibleError):

@@ -53,7 +53,6 @@ def test_check_representation_over_residue_ring():
     )
     state = SolveState(
         slp=slp,
-        change=AffineChange.identity(2),
         field=FBIG,
         point=(0,),
         rng=random.Random(0),
@@ -83,7 +82,6 @@ def test_stage_two_curve_specializes_consistently():
     composed = compose_affine(slp, change)
     state = SolveState(
         slp=composed,
-        change=change,
         field=FBIG,
         point=(1, 2),
         rng=random.Random(3),
@@ -179,7 +177,6 @@ def test_solve_mod_p_small_prime_end_to_end():
             continue
         state = SolveState(
             slp=compose_affine(slp, change),
-            change=change,
             field=F41,
             point=(rng.randrange(41),),
             rng=rng,

@@ -70,7 +70,6 @@ def _state(point):
     slp = compose_affine(parse_system(TWO_QUADRICS), AffineChange.identity(2))
     state = SolveState(
         slp=slp,
-        change=AffineChange.identity(2),
         field=PrimeField(P),
         point=point,
         rng=random.Random(0),

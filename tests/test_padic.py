@@ -91,7 +91,6 @@ def test_hensel_reduction_mod_p_matches_input():
 
     state = SolveState(
         slp=slp,
-        change=AffineChange.identity(2),
         field=F,
         point=(0,),
         rng=random.Random(0),
@@ -276,6 +275,23 @@ def test_wrongly_sized_lambda_is_rejected_before_the_first_attempt(
         check_configuration(config, 2)
     with pytest.raises(ValueError, match="2 x 2"):
         solve_over_rationals(parse_system("vars x, y; x^2 - 2; y^2 - 3;"), config)
+
+
+def test_a_pinned_prime_dividing_det_of_a_pinned_lambda_is_rejected(monkeypatch):
+    # Every attempt would stop at the program's inv of det λ = 0 mod p.
+    def never(*args):
+        raise AssertionError("an attempt ran")
+
+    monkeypatch.setattr(padic, "_draw_attempt", never)
+    slp = parse_system("vars x, y; x^2 + y^2 - 5; x*y - 2;")
+    config = SolveConfiguration(prime=10007, lambda_matrix=((10007, 1), (0, 1)))
+    with pytest.raises(ValueError, match="pinned prime 10007 divides det"):
+        check_configuration(config, 2)
+    for solve in (solve_over_rationals, padic.solve_modular):
+        with pytest.raises(ValueError, match="pinned prime 10007 divides det"):
+            solve(slp, config)
+    check_configuration(replace(config, prime=10009), 2)
+    check_configuration(replace(config, lambda_matrix=None), 2)
 
 
 # A dense (5, 5) system, δ = 25, with λ, the lifting point and the prime

@@ -55,7 +55,6 @@ def _fiber(n, seed):
             change = AffineChange.from_matrix(rows)
             state = SolveState(
                 slp=compose_affine(slp, change),
-                change=change,
                 field=F,
                 point=tuple(rng.randrange(F.p) for _ in range(n - 1)),
                 rng=rng,

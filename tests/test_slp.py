@@ -634,7 +634,7 @@ def _full_program_pass(slp, change, point, R, wrt, T):
             vals.append(combination(R, ins[1], ins[2], [vals[j] for j in ins[3]]))
         else:
             vals.append(R.mul(vals[ins[1]], vals[ins[2]]))
-    tvals = vals if T is R else [T.reduce_precision(v) for v in vals]
+    tvals = vals if T is R else [T.base.truncate(v) for v in vals]
     rows = [[None] * len(wrt) for _ in slp.outputs]
     for col, direction in enumerate(wrt):
         if isinstance(direction, int):
@@ -687,7 +687,7 @@ def _slice_test_rings(rng):
         (
             A_ser,
             low_ser,
-            lambda ring: ring.reduce_precision(
+            lambda ring: ring.base.truncate(
                 reduced(A_ser, [series() for _ in range(2)])
             ),
         ),
@@ -787,7 +787,7 @@ def test_sums_evaluate_as_their_dense_forms_over_every_ring():
         pt = [draw(R) for _ in range(3)]
         direction = [draw(T) for _ in range(3)]
         low = None if T is R else T
-        tpt = pt if T is R else [T.reduce_precision(x) for x in pt]
+        tpt = pt if T is R else [T.base.truncate(x) for x in pt]
         want = [_dense_over(R, d, pt) for d in forms]
         assert evaluate(slp, pt, R) == want
         vals, rows = evaluate_jacobian(

@@ -52,7 +52,6 @@ def make_state(source, n, prime=10007, point=None, seed=0):
         point = tuple(range(1, n))
     return SolveState(
         slp=slp,
-        change=AffineChange.identity(n),
         field=F,
         point=point,
         rng=random.Random(seed),
@@ -337,7 +336,6 @@ def test_stage_degrees_stay_within_the_bezout_numbers(degrees, seed):
         return
     state = SolveState(
         slp=compose_affine(slp, change),
-        change=change,
         field=FBIG,
         point=tuple(rng.randrange(100) for _ in range(n - 1)),
         rng=rng,
@@ -370,7 +368,6 @@ def test_solve_mod_p_residuals_vanish_every_stage():
     change = AffineChange.from_matrix([[3, 1, 2], [1, 4, 1], [2, 1, 5]])
     state = SolveState(
         slp=compose_affine(slp, change),
-        change=change,
         field=FBIG,
         point=(1, 2),
         rng=random.Random(9),

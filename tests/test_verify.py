@@ -7,6 +7,7 @@ import pytest
 
 from kronecker import padic, solver, verify
 from kronecker.errors import (
+    NotInvertibleError,
     ResidualNonzeroError,
     RetryExhaustedError,
     UnluckyError,
@@ -42,7 +43,6 @@ def _two_quadrics_fiber(seed=0):
     )
     state = SolveState(
         slp=slp,
-        change=AffineChange.identity(2),
         field=FBIG,
         point=(0,),
         rng=random.Random(seed),
@@ -56,7 +56,6 @@ def test_first_stage_output_passes():
     )
     state = SolveState(
         slp=slp,
-        change=AffineChange.identity(2),
         field=FBIG,
         point=(1,),
         rng=random.Random(0),
@@ -299,14 +298,16 @@ def test_reduce_rational_rep_rejects_bad_prime():
         reduce_rational_rep(rep, PrimeField(3))
 
 
-# A verify prime P that divides det λ: the composed program cannot be
-# evaluated modulo P, so P ends the attempt, as a prime dividing a
-# denominator of the candidate does.
+# A prime P that divides det λ: the composed program's inv of det λ fails
+# modulo P, so a drawn or verify prime P ends the attempt, as a verify
+# prime dividing a denominator of the candidate does.
 P = 10007
+NOT_A_UNIT = "determinant of the change of variables is not a unit here"
 
 
-def _pin_verify_prime(monkeypatch, times):
-    real = verify.random_prime_in_range
+def _pin_prime(monkeypatch, module, times):
+    """Make the first ``times`` primes that ``module`` draws P."""
+    real = module.random_prime_in_range
     calls = []
 
     def pinned(lo, hi, rng, *args, **kwargs):
@@ -315,12 +316,35 @@ def _pin_verify_prime(monkeypatch, times):
             return P
         return real(lo, hi, rng, *args, **kwargs)
 
-    monkeypatch.setattr(verify, "random_prime_in_range", pinned)
+    monkeypatch.setattr(module, "random_prime_in_range", pinned)
     return calls
 
 
+def test_drawn_prime_dividing_det_lambda_ends_every_attempt(monkeypatch):
+    # The attempt ends at the program's first evaluation, before the stages
+    # draw anything, so the next one starts from the generator the draw left.
+    _pin_prime(monkeypatch, padic, times=10**6)
+    real, seen = padic._draw_attempt, []
+
+    def draw(slp, config, bounds, rng):
+        seen.append(rng.getstate())
+        state = real(slp, config, bounds, rng)
+        seen.append(rng.getstate())
+        return state
+
+    monkeypatch.setattr(padic, "_draw_attempt", draw)
+    slp = parse_system("vars x,y; x^2 + y^2 - 5; x*y - 2;")
+    cfg = SolveConfiguration(seed=42, retries=2, lambda_matrix=((P, 1), (0, 1)))
+    for solve in (solve_over_rationals, solve_modular):
+        seen.clear()
+        with pytest.raises(RetryExhaustedError) as info:
+            solve(slp, cfg)
+        assert info.value.causes == [(1, None, NOT_A_UNIT), (2, None, NOT_A_UNIT)]
+        assert len(seen) == 4 and seen[1] == seen[2]
+
+
 def test_verify_prime_dividing_det_lambda_ends_the_attempt(monkeypatch):
-    calls = _pin_verify_prime(monkeypatch, times=1)
+    calls = _pin_prime(monkeypatch, verify, times=1)
     slp = parse_system("vars x,y; x^2 + y^2 - 5; x*y - 2;")
     cfg = SolveConfiguration(seed=42, lambda_matrix=((P, 1), (0, 1)))
     rep, cert = solve_over_rationals(slp, cfg)
@@ -330,7 +354,7 @@ def test_verify_prime_dividing_det_lambda_ends_the_attempt(monkeypatch):
 
 
 def test_unusable_verify_prime_restarts_every_attempt(monkeypatch):
-    _pin_verify_prime(monkeypatch, times=10**6)
+    _pin_prime(monkeypatch, verify, times=10**6)
     slp = parse_system("vars x,y; x^2 + y^2 - 5; x*y - 2;")
     change = AffineChange.from_matrix(((P, 1), (0, 1)))
     composed = compose_affine(slp, change)
@@ -343,14 +367,17 @@ def test_unusable_verify_prime_restarts_every_attempt(monkeypatch):
         form="kronecker",
         ring=QQ,
     )
-    with pytest.raises(UnluckyError, match="determinant vanishes mod a verify"):
+    with pytest.raises(NotInvertibleError, match=NOT_A_UNIT):
         verify.fresh_prime_checks(rep, composed, 1, random.Random(0))
+    # With Q not squarefree mod P as well, the check fails before the
+    # residual pass: the candidate is rejected, not the attempt ended.
+    square = replace(rep, min_poly=(Fraction(-P * P), Fraction(0), Fraction(1)))
+    checks = verify.fresh_prime_checks(square, composed, 1, random.Random(0))
+    assert checks == [(P, False)]
     over_p = replace(rep, params={1: (Fraction(1, P),)})
     with pytest.raises(UnluckyError, match="a denominator vanishes mod a verify"):
         verify.fresh_prime_checks(over_p, slp, 1, random.Random(0))
     cfg = SolveConfiguration(seed=42, retries=2, lambda_matrix=((P, 1), (0, 1)))
     with pytest.raises(RetryExhaustedError) as info:
         solve_over_rationals(slp, cfg)
-    assert [cause for _, _, cause in info.value.causes] == [
-        "determinant vanishes mod a verify prime"
-    ] * 2
+    assert [cause for _, _, cause in info.value.causes] == [NOT_A_UNIT] * 2
