@@ -14,7 +14,7 @@ resultant, factorization) require a field context; Euclidean division by a
 """
 
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 from math import gcd as _int_gcd
 
 from .errors import DuplicateNodeError, NoReconstructionError, NotInvertibleError
@@ -27,7 +27,7 @@ def normalize(f, R):
     n = len(f)
     while n > 0 and R.is_zero(f[n - 1]):
         n -= 1
-    return tuple(f[:n])
+    return tuple(f if n == len(f) else f[:n])
 
 
 def degree(f):
@@ -223,6 +223,15 @@ def poly_divmod(f, g, F):
     if g[-1] == F.one:
         return divmod_monic(f, g, F)
     lcinv = F.inv(g[-1])
+    m = getattr(F, "int_modulus", None)
+    if m is not None:  # divmod_monic's int path, each lead times 1/lc(g)
+        dg = len(g) - 1
+        rem, quo, low = list(f), [0] * max(len(f) - dg, 0), g[:dg]
+        for i in range(len(f) - 1, dg - 1, -1):
+            quo[i - dg] = c = rem[i] * lcinv % m
+            for j, b in enumerate(low, i - dg):
+                rem[j] -= c * b
+        return normalize(quo, F), normalize([c % m for c in rem[:dg]], F)
     gm = scalar_mul(lcinv, g, F)
     q, r = divmod_monic(f, gm, F)
     return scalar_mul(lcinv, q, F), r
@@ -262,49 +271,44 @@ def poly_gcd(f, g, F):
 
 
 def poly_inverse_mod(f, q, F):
-    """Inverse of f modulo q over a field; raises NotInvertibleError.  One
-    Euclid on (q, f mod q) tracks only the cofactor s of f, s·f ≡ r mod q
-    for each remainder r; that of the last, the gcd, has degree < deg q."""
-    r0, r1 = q, poly_rem(f, q, F)
+    """Inverse of f modulo a monic q over a field; raises NotInvertibleError."""
+    inverse = resultant_and_inverse(q, f, F)[1]
+    if inverse is None:
+        raise NotInvertibleError("not a unit modulo q: Res(q, f) = 0")
+    return inverse
+
+
+def resultant_and_inverse(q, f, F):
+    """Res(q, f) for a monic q over a field, and the inverse of f mod q, or
+    None when Res(q, f) = 0 (a shared root, or f ≡ 0 mod q of positive
+    degree).  One remainder sequence of (q, f mod q) tracks the product of
+    leading coefficients and only the cofactor s of f, s·f ≡ r mod q for
+    each remainder r, and stops at a constant remainder c: Res is c^deg
+    times the product, and 1/f is s/c."""
+    res, a, b = F.one, q, rem_monic(f, q, F)
     s0, s1 = ZERO, (F.one,)
-    while r1:
-        quo, r = poly_divmod(r0, r1, F)
-        r0, r1 = r1, r
-        s0, s1 = s1, poly_sub(s0, poly_mul(quo, s1, F), F)
-    if degree(r0) != 0:
-        raise NotInvertibleError(
-            f"gcd with the modulus has degree {degree(r0)}"
-        )
-    return scalar_mul(F.inv(r0[0]), s0, F)
+    while True:
+        da, db = degree(a), degree(b)
+        if db < 0:
+            return (F.one, ZERO) if da == 0 else (F.zero, None)
+        if db == 0:
+            inverse = scalar_mul(F.inv(b[0]), s1, F)
+            return F.mul(res, _elem_pow(b[0], da, F)), inverse
+        quo, r = poly_divmod(a, b, F)
+        if da * db % 2:
+            res = F.neg(res)
+        res = F.mul(res, _elem_pow(b[-1], da - degree(r), F))
+        a, b, s0, s1 = b, r, s1, poly_sub(s0, poly_mul(quo, s1, F), F)
 
 
 def resultant(f, g, F):
-    """Resultant with the convention Res(f,g) = lc(f)**deg(g) * prod g(roots of f).
-
-    Computed by the polynomial remainder sequence over the field, so shared
-    roots yield exactly zero.
-    """
-    f = normalize(f, F)
-    g = normalize(g, F)
+    """Res(f, g) = lc(f)^deg(g)·∏ g(roots of f), by ``resultant_and_inverse``
+    on f made monic, so shared roots yield exactly zero."""
+    f, g = normalize(f, F), normalize(g, F)
     if not f:
         raise ValueError("resultant requires a nonzero first argument")
-    if not g:
-        return F.one if degree(f) == 0 else F.zero
-    res = F.one
-    a, b = f, g
-    while True:
-        da, db = degree(a), degree(b)
-        if db == 0:
-            return F.mul(res, _elem_pow(b[0], da, F))
-        if da == 0:
-            return F.mul(res, _elem_pow(a[0], db, F))
-        r = poly_rem(a, b, F)
-        if (da * db) % 2 == 1:
-            res = F.neg(res)
-        if not r:
-            return F.zero
-        res = F.mul(res, _elem_pow(b[-1], da - degree(r), F))
-        a, b = b, r
+    res = resultant_and_inverse(monic(f, F), g, F)[0]
+    return F.mul(_elem_pow(f[-1], degree(g), F), res)
 
 
 def _elem_pow(a, e, R):
@@ -385,18 +389,20 @@ def interpolate(points, F):
     if not points:
         raise ValueError("at least one interpolation point required")
     xs = [p[0] for p in points]
-    seen = set()
-    for x in xs:
-        if x in seen:
-            raise DuplicateNodeError(f"repeated node {x!r}")
-        seen.add(x)
+    if len(set(xs)) < len(xs):
+        raise DuplicateNodeError("repeated interpolation node")
     n = len(points)
     coeffs = [p[1] for p in points]
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            num = F.sub(coeffs[i], coeffs[i - 1])
-            den = F.sub(xs[i], xs[i - j])
-            coeffs[i] = F.mul(num, F.inv(den))
+    # Each step divides by one difference x_i - x_(i-j); all of them are
+    # inverted by Montgomery's trick, one ``F.inv`` of their product.
+    steps = [(i, j) for j in range(1, n) for i in range(n - 1, j - 1, -1)]
+    invs = [F.sub(xs[i], xs[i - j]) for i, j in steps]
+    prefix = list(accumulate(invs, F.mul, initial=F.one))
+    acc = F.inv(prefix.pop())
+    for k in range(len(invs) - 1, -1, -1):
+        invs[k], acc = F.mul(acc, prefix[k]), F.mul(acc, invs[k])
+    for (i, _), inv in zip(steps, invs):
+        coeffs[i] = F.mul(F.sub(coeffs[i], coeffs[i - 1]), inv)
     poly = ZERO
     for i in range(n - 1, -1, -1):
         poly = poly_mul(poly, (F.neg(xs[i]), F.one), F)

@@ -36,14 +36,16 @@ and a product is the sum of one.  Each sum is reduced mod q once:
   adds slot by slot over Z.  The other pairs are packed into one Python
   int per factor, their products are summed as one big integer, and the
   sum is divided along T, one multiplication by the packed -q per
-  quotient term, with -q packed once per quotient and slot width.  Per
+  quotient term.  A quotient keeps what it packed, -q and the factors,
+  by element and slot width, up to 256 at a time.  Per
   pair a slot collects fewer than s·top products below r^2, for ``top``
   the longest product, and all division steps add fewer than s·top more,
   so a slot of 2·bits(r) + bits((pairs + 1)·s·top) bits, rounded up to
   whole bytes, never carries into its neighbour.  Over Z/p^k the kernel
   packs from deg q = 7 on while bits(p^k) <= 12·(deg q + 3), the measured
-  crossover (README "Library"); below it the products are convolved over
-  Z, by Karatsuba while the shorter factor's length times bits(p^k)
+  crossover (README "Library"); below it the products, scalars included, are
+  convolved over Z into one list as long as the longest product, schoolbook
+  inline or by Karatsuba while the shorter factor's length times bits(p^k)
   exceeds 8,000 (1.2× at 6 × 2,200 bits, 1.6× at 6 × 9,000), and divided
   once by ``polys.rem_monic``.  A p^k of 2,500 bits and more (a provable
   lift's deep rungs) is a ``polys.Barrett``, whose ``%`` is Barrett's
@@ -161,10 +163,16 @@ class ResidueRing:
         cut = 8000 // m.bit_length() + 1  # Karatsuba from length·bits(m) > 8000
 
         def dot(us, vs):
-            pairs = [(a, b) for a, b in zip(us, vs) if a and b]
-            out = [0] * max([len(a) + len(b) - 1 for a, b in pairs] + [d])
-            for a, b in pairs:
-                polys.int_karatsuba(out, a, b, cut)
+            top = max(map(len, us), default=0) + max(map(len, vs), default=0)
+            out = [0] * max(top - 1, d)
+            for a, b in zip(us, vs):
+                if min(len(a), len(b)) >= cut:
+                    polys.int_karatsuba(out, a, b, cut)
+                    continue
+                for i, x in enumerate(a):
+                    if x:
+                        for j, y in enumerate(b, i):
+                            out[j] += x * y
             return polys.rem_monic(out, q, self)
 
         return dot
@@ -474,25 +482,13 @@ class PolyQuotient:
         return polys.poly_neg(a, self.base)
 
     def from_int(self, n):
-        c = self.base.from_int(n)
-        if self.deg == 0:
-            return ()
-        return polys.normalize((c,), self.base)
+        return self.embed(self.base.from_int(n))
 
     def embed(self, a):
-        if self.deg == 0:
-            return ()
-        return polys.normalize((a,), self.base)
+        return (a,) if self.deg and not self.base.is_zero(a) else ()
 
     def is_zero(self, a):
         return len(a) == 0
-
-    def _residue_quotient(self):
-        F = self.base.residue_field()
-        qbar = polys.normalize(
-            [self.base.residue(c) for c in self.modulus], F
-        )
-        return F, qbar
 
     def at_precision(self, prec):
         """This quotient over the local base ring at precision ``prec``
@@ -506,7 +502,8 @@ class PolyQuotient:
             return (self.base.inv(a[0]),)
         if self.base.is_field:
             return polys.poly_inverse_mod(a, self.modulus, self.base)
-        F, qbar = self._residue_quotient()
+        F = self.base.residue_field()
+        qbar = polys.normalize([self.base.residue(c) for c in self.modulus], F)
         abar = polys.normalize([self.base.residue(c) for c in a], F)
         v0 = polys.poly_inverse_mod(abar, qbar, F)
         # Newton-lift the inverse, climbing the precision ladder so early
@@ -546,15 +543,20 @@ def _packed_kernel(q, r, s, slots, element):
     each, taken mod r; ``element`` reads s·deg q reduced slots back."""
     d = len(q) - 1
     bw = 2 * s - 1  # slots per T-block: a product of two series fits
-    neg_q = {}  # packed -q by slot width; racing threads store equal values
+    packs = {}  # (element, slot width, sign) -> packed; racing threads agree
 
-    def pack(flat, wb):
-        buf = _pack(flat, wb, r)
-        if s > 1:  # s slots of each T-block
-            step = s * wb
-            blocks = [buf[i : i + step] for i in range(0, len(buf), step)]
-            buf = bytes((bw - s) * wb).join(blocks)
-        return int.from_bytes(buf, "little")
+    def pack(f, wb, sign=1):
+        x = packs.get((f, wb, sign))
+        if x is None:
+            if len(packs) >= 256:  # a bound on the memory it holds
+                packs.clear()
+            buf = _pack(slots(f) if sign > 0 else [-c for c in slots(f)], wb, r)
+            if s > 1:  # s slots of each T-block
+                step = s * wb
+                blocks = [buf[i : i + step] for i in range(0, len(buf), step)]
+                buf = bytes((bw - s) * wb).join(blocks)
+            x = packs[f, wb, sign] = int.from_bytes(buf, "little")
+        return x
 
     def dot(us, vs):
         out, pairs = [0] * (s * d), []
@@ -575,12 +577,10 @@ def _packed_kernel(q, r, s, slots, element):
         top = max([len(a) + len(b) - 1 for a, b in pairs])
         # A slot collects fewer than (pairs + 1)·s·top products below r^2.
         wb = (2 * r.bit_length() + ((len(pairs) + 1) * s * top).bit_length() + 7) // 8
-        acc = sum([pack(slots(a), wb) * pack(slots(b), wb) for a, b in pairs])
+        acc = sum([pack(a, wb) * pack(b, wb) for a, b in pairs])
         shift, head = 8 * bw * wb, s * wb  # bits per T-block, bytes per lead
         if top > d:
-            packed_q = neg_q.get(wb)
-            if packed_q is None:
-                packed_q = neg_q[wb] = pack([-c for c in slots(q[:d])], wb)
+            packed_q = pack(q[:d], wb, -1)
             mask = (1 << (8 * head)) - 1
             for i in range(top - 1, d - 1, -1):
                 lead = (acc >> (i * shift)) & mask

@@ -311,7 +311,8 @@ class _Parser:
         degrees = []
         bezout = 1
         order = slp.slice(tuple(range(len(outputs))))
-        values = _run(slp, order, line, PolyRing(ResidueRing(p, 1)))
+        PR = PolyRing(ResidueRing(p, 1))
+        values = _run(slp, order, line, PR, _coefficients(slp, order, PR))
         for k, out in enumerate(outputs, 1):
             if not values[out]:
                 raise ParseError(f"polynomial #{k} is identically zero")
@@ -493,10 +494,16 @@ def _selected(slp, n_out):
     return outs
 
 
-def _run(slp, order, xs, R):
+def _coefficients(slp, order, R):
+    """The coefficients cᵢ of each ``lin`` in ``order``, embedded in R."""
+    code = [(i, slp.instructions[i]) for i in order]
+    return {i: [R.from_int(c) for c in ins[2]] for i, ins in code if ins[0] == "lin"}
+
+
+def _run(slp, order, xs, R, coeffs):
     """Values of the instructions in ``order``, indexed by instruction; a
-    ``lin`` is c0 plus one ``R.dot`` of its embedded coefficients and its
-    operands' values."""
+    ``lin`` is c0 plus one ``R.dot`` of its coefficients, embedded in
+    ``coeffs`` (by ``_coefficients``), and its operands' values."""
     vals = [None] * len(slp.instructions)
     for i in order:
         ins = slp.instructions[i]
@@ -504,9 +511,8 @@ def _run(slp, order, xs, R):
         if op == "mul":
             vals[i] = R.mul(vals[ins[1]], vals[ins[2]])
         elif op == "lin":
-            _, c0, coeffs, operands = ins
-            v = R.dot([R.from_int(c) for c in coeffs], [vals[j] for j in operands])
-            vals[i] = R.add(R.from_int(c0), v) if c0 else v
+            v = R.dot(coeffs[i], [vals[j] for j in ins[3]])
+            vals[i] = R.add(R.from_int(ins[1]), v) if ins[1] else v
         elif op == "var":
             vals[i] = xs[ins[1]]
         elif op == "const":
@@ -532,7 +538,8 @@ def evaluate(slp, point, R, n_out=None):
     """
     xs = _inputs(slp, point, R)
     outs = _selected(slp, slp.n_outputs if n_out is None else n_out)
-    vals = _run(slp, slp.slice(outs), xs, R)
+    order = slp.slice(outs)
+    vals = _run(slp, order, xs, R, _coefficients(slp, order, R))
     return [vals[slp.outputs[k]] for k in outs]
 
 
@@ -556,7 +563,8 @@ def evaluate_jacobian(slp, point, R, wrt, n_out=None, tangent_ring=None):
     ``tangent_ring`` when one is given: a lower-precision quotient of the
     ``PolyQuotient`` R (from ``R.at_precision``), into which the program's
     values are reduced with its base's ``truncate``; the rows are then
-    elements of ``tangent_ring``.  Without one they run over R.
+    elements of ``tangent_ring``.  Without one they run over R, and share
+    the value pass's embedding of the integer coefficients, one per call.
     """
     n = slp.n_vars
     xs = _inputs(slp, point, R)
@@ -570,17 +578,14 @@ def evaluate_jacobian(slp, point, R, wrt, n_out=None, tangent_ring=None):
             raise ValueError(f"direction {direction!r} is not in {n} variables")
         seeds.append(direction)
     order = slp.slice(outs)
-    vals = _run(slp, order, xs, R)
+    coeffs = _coefficients(slp, order, R)
+    vals = _run(slp, order, xs, R, coeffs)
     tvals = vals
     if T is not R:
         tvals = [v if v is None else T.base.truncate(v) for v in vals]
+        coeffs = _coefficients(slp, order, T)
     rows = [[T.zero] * len(wrt) for _ in outs]
     tans = [None] * len(vals)
-    coeffs = {
-        i: [T.from_int(c) for c in slp.instructions[i][2]]
-        for i in order
-        if slp.instructions[i][0] == "lin"
-    }
     for col, direction in enumerate(seeds):
         for i in order:
             ins = slp.instructions[i]

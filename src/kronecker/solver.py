@@ -38,7 +38,7 @@ from .polys import (
     poly_deriv,
     poly_eval,
     rem_monic,
-    resultant,
+    resultant_and_inverse,
 )
 from .rings import PolyQuotient, PolyRing, SeriesRing
 from .slp import evaluate, evaluate_jacobian
@@ -111,13 +111,8 @@ def embed_scalar(A, x):
 
 def fiber_coordinates(n, prim_var, point, params, A):
     """Coordinate vector substituting the fiber parametrization into Y."""
-    coords = []
-    for j in range(prim_var):
-        coords.append(embed_scalar(A, point[j]))
-    coords.append(A.gen)
-    for j in range(prim_var + 1, n):
-        coords.append(params[j])
-    return coords
+    coords = [embed_scalar(A, x) for x in point[:prim_var]] + [A.gen]
+    return coords + [params[j] for j in range(prim_var + 1, n)]
 
 
 def residuals(slp, rep):
@@ -402,12 +397,12 @@ def _next_on_curve(curve, a, slp, out_index):
     """The curve over its freed coordinate = a, to first order along t, and
     the output ``out_index`` on it.
 
-    Returns A = F_p[T]/(q_a), the fiber's coordinates in A (Y_j = W_j/q_T),
-    and g = F_out_index on the fiber with g' its derivative along the curve:
-    one value pass and one tangent pass in the direction of the coordinates'
-    derivatives (T' = -q_t/q_T, and Y_j' from differentiating W_j = q_T Y_j),
-    read off the exact bivariate data.  Raises NotInvertibleError where q_a
-    is not squarefree (a ramified node).
+    Returns A = F_p[T]/(q_a), the numerators q_T·y_v in A of the fiber's
+    coordinates T and Y_j = W_j/q_T, and g = F_out_index on the fiber with
+    g' its derivative along the curve: one value pass and one tangent pass
+    in the direction of the coordinates' derivatives (T' = -q_t/q_T, and
+    Y_j' from differentiating W_j = q_T Y_j), read off the exact bivariate
+    data.  Raises NotInvertibleError where q_a is not squarefree.
     """
     F = curve.field
     ta = F.sub(F.from_int(a), F.from_int(curve.base_value))
@@ -419,28 +414,18 @@ def _next_on_curve(curve, a, slp, out_index):
     dq_T = A.add(poly_deriv(q_t, F), A.mul(poly_deriv(q_T, F), dT))
     coords = [embed_scalar(A, x) for x in curve.base + (a,)] + [A.gen]
     direction = [A.zero] * curve.free_var + [A.one, dT]
+    numerators = [A.mul(A.gen, q_T)]
     for j in sorted(curve.params):
         w, w_t = _at_node(curve.params[j], ta, F)
         y = A.mul(w, inv_qT)
         dw = A.add(w_t, A.mul(poly_deriv(w, F), dT))
         coords.append(y)
         direction.append(A.mul(A.sub(dw, A.mul(y, dq_T)), inv_qT))
+        numerators.append(w)
     vals, rows = evaluate_jacobian(
         slp, coords, A, [direction], n_out=(out_index,)
     )
-    return A, coords, vals[0], rows[0][0]
-
-
-def _power_sums(q, F):
-    """Newton power sums p_0..p_(d-1) of the roots of a monic q of degree d."""
-    d = degree(q)
-    sums = [F.from_int(d)]
-    for k in range(1, d):
-        acc = F.mul(F.from_int(k), q[d - k])
-        for i in range(1, k):
-            acc = F.add(acc, F.mul(q[d - i], sums[k - i]))
-        sums.append(F.neg(acc))
-    return sums
+    return A, numerators, vals[0], rows[0][0]
 
 
 def intersect_minimal_poly(curve, slp, out_index, next_degree, rng):
@@ -451,15 +436,19 @@ def intersect_minimal_poly(curve, slp, out_index, next_degree, rng):
     A = F_p[T]/(q_a) and g' = df/dt along the curve.  R(a) = Res(q_a, g) is
     interpolated to c·Q_new, normalized to monic.  A sample is (a, tr) with
     tr[v] = Tr_A(y_v·g'/g) for each coordinate y_v of the curve's fiber (T
-    and the Y_j), the trace taken from the power sums of q_a: then
-    R(a)·tr[v] is the derivative in s at s = 0 of the resultant in the
-    perturbed primitive element t - s·y_v, see ``intersect_parametrization``.
+    and the Y_j): then R(a)·tr[v] is the derivative in s at s = 0 of the
+    resultant in the perturbed primitive element t - s·y_v, see
+    ``intersect_parametrization``.  One remainder sequence of (q_a, g)
+    gives both R(a) and 1/g (``polys.resultant_and_inverse``), and the
+    trace is Euler's: Tr_A(h/q_T) is the coefficient of T^(δ-1) of h mod
+    q_a, so tr[v] is that of (q_T·y_v)·g'/g.
 
     A node where q_a is not squarefree (ramified) or g is not a unit (R(a)
-    = 0) is skipped; dδ + 1 zero resultants mean R vanishes identically.
-    These skips stay local rather than restarting the attempt: at a small
-    pinned prime such as 10007 a few of the dδ + 1 nodes are expected to be
-    bad, and any unused node will do in their place.
+    = 0: a shared root, or g = 0) is skipped; dδ + 1 zero resultants mean
+    R vanishes identically.  These skips stay local rather than restarting
+    the attempt: at a small pinned prime such as 10007 a few of the dδ + 1
+    nodes are expected to be bad, and any unused node will do in their
+    place.
     """
     F = curve.field
     delta = curve.fiber_degree
@@ -479,21 +468,20 @@ def intersect_minimal_poly(curve, slp, out_index, next_degree, rng):
             continue
         tried.add(a)
         try:
-            A, coords, g, dg = _next_on_curve(curve, a, slp, out_index)
+            A, numerators, g, dg = _next_on_curve(curve, a, slp, out_index)
         except NotInvertibleError:
             continue  # bad node: specialized fiber is ramified here
-        r = resultant(A.modulus, g, F)
-        if F.is_zero(r):
+        r, inv_g = resultant_and_inverse(A.modulus, g, F)
+        if inv_g is None:
             zeros += 1
             if zeros == needed:
                 raise ZeroResultantError(curve.stage)
             continue
-        ratio = A.mul(dg, A.inv(g))
-        sums = _power_sums(A.modulus, F)
+        ratio = A.mul(dg, inv_g)
         tr = {}
-        for v in range(curve.prim_var, slp.n_vars):
-            h = A.mul(coords[v], ratio)
-            tr[v] = F.from_int(sum(x * y for x, y in zip(h, sums)))
+        for v, w in enumerate(numerators, curve.prim_var):
+            h = A.mul(w, ratio)
+            tr[v] = h[delta - 1] if len(h) == delta else F.zero
         values.append((a, r))
         samples.append((a, tr))
     if len(samples) < needed:

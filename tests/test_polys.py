@@ -26,8 +26,10 @@ from kronecker.polys import (
     poly_rem,
     rational_reconstruct,
     resultant,
+    resultant_and_inverse,
+    scalar_mul,
 )
-from kronecker.rings import QQ, PrimeField
+from kronecker.rings import QQ, PrimeField, ResidueRing
 
 from reference.oracle import sylvester_det
 from reference.polys import (
@@ -170,6 +172,71 @@ def test_resultant_matches_sylvester_determinant():
         assert resultant(f, g, F101) == sylvester_det(f, g, F101)
 
 
+# -- one remainder sequence: resultant and inverse ---------------------------
+
+
+def _draw_over(F, rng):
+    """Random coefficients of F: residues, or small fractions over Q."""
+    if F is QQ:
+        return lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    return lambda: F.from_int(rng.randrange(F.p))
+
+
+@pytest.mark.parametrize(
+    "F", [F101, PrimeField(2**61 - 1), QQ], ids=["F101", "F_2^61-1", "QQ"]
+)
+def test_remainder_sequence_matches_resultant_and_inverse(F):
+    # Res(q, f) against the Sylvester determinant, and 1/f mod q against
+    # its definition and ``poly_inverse_mod``, for deg q = 1, ..., 18 and
+    # f of every length up to twice that: reduced mod q first.  Over Q
+    # the generic division runs, over F_p the one on plain ints.
+    rng = random.Random(len(repr(F)))
+    draw = _draw_over(F, rng)
+
+    def monic_of_degree(d):
+        return tuple(draw() for _ in range(d)) + (F.one,)
+
+    for d in range(1, 19 if F is not QQ else 9):
+        q = monic_of_degree(d)
+        shared = monic_of_degree(rng.randint(1, d))
+        scale = F.from_int(rng.randint(2, 9))
+        lengths = (0, d - 1, d, 2 * d)
+        cases = [(q, scalar_mul(scale, monic_of_degree(n), F)) for n in lengths]
+        # A shared factor makes Res = 0 and leaves f without an inverse.
+        f = poly_mul(shared, monic_of_degree(rng.randint(0, d)), F)
+        q2 = poly_mul(shared, monic_of_degree(rng.randint(0, d)), F)
+        assert resultant_and_inverse(q2, f, F) == (F.zero, None)
+        for m, g in cases + [(q, f), (q2, f)]:
+            res, inv = resultant_and_inverse(m, g, F)
+            assert res == sylvester_det(m, g, F) == resultant(m, g, F)
+            if F.is_zero(res):
+                assert inv is None
+                continue
+            assert degree(inv) < degree(m)
+            assert poly_rem(poly_mul(inv, g, F), m, F) == (F.one,)
+            assert inv == poly_inverse_mod(g, m, F)
+
+
+@pytest.mark.parametrize("F", [F101, QQ], ids=["F101", "QQ"])
+def test_remainder_sequence_edge_cases(F):
+    T = lambda a: from_int_coeffs([-a, 1], F)  # noqa: E731
+    q = poly_mul(poly_mul(T(1), T(2), F), T(3), F)
+    # A shared root: Res = 0 and no inverse, through ``poly_inverse_mod``
+    # as NotInvertibleError.
+    assert resultant_and_inverse(q, poly_mul(T(2), T(5), F), F) == (F.zero, None)
+    with pytest.raises(NotInvertibleError):
+        poly_inverse_mod(poly_mul(T(2), T(5), F), q, F)
+    # g = 0, and a g that is 0 mod q.
+    assert resultant_and_inverse(q, (), F) == (F.zero, None)
+    assert resultant_and_inverse(q, poly_mul(q, T(7), F), F) == (F.zero, None)
+    # A constant g = c: Res = c^deg q and 1/g = 1/c.
+    c = F.from_int(4)
+    assert resultant_and_inverse(q, (c,), F) == (F.mul(c, F.mul(c, c)), (F.inv(c),))
+    # The quotient by q = 1 is the zero ring: Res(1, g) = 1, 1/g = 0.
+    assert resultant_and_inverse((F.one,), T(5), F) == (F.one, ())
+    assert resultant_and_inverse((F.one,), (), F) == (F.one, ())
+
+
 # -- squarefree part ----------------------------------------------------------
 
 
@@ -261,6 +328,30 @@ def test_interpolate_single_point_is_constant():
 def test_interpolate_duplicate_node_rejected():
     with pytest.raises(DuplicateNodeError):
         interpolate([(1, 2), (1, 3)], F7)
+
+
+class _CountingField(ResidueRing):
+    """F_p that counts its inversions."""
+
+    inversions = 0
+
+    def inv(self, a):
+        self.inversions += 1
+        return super().inv(a)
+
+
+def test_interpolate_inverts_once_per_call():
+    # The node differences are inverted together: one ``F.inv`` per call,
+    # whatever the number of nodes.
+    rng = random.Random(6)
+    for n in range(1, 20):
+        F = _CountingField(10007, 1)
+        nodes = rng.sample(range(10007), n)
+        pts = [(a, rng.randrange(10007)) for a in nodes]
+        f = interpolate(pts, F)
+        assert F.inversions == 1
+        assert degree(f) < n
+        assert all(poly_eval(f, a, F) == v for a, v in pts)
 
 
 def test_interpolate_roundtrip_property():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 
@@ -373,6 +374,80 @@ def test_residue_quotient_kernel_matches_reference(p, k):
             us = [_residues(rng, R, rng.choice(lengths)) for _ in range(pairs)]
             vs = [_residues(rng, R, rng.choice(lengths)) for _ in range(pairs)]
             assert dot(us, vs) == _reference_sum(us, vs, q, R)
+
+
+def _operands(rng, R, length):
+    """An element of R[T] of the given length, not always reduced."""
+    if isinstance(R, SeriesRing):
+        return _series_poly(rng, R, length)
+    return _residues(rng, R, length)
+
+
+@pytest.mark.parametrize(
+    "R", [ResidueRing(7, 1), ResidueRing(2**61 - 1, 2), SeriesRing(F7, 3)], ids=repr
+)
+@pytest.mark.parametrize("d", (1, 3, 6, 7, 9))
+def test_quotient_kernels_keep_their_contract(R, d):
+    # What a lean kernel can get wrong, on both sides of the packing
+    # crossover at deg q = 7: factors longer than q, zero operands, empty
+    # sums and sums of scalars alone, among them a scalar against a factor
+    # longer than q.
+    rng = random.Random(d)
+    q = _operands(rng, R, d) + (R.one,)
+    A = PolyQuotient(R, q)
+    scalar = lambda: A.from_int(rng.randint(-9, 9))  # noqa: E731
+    long, short = _operands(rng, R, 2 * d + 1), _operands(rng, R, d)
+    sums = [
+        ([], []),
+        ([()], [long]),
+        ([long, ()], [(), short]),
+        ([scalar() for _ in range(4)], [scalar() for _ in range(4)]),
+        ([scalar(), scalar(), scalar()], [long, short, ()]),
+        ([long, short], [scalar(), scalar()]),
+        ([long, scalar()], [long, long]),
+    ]
+    for us, vs in sums:
+        want = _reference_sum(us, vs, q, R)
+        assert A.dot(us, vs) == want
+        assert A.dot(vs, us) == want
+
+
+@pytest.mark.parametrize("R", [ResidueRing(2**61 - 1, 1), SeriesRing(F7, 3)], ids=repr)
+def test_packed_kernel_repacks_by_slot_width_and_past_its_bound(R):
+    # The packed kernel keeps the operands it packed, by element and slot
+    # width, up to 256 of them: one pair of operands in sums of 1 to 40
+    # pairs, whose slots widen, then 300 distinct products in one ring,
+    # which empty the store, all against schoolbook sums.
+    rng = random.Random(31)
+    q = _operands(rng, R, 8) + (R.one,)
+    A = PolyQuotient(R, q)
+    a, b = _operands(rng, R, 8), _operands(rng, R, 8)
+    for pairs in range(1, 41):
+        assert A.dot([a] * pairs, [b] * pairs) == _reference_sum(
+            [a] * pairs, [b] * pairs, q, R
+        )
+    for _ in range(300):
+        a, b = _operands(rng, R, 8), _operands(rng, R, rng.randint(1, 17))
+        assert A.mul(a, b) == _schoolbook(a, b, q, R)
+    assert A.mul(a, b) == _schoolbook(a, b, q, R)
+
+
+def test_packed_kernel_keeps_a_bounded_store():
+    # However many distinct products one ring forms, it keeps at most 256
+    # packed operands: after 3,000 products it holds far less memory than
+    # the 6,000 operands would take (about 3 MB).
+    R = ResidueRing(2**61 - 1, 1)
+    A = PolyQuotient(R, tuple(range(1, 9)) + (1,))
+    rng = random.Random(5)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(3000):
+            A.mul(_operands(rng, R, 8), _operands(rng, R, 8))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 1_000_000
 
 
 @pytest.mark.parametrize(

@@ -559,6 +559,39 @@ def test_jacobian_with_affine_change_chain_rule():
         assert rows[0][j] == want
 
 
+class _CountingQuotient(PolyQuotient):
+    """R[T]/(q) that counts the integers it embeds."""
+
+    embedded = 0
+
+    def from_int(self, n):
+        self.embedded += 1
+        return super().from_int(n)
+
+
+def test_jacobian_embeds_each_lin_coefficient_once_per_call():
+    # The value pass and every tangent pass share one embedding of the
+    # program's integer coefficients: a call embeds each cᵢ of each
+    # ``lin``, each nonzero c0 and each ``inv`` once, as ``evaluate`` does,
+    # whatever the number of directions.
+    slp = compose_affine(
+        parse_system("vars x, y, z; 3*x^2 - 2*y*z + 5; x*y - 7*z^2 + x; 4*z - 1;"),
+        AffineChange.from_matrix([[2, 1, 0], [1, 1, 1], [0, 3, 1]]),
+    )
+    code = [slp.instructions[i] for i in slp.slice((0, 1, 2))]
+    integers = sum(len(ins[2]) + bool(ins[1]) for ins in code if ins[0] == "lin")
+    integers += sum(ins[0] == "inv" for ins in code)
+    A = _CountingQuotient(PrimeField(10007), (3, 0, 1, 1))
+    point = [A.gen, (1, 2), (5,)]
+    values = evaluate(slp, point, A)
+    assert A.embedded == integers
+    for wrt in ([0], [0, 1, 2], [[A.one, A.gen, A.zero]] * 5):
+        A.embedded = 0
+        got, _ = evaluate_jacobian(slp, point, A, wrt, n_out=3)
+        assert got == values
+        assert A.embedded == integers
+
+
 def test_jacobian_rejects_outputs_the_program_lacks():
     slp = parse_system("vars x,y; x*y - 1;")
     F = PrimeField(7)
