@@ -15,7 +15,7 @@ from .padic import (
     solve_over_rationals,
 )
 from .primes import is_probable_prime, random_prime_avoiding
-from .rings import QQ, PolyQuotient, PolyRing, PrimeField, ResidueRing, SeriesRing
+from .rings import QQ, PolyQuotient, PrimeField, ResidueRing, SeriesRing
 from .slp import (
     AffineChange,
     StraightLineProgram,
@@ -47,7 +47,6 @@ __all__ = [
     "FiberRepresentation",
     "KroneckerError",
     "PolyQuotient",
-    "PolyRing",
     "PrimeField",
     "QQ",
     "ResidueRing",

@@ -12,8 +12,6 @@ input written as a sum of monomials, and of a 1-norm bound otherwise.
 from dataclasses import dataclass
 from math import prod
 
-from .rings import ceil_log2
-
 C_HEIGHT = 16
 C_PRIME = 64
 
@@ -30,6 +28,13 @@ def sample_bounds(D):
     if D < 1:
         raise ValueError("degree budget must be positive")
     return 8 * D, 9 * D
+
+
+def ceil_log2(n):
+    """Smallest k with 2**k >= n, for n >= 1."""
+    if n < 1:
+        raise ValueError("argument must be positive")
+    return (n - 1).bit_length()
 
 
 def _polylog(x):

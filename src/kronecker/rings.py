@@ -5,12 +5,13 @@ Each context exposes the same small protocol: ``zero``, ``one``, ``add``,
 ``dot(us, vs)`` is the sum of the products us[i]·vs[i].
 Elements are ordinary Python values:
 
-* ``ResidueRing``                 -- Z/p^k, ints reduced into [0, p^k); at
-  k = 1 the prime field F_p, which ``PrimeField(p)`` builds after checking p;
-* ``SeriesRing``                  -- F_p[t]/(t^k), tuples of ints (ascending
-  powers);
-* ``Rationals``                   -- ``fractions.Fraction``;
-* ``PolyRing`` / ``PolyQuotient`` -- coefficient tuples over the base ring.
+* ``ResidueRing``  -- Z/p^k, ints reduced into [0, p^k); at k = 1 the prime
+  field F_p, which ``PrimeField(p)`` builds after checking p;
+* ``SeriesRing``   -- F_p[t]/(t^k), tuples of ints (ascending powers);
+* ``Rationals``    -- ``fractions.Fraction``;
+* ``PolyQuotient`` -- R[T]/(q) for a monic q, coefficient tuples over the
+  base ring R.  A polynomial of degree at most D is exact in R[T]/(T^(D+1)),
+  so no ring of unreduced polynomials is needed.
 
 Everything is immutable and hashable, so contexts and elements can be shared
 freely across threads.
@@ -55,7 +56,9 @@ and a product is the sum of one.  Each sum is reduced mod q once:
   ``polys.rem_monic``.
 
 An element of T-degree 0 inverts in the base ring, not by Euclid or Newton
-over the quotient, and a series that is a constant inverts in its field.
+over the quotient.  A series inverts by the one remainder sequence of
+``polys.poly_inverse_mod`` modulo t^k over its field: F_p[t]/(t^k) is a
+quotient too.
 """
 
 from fractions import Fraction
@@ -64,13 +67,6 @@ from operator import mul as _times
 from . import polys
 from .errors import NotInvertibleError
 from .primes import is_probable_prime
-
-
-def ceil_log2(n):
-    """Smallest k with 2**k >= n, for n >= 1."""
-    if n < 1:
-        raise ValueError("argument must be positive")
-    return (n - 1).bit_length()
 
 
 def PrimeField(p):
@@ -355,16 +351,7 @@ class SeriesRing:
         F = self.field
         if not a or F.is_zero(a[0]):
             raise NotInvertibleError("series with zero constant term")
-        inv0 = F.inv(a[0])
-        b = (inv0,)
-        if len(a) == 1:
-            return b
-        # Newton: b <- b*(2 - a*b), doubling correct coefficients each pass.
-        two = self.from_int(2)
-        steps = ceil_log2(self.prec) if self.prec > 1 else 0
-        for _ in range(steps):
-            b = self.mul(b, self.sub(two, self.mul(a, b)))
-        return b
+        return polys.poly_inverse_mod(a, (F.zero,) * self.prec + (F.one,), F)
 
     def residue_field(self):
         return self.field
@@ -397,52 +384,12 @@ class SeriesRing:
         return f"SeriesRing({self.field!r}, prec={self.prec})"
 
 
-class PolyRing:
-    """R[T] with no reduction; used to evaluate circuits at symbolic points."""
-
-    is_field = False
-
-    def __init__(self, base):
-        self.base = base
-        self.zero = ()
-        self.one = (base.one,)
-        self.gen = (base.zero, base.one)
-
-    def add(self, a, b):
-        return polys.poly_add(a, b, self.base)
-
-    def sub(self, a, b):
-        return polys.poly_sub(a, b, self.base)
-
-    def mul(self, a, b):
-        return polys.poly_mul(a, b, self.base)
-
-    def dot(self, us, vs):
-        return polys.dot(us, vs, self)
-
-    def neg(self, a):
-        return polys.poly_neg(a, self.base)
-
-    def from_int(self, n):
-        return polys.constant(self.base.from_int(n), self.base)
-
-    def embed(self, a):
-        return polys.constant(a, self.base)
-
-    def is_zero(self, a):
-        return len(a) == 0
-
-    def inv(self, a):
-        if polys.degree(a) != 0:
-            raise NotInvertibleError("only degree-0 units are invertible in R[T]")
-        return (self.base.inv(a[0]),)
-
-    def __repr__(self):
-        return f"PolyRing({self.base!r})"
-
-
 class PolyQuotient:
     """R[T]/(q) for a monic q over the base ring R.
+
+    With q = T^(D+1) it is R[T] cut past degree D, exact for polynomials
+    of degree at most D: the parser's degree pass and the solver's first
+    stage evaluate a program on a line there.
 
     When R is a field, inverses come from the extended Euclidean algorithm
     (failure signals a zero divisor, e.g. a non-squarefree modulus).  When R

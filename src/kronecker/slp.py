@@ -20,7 +20,9 @@ terms merge by monomial when they are monomials, so ``x*y*z - z*y*x``
 cancels.  Products and powers of sums stay as written: ``(x - 2*y)^8`` is
 three squarings of one ``lin``, never expanded, and the parse takes time
 linear in the tokens.  The degrees and the "identically zero" verdict come
-from one evaluation of the finished program on a line over F_p[t].
+from one evaluation of the finished program on a line over F_p[T]/(T^(D+1)),
+for D the largest propagated degree bound of the outputs (at least 1): no
+output's degree passes its bound, so the truncation loses nothing.
 Instructions are hash-consed: a product of the same operands (in either
 order) is emitted once and shared, so the monomial ``x^2*y`` appearing in
 several terms or outputs costs its multiplications once, and ``length``
@@ -49,7 +51,7 @@ from operator import add
 from .errors import NotInvertibleError, ParseError, SingularMatrixError
 from .polys import charpoly_division_free, charpoly_horner
 from .primes import WORD_PRIME_HIGH, WORD_PRIME_LOW, random_prime_in_range
-from .rings import ZZ, PolyRing, ResidueRing, coerce
+from .rings import ZZ, PolyQuotient, ResidueRing, coerce
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^();,]))"
@@ -112,9 +114,11 @@ class StraightLineProgram:
     with integer coefficients.  ``outputs`` names the instruction computing
     each polynomial, and ``transform`` the change of variables composed in.
     ``degrees`` holds each output's total degree, read off one evaluation
-    on a line over F_p[t] at parse time.  ``height`` bounds the bit length
-    of the largest coefficient: exactly for an output written as a sum of
-    monomials, and by the bits of a 1-norm bound otherwise.
+    on a line over F_p[T]/(T^(D+1)) at parse time, exact since every
+    output's degree is at most its propagated bound D.  ``height`` bounds
+    the bit length of the largest coefficient: exactly for an output
+    written as a sum of monomials, and by the bits of a 1-norm bound
+    otherwise.
     """
 
     n_vars: int
@@ -272,9 +276,11 @@ class _Parser:
             self.monomials[i] = tuple(int(j == i) for j in range(n))
         outputs = []
         height = 0
+        top = 1  # D, the largest degree bound, and at least 1
         while self.peek()[0] != "end":
             self.k += 1
-            c, v, _, norm = self.expr()
+            c, v, deg, norm = self.expr()
+            top = max(top, deg)
             ins = () if v is None else self.instructions[v]
             if ins[:1] == ("lin",) and all(j in self.monomials for j in ins[3]):
                 # A sum of monomials, merged: its largest coefficient.
@@ -300,19 +306,20 @@ class _Parser:
             degrees=(),
             height=height,
         )
-        # Each output restricted to a line x = a + b·t over F_p[t], for a
-        # word-size prime p: it is 0 only if the polynomial is, and has its
-        # total degree, unless p divides every coefficient of a form or b is
-        # a root of the top-degree form.  p, a and b are drawn from the
-        # text, so no fixed coefficient is a multiple of p every time.
+        # Each output restricted to a line x = a + b·T, for a word-size
+        # prime p: it is 0 only if the polynomial is, and has its total
+        # degree, unless p divides every coefficient of a form or b is a
+        # root of the top-degree form.  p, a and b are drawn from the text,
+        # so no fixed coefficient is a multiple of p every time.  No output
+        # has degree above D, so F_p[T]/(T^(D+1)) holds each exactly.
         rng = random.Random(self.text)
         p = random_prime_in_range(WORD_PRIME_LOW, WORD_PRIME_HIGH, rng)
         line = [(rng.randrange(p), rng.randrange(1, p)) for _ in range(n)]
         degrees = []
         bezout = 1
         order = slp.slice(tuple(range(len(outputs))))
-        PR = PolyRing(ResidueRing(p, 1))
-        values = _run(slp, order, line, PR, _coefficients(slp, order, PR))
+        A = PolyQuotient(ResidueRing(p, 1), (0,) * (top + 1) + (1,))
+        values = _run(slp, order, line, A, _coefficients(slp, order, A))
         for k, out in enumerate(outputs, 1):
             if not values[out]:
                 raise ParseError(f"polynomial #{k} is identically zero")

@@ -40,7 +40,7 @@ from .polys import (
     rem_monic,
     resultant_and_inverse,
 )
-from .rings import PolyQuotient, PolyRing, SeriesRing
+from .rings import PolyQuotient, SeriesRing
 from .slp import evaluate, evaluate_jacobian
 
 
@@ -148,16 +148,17 @@ def first_stage(state):
     made monic in the last variable.  A nonzero constant first polynomial
     has no zeros, whatever the random choices: EmptyIntersectionError."""
     slp = state.slp
-    if slp.degrees[0] == 0:
+    d1 = slp.degrees[0]
+    if d1 == 0:
         raise EmptyIntersectionError(
             "stage 1: the first polynomial is a nonzero constant"
         )
     F = state.field
     n = slp.n_vars
-    PR = PolyRing(F)
-    coords = list(state.point[: n - 1]) + [PR.gen]
-    q = evaluate(slp, coords, PR, n_out=1)[0]
-    d1 = slp.degrees[0]
+    # Exact over F[T]/(T^(d1 + 1)): the first polynomial has degree d1.
+    A = PolyQuotient(F, (F.zero,) * (d1 + 1) + (F.one,))
+    coords = list(state.point[: n - 1]) + [A.gen]
+    q = evaluate(slp, coords, A, n_out=1)[0]
     if degree(q) != d1:
         raise DegreeDropError(
             1, f"specialized degree {degree(q)} dropped below {d1}"

@@ -13,7 +13,7 @@ from math import gcd, lcm
 
 from kronecker.errors import NotInvertibleError
 from kronecker.polys import degree, divmod_monic, poly_add, poly_deriv, poly_mul
-from kronecker.rings import ZZ, PolyRing
+from kronecker.rings import ZZ, PolyQuotient
 from kronecker.slp import evaluate
 from kronecker.solver import embed_scalar
 
@@ -104,7 +104,10 @@ def contract_u_expansion(slp, A, point, gen, params, qp, count):
     mod Q the contraction is Q'^e times the residual, for e the U-degree of
     the expansion, so one vanishes exactly when the other does.
     """
-    PR = PolyRing(A)
+    # No output's U-degree passes its total degree, so A[U]/(U^(D+1)) for
+    # the largest D holds each expansion exactly.
+    top = max(slp.degrees[:count])
+    PR = PolyQuotient(A, (A.zero,) * (top + 1) + (A.one,))
     coords = [PR.embed(embed_scalar(A, x)) for x in point]
     coords.append(PR.embed(gen))
     coords.extend((A.zero, w) if not A.is_zero(w) else PR.zero for w in params)

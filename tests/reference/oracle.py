@@ -20,7 +20,7 @@ from kronecker.polys import (
     poly_mul,
     rem_monic,
 )
-from kronecker.rings import PolyRing
+from kronecker.rings import PolyQuotient
 from kronecker.slp import AffineChange
 
 from .rings import ExtField
@@ -206,7 +206,8 @@ def mulmat_charpoly(h, q, F):
         if j > 0:
             col = rem_monic(poly_mul(col, t_poly, F), q, F)
         columns.append(col)
-    PR = PolyRing(F)
+    # The charpoly has degree d in S, so F[S]/(S^(d+1)) holds it exactly.
+    FS = PolyQuotient(F, (F.zero,) * (d + 1) + (F.one,))
 
     def entry(i, j):
         c = columns[j][i] if i < len(columns[j]) else F.zero
@@ -215,7 +216,7 @@ def mulmat_charpoly(h, q, F):
         return normalize((F.neg(c),), F)
 
     mat = [[entry(i, j) for j in range(d)] for i in range(d)]
-    return det_division_free(mat, PR)
+    return det_division_free(mat, FS)
 
 
 def det_division_free(mat, A):

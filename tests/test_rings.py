@@ -12,7 +12,6 @@ from kronecker.rings import (
     QQ,
     ZZ,
     PolyQuotient,
-    PolyRing,
     PrimeField,
     ResidueRing,
     SeriesRing,
@@ -95,6 +94,23 @@ def test_series_inverse():
     assert S.mul(a, b) == S.one
     with pytest.raises(NotInvertibleError):
         S.inv((0, 1))
+    # Random units at several precisions, some longer than the precision.
+    F = PrimeField(10007)
+    rng = random.Random(32)
+    for prec in (1, 2, 5, 64):
+        S = SeriesRing(F, prec)
+        for length in (1, prec, 2 * prec + 3):
+            a = (rng.randrange(1, 10007),)
+            a += tuple(rng.randrange(10007) for _ in range(length - 1))
+            assert S.mul(a, S.inv(a)) == S.one
+    # A solve inverts a non-constant series through a quotient by a linear
+    # q: every reduced element there is one series.
+    S = SeriesRing(F, 8)
+    A = PolyQuotient(S, ((3, 1), S.one))
+    u = ((5, 0, 2, 9),)
+    assert A.mul(u, A.inv(u)) == A.one
+    with pytest.raises(NotInvertibleError):
+        A.inv(((0, 4),))
 
 
 def test_series_truncation():
@@ -209,9 +225,10 @@ L7 = ExtField(F7, from_int_coeffs([1, 0, 1], F7))  # F_49 = F_7[x]/(x^2 + 1)
 
 def _protocol_contexts(rng):
     """(ring, draw) for every ring context: each base ring, the quotient
-    by a monic cubic over each of them, and the packed ring of the exact
-    check over Q in both of its modes.  ``draw()`` is a random element,
-    not always reduced."""
+    by a monic cubic over each of them, F_7[T]/(T^3) as the parser's line
+    evaluation builds it, and the packed ring of the exact check over Q in
+    both of its modes.  ``draw()`` is a random element, not always
+    reduced."""
     S = SeriesRing(F7, 3)
     bases = [
         (ResidueRing(7, 2), lambda: rng.randrange(-100, 100)),
@@ -222,7 +239,9 @@ def _protocol_contexts(rng):
     ]
     for R, draw in bases:
         yield R, draw
-    yield PolyRing(F7), lambda: tuple(rng.randrange(-9, 9) for _ in range(3))
+    yield PolyQuotient(F7, (0, 0, 0, 1)), lambda: tuple(
+        rng.randrange(-9, 9) for _ in range(rng.randint(0, 5))
+    )
     for R, draw in bases:
         A = PolyQuotient(R, (draw(), draw(), draw(), R.one))
         # Up to twice the length of q: longer than q, unreduced.

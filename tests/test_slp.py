@@ -14,7 +14,6 @@ from kronecker.polys import interpolate, poly_deriv, poly_eval
 from kronecker.rings import (
     QQ,
     PolyQuotient,
-    PolyRing,
     PrimeField,
     ResidueRing,
     SeriesRing,
@@ -43,6 +42,9 @@ def test_parse_length_bare_load():
     slp = parse_system("vars x; x;")
     assert slp.length == 0
     assert slp.degrees == (1,)
+    # All outputs constant: the degree pass still runs modulo T^2.
+    slp = parse_system("vars x; 3;")
+    assert (slp.length, slp.degrees) == (0, (0,))
 
 
 def test_parse_length_repeated_squaring():
@@ -223,6 +225,8 @@ def test_parse_caps_the_degree_bound_and_the_bezout_number():
     assert parse_system("vars x; 7^1000*x - 2;").degrees == (1,)
     assert parse_system("vars x; (x+1)^200 - (x+1)^200 + x;").degrees == (1,)
     assert parse_system("vars x, y; x^16 - y; y^16 - x;").degrees == (16, 16)
+    # A degree equal to its bound: the line's value fills F_p[T]/(T^257).
+    assert parse_system("vars x, y; (x + y)^256;").degrees == (256,)
     for source in (
         "vars x; x^257 - 1;",
         "vars x; (x^2)^129;",
@@ -346,11 +350,12 @@ def test_evaluate_identity():
 
 
 def test_evaluate_symbolic_point_in_poly_ring():
-    # F = x*y - 2 at (p_1, T) over F_p[T] gives p_1*T - 2
+    # F = x*y - 2 at (p_1, T) over F_p[T]/(T^2), exact for degree 1, gives
+    # p_1*T - 2
     slp = parse_system("vars x,y; x*y - 2;")
     F = PrimeField(7)
-    PR = PolyRing(F)
-    val = evaluate(slp, (3, PR.gen), PR)[0]
+    A = PolyQuotient(F, (0, 0, 1))
+    val = evaluate(slp, (3, A.gen), A)[0]
     assert val == (5, 3)  # 3T - 2 = 3T + 5 mod 7
 
 
