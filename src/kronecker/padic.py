@@ -246,9 +246,14 @@ def _run_attempts(slp, config, finish):
     any other KroneckerError as unlucky: this is the one loop that draws
     again after a failed draw, of λ, of the prime or of a verify prime.
     When no attempt is left this raises InputNotRegularError if every cause
-    was structural, and RetryExhaustedError otherwise.
+    was structural, and RetryExhaustedError otherwise.  A nonzero constant
+    polynomial raises InputNotRegularError before the first attempt.
     """
     check_configuration(config, slp.n_vars)
+    if 0 in slp.degrees:  # no zeros, whatever the draws: no attempt is made
+        stage = slp.degrees.index(0) + 1
+        cause = f"stage {stage}: polynomial #{stage} is a nonzero constant"
+        raise InputNotRegularError(0, [cause])
     rng = random.Random(config.seed)
     bounds = BoundSet.for_system(slp.n_vars, slp.degrees, max(slp.height, 1))
     causes = []

@@ -55,13 +55,15 @@ and a product is the sum of one.  Each sum is reduced mod q once:
   ``polys.poly_mul``, sums the products unreduced and takes one
   ``polys.rem_monic``.
 
-An element of T-degree 0 inverts in the base ring, not by Euclid or Newton
-over the quotient.  A series inverts by the one remainder sequence of
+An element of T-degree 0 inverts in the base ring, not by Euclid over the
+quotient.  A series inverts by the one remainder sequence of
 ``polys.poly_inverse_mod`` modulo t^k over its field: F_p[t]/(t^k) is a
-quotient too.
+quotient too.  Any other element inverts only over a field base, by one
+remainder sequence: the Newton step carries its inverse (``solver.rungs``).
 """
 
 from fractions import Fraction
+from itertools import zip_longest
 from operator import mul as _times
 
 from . import polys
@@ -93,7 +95,7 @@ class ResidueRing:
         self.modulus = self.int_modulus = m
         self.zero = 0
         self.one = 1 % self.modulus
-        # Nilpotency index of the maximal ideal; drives inverse-lifting depth.
+        # Nilpotency index of the maximal ideal: the ladder's precision k.
         self.nilpotency = k
 
     def add(self, a, b):
@@ -122,16 +124,6 @@ class ResidueRing:
             return pow(a, -1, self.modulus)
         except ValueError:
             raise NotInvertibleError(f"{a} has no inverse in {self!r}") from None
-
-    def residue_field(self):
-        return ResidueRing(self.p, 1)
-
-    def residue(self, a):
-        return a % self.p
-
-    def embed(self, a):
-        """Canonical lift of a residue-field element."""
-        return a % self.modulus
 
     def at_precision(self, k):
         return ResidueRing(self.p, k)
@@ -280,15 +272,15 @@ ZZ = Integers()
 
 
 class SeriesRing:
-    """F[t]/(t**prec): truncated power series over a prime field F."""
-
-    is_field = False
+    """F[t]/(t**prec): truncated power series over a prime field F; its
+    foot, prec = 1, is a copy of F, the field the curve lift starts from."""
 
     def __init__(self, field, prec):
         if prec < 1:
             raise ValueError("precision must be >= 1")
         self.field = field
         self.prec = prec
+        self.is_field = prec == 1
         self.zero = ()
         self.one = (field.one,)
         self.nilpotency = prec
@@ -353,15 +345,6 @@ class SeriesRing:
             raise NotInvertibleError("series with zero constant term")
         return polys.poly_inverse_mod(a, (F.zero,) * self.prec + (F.one,), F)
 
-    def residue_field(self):
-        return self.field
-
-    def residue(self, a):
-        return a[0] if a else self.field.zero
-
-    def embed(self, a):
-        return polys.constant(a, self.field)
-
     def shifted_variable(self, base_value):
         """The series base_value + t."""
         return self._trim([self.field.from_int(base_value), self.field.one])
@@ -391,11 +374,10 @@ class PolyQuotient:
     of degree at most D: the parser's degree pass and the solver's first
     stage evaluate a program on a line there.
 
-    When R is a field, inverses come from the extended Euclidean algorithm
-    (failure signals a zero divisor, e.g. a non-squarefree modulus).  When R
-    is a truncated local ring (SeriesRing, ResidueRing), an element is a unit
-    iff its image in the residue quotient F_p[T]/(q mod m) is, and the inverse
-    is Newton-lifted from there.
+    An element of T-degree 0 inverts in the base ring.  Any other inverts
+    over a field base by one remainder sequence (NotInvertibleError signals
+    a zero divisor, e.g. mod a non-squarefree q), and raises ValueError over
+    a truncated local ring past its foot (see the module docstring).
     """
 
     is_field = False
@@ -447,25 +429,9 @@ class PolyQuotient:
     def inv(self, a):
         if len(a) == 1 and self.deg > 0:
             return (self.base.inv(a[0]),)
-        if self.base.is_field:
-            return polys.poly_inverse_mod(a, self.modulus, self.base)
-        F = self.base.residue_field()
-        qbar = polys.normalize([self.base.residue(c) for c in self.modulus], F)
-        abar = polys.normalize([self.base.residue(c) for c in a], F)
-        v0 = polys.poly_inverse_mod(abar, qbar, F)
-        # Newton-lift the inverse, climbing the precision ladder so early
-        # iterations run over small truncations.
-        v = polys.normalize([self.base.embed(c) for c in v0], self.base)
-        prec = 1
-        full = max(self.base.nilpotency, 1)
-        while prec < full:
-            prec = min(2 * prec, full)
-            A = self if prec == full else self.at_precision(prec)
-            av = a if prec == full else A.base.truncate(a)
-            vv = v if prec == full else A.base.truncate(v)
-            two = A.from_int(2)
-            v = A.mul(vv, A.sub(two, A.mul(av, vv)))
-        return v
+        if len(a) > 1 and not self.base.is_field:
+            raise ValueError(f"no inverse of a non-constant element over {self.base!r}")
+        return polys.poly_inverse_mod(a, self.modulus, self.base)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.base!r}, deg={self.deg})"
@@ -487,7 +453,8 @@ def _by_parts(base, q):
 def _packed_kernel(q, r, s, slots, element):
     """The sum of products of R[T]/(q), packed (see the module docstring),
     over a base ring whose coefficients ``slots`` lays out as s slots
-    each, taken mod r; ``element`` reads s·deg q reduced slots back."""
+    each, taken mod r; ``element`` reads back s reduced slots per
+    T-coefficient of the sum, which has at most deg q of them."""
     d = len(q) - 1
     bw = 2 * s - 1  # slots per T-block: a product of two series fits
     packs = {}  # (element, slot width, sign) -> packed; racing threads agree
@@ -506,7 +473,7 @@ def _packed_kernel(q, r, s, slots, element):
         return x
 
     def dot(us, vs):
-        out, pairs = [0] * (s * d), []
+        out, pairs = [], []
         for a, b in zip(us, vs):
             if len(a) > len(b):
                 a, b = b, a
@@ -514,7 +481,9 @@ def _packed_kernel(q, r, s, slots, element):
                 c = slots(a)
                 if not any(c[1:]):
                     # A scalar: cheaper slot by slot than packed.
-                    for j, x in enumerate(slots(b)):
+                    xs = slots(b)
+                    out += [0] * (len(xs) - len(out))
+                    for j, x in enumerate(xs):
                         out[j] += c[0] * x
                     continue
             if a:
@@ -537,10 +506,12 @@ def _packed_kernel(q, r, s, slots, element):
                     lead = _unpack(lead.to_bytes(head, "little"), wb)
                     lead = int.from_bytes(_pack(lead, wb, r), "little")
                 acc += (lead * packed_q) << ((i - d) * shift)
-        buf = acc.to_bytes(max(top, d) * bw * wb, "little")[: d * bw * wb]
+        # Blocks from deg q on are left over from the division.
+        buf = acc.to_bytes(top * bw * wb, "little")[: min(top, d) * bw * wb]
         if s > 1:
             buf = b"".join([buf[i : i + head] for i in range(0, len(buf), bw * wb)])
-        return element([(x + y) % r for x, y in zip(_unpack(buf, wb), out)])
+        summed = zip_longest(_unpack(buf, wb), out, fillvalue=0)
+        return element([(x + y) % r for x, y in summed])
 
     return dot
 

@@ -116,9 +116,9 @@ def fiber_coordinates(n, prim_var, point, params, A):
 
 
 def residuals(slp, rep):
-    """Values of the first ``rep.stage`` outputs on the fiber of ``rep``, in
-    either form, over R[T]/(Q) for a field or a local ring R.  Raises
-    NotInvertibleError when Q is not squarefree."""
+    """Values of the first ``rep.stage`` outputs on the fiber of ``rep`` over
+    R[T]/(Q), in either form over a field R, in univariate form over a local
+    ring.  Raises NotInvertibleError when a Kronecker Q is not squarefree."""
     uni = to_univariate(rep)
     A = PolyQuotient(uni.ring, uni.min_poly)
     coords = fiber_coordinates(slp.n_vars, uni.prim_var, uni.point, uni.params, A)
@@ -126,10 +126,10 @@ def residuals(slp, rep):
 
 
 def checked_residuals(slp, rep):
-    """``residuals`` and the univariate form they were evaluated on, from
-    the one pass that also gives the Jacobian J in the fiber's coordinates:
-    when they vanish and det J is not a unit mod Q, raises
-    JacobianNotInvertibleError."""
+    """``residuals`` over a field and the univariate form they were
+    evaluated on, from the one pass that also gives the Jacobian J in the
+    fiber's coordinates: when they vanish and det J is not a unit mod Q,
+    raises JacobianNotInvertibleError."""
     uni = to_univariate(rep)
     A = PolyQuotient(uni.ring, uni.min_poly)
     prim, n = uni.prim_var, slp.n_vars
@@ -175,9 +175,9 @@ def first_stage(state):
 
 
 def to_univariate(rep):
-    """Kronecker -> univariate: V_j = Q'^{-1} W_j mod Q, over a field or a
-    local ring (needs Q squarefree, mod the maximal ideal for a local ring;
-    raises NotInvertibleError otherwise)."""
+    """Kronecker -> univariate: V_j = Q'^{-1} W_j mod Q over a field (needs Q
+    squarefree; raises NotInvertibleError otherwise).  Over a local ring a
+    non-constant Q' raises ValueError: a lift climbs in univariate form."""
     if rep.form == "univariate":
         return rep
     A = PolyQuotient(rep.ring, rep.min_poly)
@@ -199,24 +199,32 @@ def to_kronecker(rep):
 # -- linear algebra over quotient rings --------------------------------------
 
 
-def solve_linear(mat, rhs, A):
+def solve_linear(mat, rhs, A, inv, lift):
     """Solve M·x = b for an s x s matrix M over a commutative ring A, as
     x = -(M^(s-1) b + c_1 M^(s-2) b + ... + c_(s-1) b) / c_s by
     Cayley–Hamilton, with det(x·I - M) = x^s + c_1 x^(s-1) + ... + c_s.
     The one inverse is of c_s = ±det M, so only det M must be a unit: over
     the Newton step's R[T]/(Q), an invertible M may have no unit in a
-    column.  Raises NotInvertibleError when det M is not a unit."""
+    column.  Returns x and 1/c_s: ``A.inv(c_s)`` when ``inv`` is None
+    (NotInvertibleError when det M is not a unit), else ``inv``, an inverse
+    of c_s to half A's precision or more, after one Newton iteration
+    v·(2 - c_s·v) when ``lift`` is true."""
     coeffs = charpoly_division_free(mat, A)
-    neg_inv = A.neg(A.inv(coeffs[-1]))
-    return [A.mul(neg_inv, v) for v in charpoly_horner(mat, coeffs, rhs, A)]
+    if inv is None:
+        inv = A.inv(coeffs[-1])
+    elif lift:
+        inv = A.mul(inv, A.sub(A.from_int(2), A.mul(coeffs[-1], inv)))
+    neg_inv = A.neg(inv)
+    return [A.mul(neg_inv, v) for v in charpoly_horner(mat, coeffs, rhs, A)], inv
 
 
 # -- Newton lifting -----------------------------------------------------------
 
 
-def newton_step(slp, rep, R):
+def newton_step(slp, rep, R, inv):
     """One primitive-element-corrected Newton step of a univariate fiber
-    over a local ring; returns the fiber over ``R``.
+    over a local ring; returns the fiber over ``R`` and the inverse of c_s =
+    ±det J that ``solve_linear`` used, for the next step.
 
     ``rep`` is over the local ring at precision k (``rep.ring.nilpotency``:
     its t-adic order or p-adic exponent), and ``R`` is the same ring at the
@@ -237,6 +245,13 @@ def newton_step(slp, rep, R):
     are π^k times q'·ê and n_j'·ê mod q at precision m - k, where q_new ≡
     q, so they are formed there too.  The returned fiber is checked by the
     next step, if one is taken, or downstream (see ``rungs``).
+
+    ``inv`` is None at the foot, k = 1: c_s is inverted over the residue
+    field, and a det J that is no unit there raises
+    JacobianNotInvertibleError.  Above it, ``inv`` is the previous step's,
+    exact to precision k/2, since J and q agree with that step's mod
+    π^(k/2): truncated into this step's ring, it takes one Newton iteration,
+    none when m - k <= k/2 (a capped last step).
     """
     n = slp.n_vars
     stage, prim, q = rep.stage, rep.prim_var, rep.min_poly
@@ -251,8 +266,10 @@ def newton_step(slp, rep, R):
     if any(Rk.truncate(v) for v in vals):
         raise ResidualNonzeroError(f"stage {stage} residual nonzero over {Rk!r}")
     rhs = [low.base.shift_down(v, k) for v in vals]
+    if inv is not None:
+        inv = low.base.truncate(inv)
     try:
-        corr = solve_linear(jac, rhs, low)
+        corr, inv = solve_linear(jac, rhs, low, inv, lift=R.nilpotency - k > k // 2)
     except NotInvertibleError:
         raise JacobianNotInvertibleError(stage) from None
     e_hat = low.neg(corr[0])
@@ -266,7 +283,7 @@ def newton_step(slp, rep, R):
     for j, v in rep.params.items():
         nj = A.sub(v, R.shift_up(corr[j - prim], k))
         new_params[j] = A.sub(nj, times_e(nj))
-    return replace(rep, min_poly=q_new, params=new_params, ring=R)
+    return replace(rep, min_poly=q_new, params=new_params, ring=R), inv
 
 
 def rungs(rep, slp, last):
@@ -278,13 +295,15 @@ def rungs(rep, slp, last):
     A rung is residual-checked only by the step that leaves it: a step from
     a checked rung with an invertible Jacobian is exact to the doubled
     precision (Giusti-Lecerf-Salvy).  The rung the ladder stops at is
-    checked downstream: by the next fiber's step, or the acceptance check."""
+    checked downstream: by the next fiber's step, or the acceptance check.
+    Each step hands its inverse of ±det J to the next (see ``newton_step``)."""
+    inv = None
     while True:
         k = rep.ring.nilpotency
         yield k, rep
         if k == last:
             return
-        rep = newton_step(slp, rep, rep.ring.at_precision(min(2 * k, last)))
+        rep, inv = newton_step(slp, rep, rep.ring.at_precision(min(2 * k, last)), inv)
 
 
 # -- curve lifting ------------------------------------------------------------

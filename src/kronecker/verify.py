@@ -14,8 +14,8 @@ step, and its output is verified over Q.  Nothing lifts the fiber
 ``solve_modular`` returns, so ``check_representation`` checks both on it,
 in one pass over F_p[T]/(Q).
 
-Over a field or a local ring a residual is evaluated on the univariate
-form (``solver.residuals``; ``solver.checked_residuals`` also checks the
+Over a field a residual is evaluated on the univariate form
+(``solver.residuals``; ``solver.checked_residuals`` also checks the
 Jacobian in the same pass).  A rational representation is checked modulo
 fresh primes by ``fresh_prime_checks`` (Monte Carlo) and, in provable mode,
 exactly over Q in its own form (``_exact_residuals_vanish``), since
@@ -198,9 +198,11 @@ def _is_squarefree_over_q(q):
 def check_representation(rep, slp, *, exact=False):
     """Structural and membership checks for a fiber representation.
 
-    Prime-field and residue-ring representations are checked directly, in
-    one pass that also gives the Jacobian J: when the residuals vanish and
-    det J is not a unit mod (p, Q), this raises JacobianNotInvertibleError.
+    A prime-field representation is checked directly, in one pass that also
+    gives the Jacobian J: when the residuals vanish and det J is not a unit
+    mod (p, Q), this raises JacobianNotInvertibleError.  A representation
+    over a local ring raises ValueError: a lifted fiber is checked by the
+    next Newton step, or through its reconstruction over Q.
     The report keeps the univariate form that pass was evaluated on.
     A rational representation gets its structural clauses, and, when
     ``exact`` (provable mode's acceptance check), the clause ``exact
@@ -225,8 +227,7 @@ def check_representation(rep, slp, *, exact=False):
     elif R.is_field:
         sqf = ("squarefree", is_squarefree(rep.min_poly, R))
     else:
-        qbar = tuple(R.residue(c) for c in rep.min_poly)
-        sqf = ("squarefree mod p", is_squarefree(qbar, R.residue_field()))
+        raise ValueError(f"no check over the local ring {R!r}")
     clauses.append((*sqf, "gcd(Q, Q') = 1"))
     if isinstance(R, Rationals):
         if exact:

@@ -1,4 +1,5 @@
-"""Extension fields of a prime field, for the tests' references."""
+"""Extension fields of a prime field and a from-scratch inverse over a
+local ring, for the tests' references."""
 
 from kronecker import polys
 from kronecker.rings import PolyQuotient
@@ -22,3 +23,17 @@ def reduced(A, f):
     """The element f of R[T], trimmed and reduced mod the modulus of the
     quotient A = R[T]/(q)."""
     return polys.rem_monic(polys.normalize(f, A.base), A.modulus, A.base)
+
+
+def newton_inverse(A, a):
+    """The inverse of a in A = R[T]/(q) over a truncated local ring R, from
+    scratch: a remainder sequence over the residue field, then Newton
+    iterations v·(2 - a·v) at full precision, each doubling the precision
+    to which v is exact.  Raises NotInvertibleError when a is not a unit."""
+    v = A.at_precision(1).inv(A.base.at_precision(1).truncate(a))
+    two = A.from_int(2)
+    exact = 1
+    while exact < A.base.nilpotency:
+        v = A.mul(v, A.sub(two, A.mul(a, v)))
+        exact *= 2
+    return v

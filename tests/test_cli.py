@@ -125,7 +125,9 @@ def test_oversized_input_exits_3_at_once(tmp_path, capsys, source):
 def test_constant_polynomial_exits_2(tmp_path, capsys, source):
     src = _write(tmp_path, source)
     assert run([src, "--seed", "0"]) == 2
-    assert "reduced regular sequence" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "reduced regular sequence" in err
+    assert err.count("nonzero constant") == 1
 
 
 def test_determinism_byte_identical(tmp_path):

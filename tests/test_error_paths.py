@@ -74,16 +74,39 @@ def test_hensel_rejects_singular_jacobian():
         list(rungs(rep, slp, last=4))
 
 
+def test_curve_lift_rejects_singular_jacobian_at_its_foot():
+    # (y^2 - x)^2 at x = 1: Q = T^2 - 1 is squarefree and the residual
+    # vanishes mod Q, but so does the Jacobian 4T(T^2 - 1).  The curve
+    # lift's first step inverts det J over F_p[t]/(t), the foot of its
+    # ladder, and refuses it there.
+    slp = compose_affine(
+        parse_system("vars x, y; (y^2 - x)^2;"), AffineChange.identity(2)
+    )
+    F = PrimeField(10007)
+    rep = FiberRepresentation(
+        stage=1,
+        prim_var=1,
+        point=(1,),
+        min_poly=from_int_coeffs([-1, 0, 1], F),
+        params={},
+        form="univariate",
+        ring=F,
+    )
+    with pytest.raises(JacobianNotInvertibleError):
+        lift_curve(rep, slp)
+
+
 @pytest.mark.parametrize(
     "source, stage",
     [("vars x, y; 3; x - y;", "stage 1"), ("vars x, y; x - y; 3;", "stage 2")],
 )
 def test_nonzero_constant_is_not_regular_in_either_place(source, stage):
     # A nonzero constant has no zeros whatever λ, point and prime are drawn:
-    # every attempt is discarded as structural, never retried as unlucky.
+    # the input is refused once, before any attempt draws.
     with pytest.raises(InputNotRegularError) as info:
         solve_over_rationals(parse_system(source), SolveConfiguration(seed=1))
-    assert all(stage in cause for cause in info.value.causes)
+    assert info.value.attempts == 0
+    assert len(info.value.causes) == 1 and stage in info.value.causes[0]
     if stage == "stage 1":
         with pytest.raises(EmptyIntersectionError):
             first_stage(_state(source, 2, 10007, point=(1,)))

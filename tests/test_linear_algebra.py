@@ -7,7 +7,7 @@ import pytest
 
 from kronecker.errors import NotInvertibleError
 from kronecker.padic import SolveConfiguration, solve_over_rationals
-from kronecker.polys import normalize, poly_eval
+from kronecker.polys import charpoly_division_free, normalize, poly_eval
 from kronecker.rings import (
     QQ,
     PolyQuotient,
@@ -20,7 +20,7 @@ from kronecker.solver import solve_linear
 
 from reference.oracle import det_division_free
 from reference.polys import from_int_coeffs
-from reference.rings import reduced
+from reference.rings import newton_inverse, reduced
 
 F = PrimeField(10007)
 
@@ -64,11 +64,13 @@ def test_solve_linear_with_no_unit_in_the_first_column():
         for row in mat:
             with pytest.raises(NotInvertibleError):
                 A.inv(row[0])
-        A.inv(det_division_free(mat, A))  # a unit: no raise
+        det = det_division_free(mat, A)
+        A.inv(det)  # a unit: no raise
         rhs = [from_int_coeffs([rng.randrange(10007) for _ in range(2)], F)
                for _ in range(s)]
-        x = solve_linear(mat, rhs, A)
+        x, inv = solve_linear(mat, rhs, A, None, lift=False)
         assert _times(mat, x, A) == [reduced(A, r) for r in rhs]
+        assert A.mul(det, inv) == (A.one if s % 2 == 0 else A.neg(A.one))
 
 
 def test_solve_linear_reports_singular():
@@ -76,7 +78,7 @@ def test_solve_linear_reports_singular():
     t_minus = from_int_coeffs([-1, 1], F)
     mat = [[t_minus, t_minus], [t_minus, t_minus]]
     with pytest.raises(NotInvertibleError):
-        solve_linear(mat, [A.one, A.one], A)
+        solve_linear(mat, [A.one, A.one], A, None, lift=False)
 
 
 P = 7
@@ -105,24 +107,37 @@ def _random_element(A, draw, rng):
 def test_solve_linear_over_the_newton_step_algebras(s):
     rng = random.Random(s)
     for A, draw in _local_quotients():
+        half = A.at_precision((A.base.nilpotency + 1) // 2)
         solved = 0
         while solved < 3:
             mat = [[_random_element(A, draw, rng) for _ in range(s)]
                    for _ in range(s)]
+            c_s = charpoly_division_free(mat, A)[-1]
             try:
-                A.inv(det_division_free(mat, A))
+                exact = newton_inverse(A, c_s)
             except NotInvertibleError:
                 continue
             rhs = [_random_element(A, draw, rng) for _ in range(s)]
-            assert _times(mat, solve_linear(mat, rhs, A), A) == rhs
+            # An inverse to half the precision takes one Newton iteration;
+            # an exact one is used as it is.
+            approx = newton_inverse(half, half.base.truncate(c_s))
+            for inv, lift in ((approx, True), (exact, False)):
+                x, got = solve_linear(mat, rhs, A, inv, lift)
+                assert _times(mat, x, A) == rhs
+                assert got == exact
             solved += 1
-        # det M times a non-unit is not a unit: the maximal ideal's
-        # generator (p or t), or T - 1, a zero divisor mod that ideal.
+        # At the foot, over the residue field, c_s is inverted afresh: det M
+        # times a non-unit is not a unit there.  The non-units are the
+        # maximal ideal's generator (p or t), or T - 1, a zero divisor mod
+        # that ideal.
+        foot = A.at_precision(1)
         pi = A.base.shift_up(A.one, 1)
         for z in (pi, reduced(A, [A.base.from_int(-1), A.base.one])):
             bad = [[A.mul(z, e) for e in mat[0]]] + mat[1:]
+            bad = [[foot.base.truncate(e) for e in row] for row in bad]
+            low_rhs = [foot.base.truncate(r) for r in rhs]
             with pytest.raises(NotInvertibleError):
-                solve_linear(bad, rhs, A)
+                solve_linear(bad, low_rhs, foot, None, lift=False)
 
 
 def test_det_division_free_matches_field_determinant():

@@ -54,13 +54,13 @@ def _perturb(monkeypatch, chosen, base_type):
     original = solver.solve_linear
     seen = []
 
-    def perturbed(mat, rhs, A):
-        corr = original(mat, rhs, A)
+    def perturbed(mat, rhs, A, inv, lift):
+        corr, inv = original(mat, rhs, A, inv, lift)
         if isinstance(A.base, base_type):
             seen.append(A.base)
             if len(seen) == chosen:
                 corr = [A.add(corr[0], _last_digit(A))] + corr[1:]
-        return corr
+        return corr, inv
 
     monkeypatch.setattr(solver, "solve_linear", perturbed)
     return seen

@@ -18,7 +18,13 @@ from hypothesis import strategies as st
 
 from kronecker import solver
 from kronecker.padic import SolveConfiguration, solve_over_rationals
-from kronecker.polys import poly_deriv, poly_mul, poly_sub, rem_monic
+from kronecker.polys import (
+    charpoly_division_free,
+    poly_deriv,
+    poly_mul,
+    poly_sub,
+    rem_monic,
+)
 from kronecker.rings import PolyQuotient, PrimeField, ResidueRing, SeriesRing
 from kronecker.slp import evaluate_jacobian, parse_system
 from kronecker.solver import (
@@ -29,11 +35,13 @@ from kronecker.solver import (
     solve_linear,
 )
 
+from reference.rings import newton_inverse
 from test_acceptance import _random_dense_system
 
 
 def _reference_step(slp, rep, R):
-    """Newton step with the Jacobian and the correction at the new precision."""
+    """Newton step with the Jacobian and the correction at the new precision,
+    and det J inverted there from scratch."""
     n = slp.n_vars
     prim, q = rep.prim_var, rep.min_poly
     A = PolyQuotient(R, q)
@@ -41,7 +49,8 @@ def _reference_step(slp, rep, R):
     vals, jac = evaluate_jacobian(
         slp, coords, A, list(range(prim, n)), n_out=rep.stage
     )
-    corr = solve_linear(jac, vals, A)
+    inv = newton_inverse(A, charpoly_division_free(jac, A)[-1])
+    corr, _ = solve_linear(jac, vals, A, inv, lift=False)
     e = A.neg(corr[0])
     q_new = poly_sub(q, A.mul(poly_deriv(q, R), e), R)
     new_params = {}
@@ -58,12 +67,12 @@ def _compare_every_step(monkeypatch):
     original = solver.newton_step
     steps = []
 
-    def compared(slp, rep, R):
-        got = original(slp, rep, R)
+    def compared(slp, rep, R, inv):
+        got, inv = original(slp, rep, R, inv)
         assert got == _reference_step(slp, rep, R)
         k = rep.ring.nilpotency
         steps.append((type(R), k, R.nilpotency, slp.transform.matrix))
-        return got
+        return got, inv
 
     monkeypatch.setattr(solver, "newton_step", compared)
     return steps
@@ -94,6 +103,48 @@ def test_newton_step_matches_full_precision_reference(monkeypatch, n, degrees, p
     assert any(m < 2 * k for k, m in series)
     ladder = range(cert.precision_exponent.bit_length() - 1)
     assert residue == [(2**i, 2 ** (i + 1)) for i in ladder]
+
+
+def _check_every_inverse(monkeypatch):
+    """Make every linear solve of a Newton step also check the inverse of
+    c_s it returns against a fresh one; returns the (ring type, precision,
+    how the inverse was made) of each solve."""
+    original = solver.solve_linear
+    solves = []
+
+    def checked(mat, rhs, A, inv, lift):
+        x, got = original(mat, rhs, A, inv, lift)
+        c_s = charpoly_division_free(mat, A)[-1]
+        assert A.mul(c_s, got) == A.one
+        assert got == newton_inverse(A, c_s)
+        how = "fresh" if inv is None else "newton" if lift else "truncated"
+        solves.append((type(A.base), A.base.nilpotency, how))
+        return x, got
+
+    monkeypatch.setattr(solver, "solve_linear", checked)
+    return solves
+
+
+@pytest.mark.parametrize("n, degrees", SYSTEMS)
+def test_carried_inverse_is_exact_at_every_rung(monkeypatch, n, degrees):
+    # n = 2: the stage-1 fiber has δ = 3, so its curve climbs t^1, t^2, t^4
+    # and t^5, whose last step is corrected mod t and only truncates the
+    # inverse carried from the step to t^4, exact mod t^2.  n = 3: each
+    # curve's last step, t^4 -> t^6, is corrected mod t^2 and truncates too.
+    slp = parse_system(_random_dense_system(n, degrees, random.Random(n)))
+    solves = _check_every_inverse(monkeypatch)
+    config = SolveConfiguration(seed=5, prime=P, lambda_matrix=LAMBDAS[n][1])
+    _, cert = solve_over_rationals(slp, config)
+    assert cert.verification["passed"]
+    series = [s[1:] for s in solves if s[0] is SeriesRing]
+    residue = [s[1:] for s in solves if s[0] is ResidueRing]
+    # Each ladder inverts afresh at its foot only, then lifts by one Newton
+    # iteration per rung; a curve's capped last step may only truncate.
+    assert len(residue) >= 2 and residue[0] == (1, "fresh")
+    assert residue[1:] == [(2**i, "newton") for i in range(1, len(residue))]
+    assert (1, "fresh") in series and (2, "newton") in series
+    assert ((1, "truncated") in series) is (n == 2)
+    assert any(how == "truncated" for _, how in series)
 
 
 def test_shift_down_and_up_invert_each_other():

@@ -3,9 +3,10 @@
 ``solver.residuals`` checks a Kronecker fiber through its univariate form.
 The reference is the division-free U-expansion
 ``reference.exact.contract_u_expansion`` (Y_j = W_j·U with U standing for
-1/Q'), the old exact check over Q: on fibers of random dense systems over
-F_p and over Z/p^4, clean and with one perturbed W_j, the two vanish
-together.
+1/Q', or for 1 on a univariate fiber), the old exact check over Q: on
+Kronecker fibers of random dense systems over F_p and on their univariate
+lifts over Z/p^4, as ``rungs`` yields them, clean and with one perturbed
+W_j or V_j, the two vanish together.
 """
 
 import random
@@ -38,6 +39,8 @@ def _u_expansion(slp, rep):
     R = rep.ring
     A = PolyQuotient(R, rep.min_poly)
     qp = rem_monic(poly_deriv(rep.min_poly, R), rep.min_poly, R)
+    if rep.form == "univariate":
+        qp = A.one
     params = [rep.params[j] for j in range(rep.prim_var + 1, slp.n_vars)]
     point = rep.point[: rep.prim_var]
     return contract_u_expansion(slp, A, point, A.gen, params, qp, rep.stage)
@@ -65,7 +68,7 @@ def _fiber(n, seed):
 
 
 def _perturbed(rep):
-    """``rep`` with one added to the constant term of its last W_j."""
+    """``rep`` with one added to the constant term of its last W_j (V_j)."""
     R = rep.ring
     j = max(rep.params)
     w = rep.params[j] or (R.zero,)
@@ -75,9 +78,7 @@ def _perturbed(rep):
 
 def _lifted(rep, slp):
     *_, (_, lifted) = rungs(to_univariate(rep), slp, last=4)
-    assert not any(residuals(slp, lifted))
-    lifted = to_kronecker(lifted)
-    assert lifted.ring.k == 4 and lifted.form == "kronecker"
+    assert lifted.ring.k == 4 and lifted.form == "univariate"
     return lifted
 
 
@@ -95,7 +96,7 @@ def test_residuals_vanish_exactly_when_the_u_expansion_does(n, seed):
 
 
 @pytest.mark.parametrize("n, seed", [(2, 5), (3, 6)])
-def test_to_univariate_over_residue_ring_reduces_to_the_field_result(n, seed):
+def test_lifted_univariate_fiber_reduces_to_the_field_result(n, seed):
     rep, slp = _fiber(n, seed)
     lifted = _lifted(rep, slp)
     assert isinstance(lifted.ring, ResidueRing)
@@ -103,17 +104,15 @@ def test_to_univariate_over_residue_ring_reduces_to_the_field_result(n, seed):
     def mod_p(coeffs):
         return normalize(tuple(c % F.p for c in coeffs), F)
 
-    reduced = replace(
-        lifted,
-        min_poly=mod_p(lifted.min_poly),
-        params={j: mod_p(w) for j, w in lifted.params.items()},
-        ring=F,
-    )
-    assert reduced.min_poly == rep.min_poly
-    uni_lifted = to_univariate(lifted)
-    uni_field = to_univariate(reduced)
-    assert uni_lifted.form == uni_field.form == "univariate"
-    assert {j: mod_p(v) for j, v in uni_lifted.params.items()} == uni_field.params
+    assert mod_p(lifted.min_poly) == rep.min_poly
+    uni_field = to_univariate(rep)
+    assert {j: mod_p(v) for j, v in lifted.params.items()} == uni_field.params
+    # Its Kronecker form is one product away; back over Z/p^4 would take
+    # 1/Q' there, which no code inverts.
+    kron = to_kronecker(lifted)
+    assert {j: mod_p(w) for j, w in kron.params.items()} == rep.params
+    with pytest.raises(ValueError):
+        to_univariate(kron)
 
 
 def test_fresh_prime_checks_replay_the_verify_prime_draws():

@@ -19,7 +19,7 @@ from kronecker.rings import (
 
 from kronecker.verify import _Packed
 from reference.polys import from_int_coeffs, mul_rem_mod
-from reference.rings import ExtField, reduced
+from reference.rings import ExtField, newton_inverse, reduced
 
 F7 = PrimeField(7)
 
@@ -36,18 +36,19 @@ def test_prime_field_is_the_residue_ring_of_exponent_one():
     assert hash(PrimeField(7)) == hash(ResidueRing(7, 1))
     assert PrimeField(7) != ResidueRing(7, 2)
     assert PrimeField(7) != PrimeField(11)
-    assert ResidueRing(7, 3).residue_field() == F7
 
 
 def test_only_exponent_one_is_a_field():
     assert [ResidueRing(7, k).is_field for k in (1, 2, 3)] == [True, False, False]
+    # The foot of the curve lift's ladder, F_7[t]/(t), is a field too.
+    assert [SeriesRing(F7, k).is_field for k in (1, 2, 3)] == [True, False, False]
 
 
 def test_residue_ring_inverse_and_reduction():
     R = ResidueRing(7, 3)
     a = 12
     assert R.mul(a, R.inv(a)) == 1
-    assert R.residue(R.from_int(-5)) == 2
+    assert R.from_int(-5) == 7**3 - 5
     with pytest.raises(NotInvertibleError):
         R.inv(7)
 
@@ -129,18 +130,33 @@ def test_quotient_inverse_over_field():
     assert A.mul(u, A.inv(u)) == A.one
 
 
+def _local_inverses(A, draw):
+    """Random elements of A = R[T]/(q) over a local ring R and their
+    reference inverses; a non-constant one has no ``A.inv``, and a non-unit
+    none at all."""
+    inverted = 0
+    for _ in range(10):
+        u = reduced(A, [draw() for _ in range(A.deg)])
+        if len(u) > 1:
+            with pytest.raises(ValueError):
+                A.inv(u)
+        try:
+            v = newton_inverse(A, u)
+        except NotInvertibleError:
+            continue
+        assert A.mul(u, v) == A.one
+        # Its image over the residue field is the inverse there.
+        low = A.at_precision(1)
+        assert low.base.truncate(v) == low.inv(low.base.truncate(u))
+        inverted += 1
+    assert inverted
+
+
 def test_quotient_inverse_over_residue_ring():
     rng = random.Random(0)
     R = ResidueRing(10007, 8)
     q = tuple(R.from_int(c) for c in [3, 1, 4, 1, 1])
-    A = PolyQuotient(R, q)
-    for _ in range(10):
-        u = tuple(rng.randrange(R.modulus) for _ in range(4))
-        try:
-            v = A.inv(u)
-        except NotInvertibleError:
-            continue
-        assert A.mul(u, v) == A.one
+    _local_inverses(PolyQuotient(R, q), lambda: rng.randrange(R.modulus))
 
 
 def test_quotient_inverse_over_series_ring():
@@ -148,17 +164,13 @@ def test_quotient_inverse_over_series_ring():
     S = SeriesRing(F7, 6)
     # monic modulus T^2 - (1 + t)
     q = ((6, 6), (), (1,))
-    A = PolyQuotient(S, q)
-    for _ in range(10):
-        u = tuple(
-            tuple(rng.randrange(7) for _ in range(3)) for _ in range(2)
-        )
-        u = reduced(A, u)
-        try:
-            v = A.inv(u)
-        except NotInvertibleError:
-            continue
-        assert A.mul(u, v) == A.one
+    _local_inverses(
+        PolyQuotient(S, q), lambda: tuple(rng.randrange(7) for _ in range(3))
+    )
+    # Over the foot F_7[t]/(t), a field, the remainder sequence inverts.
+    A = PolyQuotient(SeriesRing(F7, 1), ((6,), (), (1,)))
+    u = ((2,), (3,))
+    assert A.mul(u, A.inv(u)) == A.one
 
 
 # Small, word-size and just-below-word-size primes: the slot width of the
